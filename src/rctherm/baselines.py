@@ -164,13 +164,16 @@ def _innovations(params, z, exog, p, q, use_exog):
 
 
 def _css(params, z, exog, p, q, use_exog):
-    e = _innovations(params, z, exog, p, q, use_exog)
     skip = max(p, q)
-    # mean (not sum) keeps the objective well-scaled for the optimizer's
-    # finite-difference gradients regardless of series length
-    css = np.dot(e[skip:], e[skip:]) / max(len(e) - skip, 1)
+    # a non-invertible MA trial point overflows the filtered innovations;
+    # that non-finite objective maps to the 1e12 cliff below, so numpy's
+    # overflow warnings on the way carry nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _innovations(params, z, exog, p, q, use_exog)
+        # mean (not sum) keeps the objective well-scaled for the optimizer's
+        # finite-difference gradients regardless of series length
+        css = np.dot(e[skip:], e[skip:]) / max(len(e) - skip, 1)
     if not np.isfinite(css):
-        # non-invertible MA trial point: the filtered innovations overflow
         return 1e12
     return float(css)
 

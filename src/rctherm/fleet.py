@@ -16,7 +16,13 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateSeriesError, InvalidParameterError
+from .errors import (
+    ConfigError,
+    DataError,
+    DegenerateSeriesError,
+    InvalidParameterError,
+    ParseError,
+)
 from .rcnet import RcParams, build_state_space, discretize, initial_state, steady_state
 from .timeseries import (
     MODE_AUTO,
@@ -464,18 +470,35 @@ def synth_fleet(config, seed=0):
     return homes, traces
 
 
+_METADATA_REQUIRED = ("home_id", "floor_area", "year_built")
+
+
 def read_metadata_csv(source):
-    """Metadata CSV: home_id,floor_area,year_built,province,city."""
+    """Metadata CSV: home_id,floor_area,year_built,province,city.
+
+    A missing required column, a short row or a number that does not parse
+    raises ParseError naming the line.
+    """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
             return read_metadata_csv(fh)
     reader = csv.DictReader(source)
+    missing = [c for c in _METADATA_REQUIRED if c not in (reader.fieldnames or [])]
+    if missing:
+        raise ParseError(f"metadata CSV lacks columns {missing}", 1)
     out = []
     for row in reader:
+        if any(row[c] is None for c in _METADATA_REQUIRED):
+            raise ParseError("row has fewer fields than the header", reader.line_num)
+        numbers = {}
+        for name, kind in (("floor_area", float), ("year_built", int)):
+            try:
+                numbers[name] = kind(row[name])
+            except ValueError:
+                raise ParseError(f"bad {name} value {row[name]!r}", reader.line_num) from None
         out.append(HomeMetadata(
             home_id=row["home_id"],
-            floor_area=float(row["floor_area"]),
-            year_built=int(row["year_built"]),
+            **numbers,
             province=row.get("province", "") or "",
             city=row.get("city", "") or "",
         ))

@@ -213,7 +213,20 @@ def _load_fleet(config):
 
 
 def _segment_hash(trace):
-    return hashlib.sha256(timeseries.trace_to_csv_text(trace).encode()).hexdigest()[:16]
+    """First 16 hex digits of the SHA-256 of a segment's raw data: ``start``
+    (microseconds from the epoch) and ``step`` as ``<i8``, then the seven
+    fields in CSV_HEADER order as ``<f8`` (``hvac_mode`` as ``i1``), with
+    every NaN in one bit pattern."""
+    digest = hashlib.sha256(np.array(
+        [timeseries.epoch_us(trace.start), trace.step], dtype="<i8").tobytes())
+    for name in timeseries.CSV_HEADER[1:]:
+        values = getattr(trace, name)
+        if name == "hvac_mode":
+            values = values.astype("i1")
+        else:
+            values = np.where(np.isnan(values), np.nan, values).astype("<f8")
+        digest.update(values.tobytes())
+    return digest.hexdigest()[:16]
 
 
 def _home_seed(config, index):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.signal import lfilter, lfiltic
 
 from .errors import InsufficientDataError, InvalidParameterError, ShapeError
 
@@ -273,15 +274,13 @@ def simulate_difference(dc, u, y_init):
     if len(y_init) != n:
         raise InsufficientDataError(f"need exactly {n} initial outputs, got {len(y_init)}")
 
+    # the three input FIR filters summed, then one IIR over [1, e_1..e_n]
+    # seeded with y_init as the past outputs
+    drive = sum(lfilter(dc.s[:, j], [1.0], u[:, j]) for j in range(3))[n:] + dc.offset
+    a = np.concatenate([[1.0], dc.e])
     y = np.empty(len(u))
     y[:n] = y_init
-    for t in range(n, len(u)):
-        acc = dc.offset
-        for i in range(n + 1):
-            acc += dc.s[i] @ u[t - i]
-        for i in range(1, n + 1):
-            acc -= dc.e[i - 1] * y[t - i]
-        y[t] = acc
+    y[n:], _ = lfilter([1.0], a, drive, zi=lfiltic([1.0], a, y_init[::-1]))
     return y
 
 

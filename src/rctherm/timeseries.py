@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 
@@ -149,32 +151,203 @@ class RegressionDataset:
         return len(self.targets)
 
 
-def _parse_timestamp(text, line):
+#: Rows read or written per block. It bounds the per-cell strings and floats
+#: held at once: on a 90-day trace, reading or writing in blocks of 1024 rows
+#: peaks a few MB lower than in blocks of 4096, at the same speed.
+_BLOCK_ROWS = 1024
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+_STEP_US = STEP_SECONDS * 1_000_000
+_MODE_CELLS = {"": MODE_MISSING, **_MODE_NAMES}
+_MOTION_CELLS = {"": np.nan, "0": 0.0, "1": 1.0}
+_MODE_TEXT = {MODE_MISSING: "", **_MODE_STRINGS}
+
+
+def epoch_us(ts):
+    """Microseconds from the Unix epoch to the timezone-aware datetime ``ts``."""
+    return (ts - _EPOCH) // _MICROSECOND
+
+
+def _parse_timestamp(text):
     raw = text.strip()
-    if raw.endswith("Z") or raw.endswith("z"):
+    if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     try:
         ts = datetime.fromisoformat(raw)
     except ValueError as exc:
-        raise ParseError(f"bad timestamp {text!r}: {exc}", line) from None
+        raise ParseError(f"bad timestamp {text!r}: {exc}") from None
     if ts.tzinfo is None:
-        raise ParseError(f"timestamp {text!r} lacks a UTC offset", line)
-    return ts.astimezone(timezone.utc)
+        raise ParseError(f"timestamp {text!r} lacks a UTC offset")
+    return epoch_us(ts)
 
 
-def _parse_float(text, name, line, lo=None, hi=None):
-    raw = text.strip()
-    if raw == "":
-        return np.nan
+def _float_field(name, lo=None, hi=None):
+    def parse(text):
+        raw = text.strip()
+        if raw == "":
+            return np.nan
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ParseError(f"bad {name} value {text!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite {name} value {text!r}")
+        if lo is not None and not (lo <= value <= hi):
+            raise ParseError(f"{name} value {value} outside [{lo}, {hi}]")
+        return value
+
+    def fast(cells):
+        values = np.array([float(c) if c else np.nan for c in cells])
+        odd = ~np.isfinite(values)
+        if lo is not None:
+            odd |= (values < lo) | (values > hi)
+        # blank cells are the expected NaNs; any other odd cell is a fault
+        return None if any(cells[i] for i in np.flatnonzero(odd).tolist()) else values
+
+    return parse, fast
+
+
+def _lookup_field(table, message):
+    def parse(text):
+        try:
+            return table[text.strip()]
+        except KeyError:
+            raise ParseError(message.format(text.strip())) from None
+
+    return parse, lambda cells: [table[c] for c in cells]
+
+
+#: (column in CSV_HEADER, name, dtype, (parse, fast)) for each non-timestamp
+#: field, in the order a row's fields are checked. ``parse`` reads one cell
+#: exactly; ``fast`` reads a whole column of canonical cells at once and
+#: raises or returns None when any cell needs ``parse``.
+_FIELDS = (
+    (5, "hvac_mode", np.int8, _lookup_field(_MODE_CELLS, "unknown hvac_mode {!r}")),
+    (6, "motion", float, _lookup_field(_MOTION_CELLS, "motion must be 0 or 1, got {!r}")),
+    (1, "t_in", float, _float_field("t_in")),
+    (2, "t_out", float, _float_field("t_out")),
+    (3, "t_setheat", float, _float_field("t_setheat")),
+    (4, "t_setcool", float, _float_field("t_setcool")),
+    (7, "humidity", float, _float_field("humidity", lo=0.0, hi=1.0)),
+)
+
+
+def _parse_column(cells, parse, fast=None):
+    """Values of a column of cells up to the first cell ``parse`` rejects.
+
+    Returns (values, None) or (values before the bad cell, its ParseError).
+    """
     try:
-        value = float(raw)
-    except ValueError:
-        raise ParseError(f"bad {name} value {text!r}", line) from None
-    if not np.isfinite(value):
-        raise ParseError(f"non-finite {name} value {text!r}", line)
-    if lo is not None and not (lo <= value <= hi):
-        raise ParseError(f"{name} value {value} outside [{lo}, {hi}]", line)
-    return value
+        values = fast(cells) if fast else [parse(c) for c in cells]
+        if values is not None:
+            return values, None
+    except (ValueError, KeyError, ParseError):
+        pass
+    values = []
+    for cell in cells:
+        try:
+            values.append(parse(cell))
+        except ParseError as exc:
+            return values, exc
+    return values, None
+
+
+#: The canonical timestamp cell, as written by write_trace_csv: "0" marks a
+#: digit, the rest must match exactly.
+_CANONICAL_DTYPE = np.dtype("<U20")
+_CANONICAL = np.array(["0000-00-00T00:00:00Z"], dtype=_CANONICAL_DTYPE).view(np.uint32)
+_DIGITS = _CANONICAL == ord("0")
+
+
+def _canonical_stamps(cells):
+    """Epoch microseconds of timestamp cells that are all canonical
+    ``YYYY-MM-DDTHH:MM:SSZ`` with a valid date and time, computed from the
+    digits; None when any cell takes another form (or is blank)."""
+    text = np.array(cells)
+    if text.dtype != _CANONICAL_DTYPE:  # some cell is longer, or none is a string
+        return None
+    codes = text.view(np.uint32).reshape(len(text), len(_CANONICAL))
+    digits = codes - np.uint32(ord("0"))
+    if not ((digits[:, _DIGITS] <= 9).all()
+            and (codes[:, ~_DIGITS] == _CANONICAL[~_DIGITS]).all()):
+        return None
+    digits = digits.astype(np.int64)
+    year, month, day, hour, minute, second = (
+        digits[:, lo:hi] @ 10 ** np.arange(hi - lo - 1, -1, -1)
+        for lo, hi in ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19)))
+    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+            & (hour <= 23) & (minute <= 59) & (second <= 59)).all():
+        return None
+    months = (year - 1970) * 12 + month - 1
+    first = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    after = (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    if (first + day > after).any():
+        return None
+    seconds = (first + day - 1) * 86400 + hour * 3600 + minute * 60 + second
+    return seconds * 1_000_000
+
+
+def _read_block(reader, first_line, last_us):
+    """Parse up to _BLOCK_ROWS data rows a column at a time.
+
+    Returns None at the end of the stream, else (rows read, line numbers,
+    timestamps in microseconds, {field: values} of the non-blank rows). A block
+    that holds a fault raises the one a row-by-row reading meets first: the
+    lowest line, then the first check in the row's order (field count,
+    timestamp, hvac_mode, motion, the floats in CSV_HEADER order, then
+    duplicate and ordering against the previous row). Each check only scans
+    rows before the earliest fault found so far.
+    """
+    rows = list(itertools.islice(reader, _BLOCK_ROWS))
+    n_read = len(rows)
+    if not rows:
+        return None
+    width = len(CSV_HEADER)
+    lines = first_line + np.arange(n_read)
+    fault, limit = None, n_read
+    # Full rows with canonical timestamps hold no blank row and no field-count
+    # fault; any other block is filtered and checked row by row first.
+    columns = list(zip(*rows)) if set(map(len, rows)) == {width} else None
+    stamps = None if columns is None else _canonical_stamps(columns[0])
+    if stamps is None:
+        keep = [i for i, row in enumerate(rows) if any(map(str.strip, row))]
+        rows, lines = [rows[i] for i in keep], lines[keep]
+        limit = len(rows)
+        short = next((i for i, row in enumerate(rows) if len(row) != width), None)
+        if short is not None:
+            fault = ParseError(f"expected {width} fields, got {len(rows[short])}",
+                               int(lines[short]))
+            limit = short
+        columns = list(zip(*rows[:limit])) or [()] * width
+        stamps, exc = _parse_column(columns[0], _parse_timestamp)
+        if exc is not None:
+            limit = len(stamps)
+            fault = ParseError(str(exc), int(lines[limit]))
+    del rows
+
+    fields = {}
+    for col, name, dtype, field in _FIELDS:
+        values, exc = _parse_column(columns[col][:limit], *field)
+        columns[col] = None  # release the column's strings before the next
+        if exc is not None:
+            limit = len(values)
+            fault = ParseError(str(exc), int(lines[limit]))
+        fields[name] = np.array(values, dtype=dtype)
+
+    us = np.array(stamps[:limit], dtype=np.int64)
+    before = us[:1] - 1 if last_us is None else [last_us]
+    step = np.diff(np.r_[before, us])
+    back = np.flatnonzero(step <= 0)
+    if len(back):
+        i = back[0]
+        cell, line = columns[0][i], lines[i]
+        if step[i] == 0:
+            fault = DuplicateTimestampError(f"line {line}: duplicate timestamp {cell}")
+        else:
+            fault = OrderingError(f"line {line}: timestamp {cell} not increasing")
+    if fault is not None:
+        raise fault
+    return n_read, lines, us, fields
 
 
 def ingest_trace(source, home_id):
@@ -182,7 +355,8 @@ def ingest_trace(source, home_id):
 
     ``source`` is a path or a text file-like object. Rows missing from the
     grid are inserted as marked-missing samples. Raises ParseError,
-    OrderingError, or DuplicateTimestampError on malformed input.
+    OrderingError, or DuplicateTimestampError on malformed input, naming the
+    line the fault is on.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
@@ -196,98 +370,70 @@ def ingest_trace(source, home_id):
     if [h.strip() for h in header] != CSV_HEADER:
         raise ParseError(f"unexpected header {header!r}", 1)
 
-    times, rows = [], []
-    for line, row in enumerate(reader, start=2):
-        if not row or all(f.strip() == "" for f in row):
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}", line)
-        ts = _parse_timestamp(row[0], line)
-        mode_raw = row[5].strip()
-        if mode_raw == "":
-            mode = MODE_MISSING
-        elif mode_raw in _MODE_NAMES:
-            mode = _MODE_NAMES[mode_raw]
-        else:
-            raise ParseError(f"unknown hvac_mode {mode_raw!r}", line)
-        motion_raw = row[6].strip()
-        if motion_raw == "":
-            motion = np.nan
-        elif motion_raw in ("0", "1"):
-            motion = float(motion_raw)
-        else:
-            raise ParseError(f"motion must be 0 or 1, got {motion_raw!r}", line)
-        rec = (
-            _parse_float(row[1], "t_in", line),
-            _parse_float(row[2], "t_out", line),
-            _parse_float(row[3], "t_setheat", line),
-            _parse_float(row[4], "t_setcool", line),
-            mode,
-            motion,
-            _parse_float(row[7], "humidity", line, lo=0.0, hi=1.0),
-        )
-        if times:
-            if ts == times[-1][0]:
-                raise DuplicateTimestampError(f"line {line}: duplicate timestamp {row[0]}")
-            if ts < times[-1][0]:
-                raise OrderingError(f"line {line}: timestamp {row[0]} not increasing")
-        times.append((ts, line))
-        rows.append(rec)
-
-    if len(rows) < 2:
+    blocks, first_line, last_us = [], 2, None
+    while (block := _read_block(reader, first_line, last_us)) is not None:
+        n_read, _, us, _ = block
+        blocks.append(block)
+        first_line += n_read
+        if len(us):
+            last_us = us[-1]
+    lines = np.concatenate([b[1] for b in blocks] or [np.empty(0, np.int64)])
+    if len(lines) < 2:
         raise InsufficientDataError("trace CSV must contain at least 2 data rows")
+    us = np.concatenate([b[2] for b in blocks])
 
-    start = times[0][0]
-    span = (times[-1][0] - start).total_seconds()
-    n = int(span // STEP_SECONDS) + 1
-    arrays = {
-        "t_in": np.full(n, np.nan),
-        "t_out": np.full(n, np.nan),
-        "t_setheat": np.full(n, np.nan),
-        "t_setcool": np.full(n, np.nan),
-        "motion": np.full(n, np.nan),
-        "humidity": np.full(n, np.nan),
-    }
-    mode = np.full(n, MODE_MISSING, dtype=np.int8)
-    for (ts, line), rec in zip(times, rows):
-        offset = (ts - start).total_seconds()
-        idx, rem = divmod(offset, STEP_SECONDS)
-        if rem != 0:
-            raise ParseError(f"timestamp {ts.isoformat()} not on the 5-minute grid", line)
-        i = int(idx)
-        (arrays["t_in"][i], arrays["t_out"][i], arrays["t_setheat"][i],
-         arrays["t_setcool"][i], mode[i], arrays["motion"][i],
-         arrays["humidity"][i]) = rec
+    offset = us - us[0]
+    off_grid = np.flatnonzero(offset % _STEP_US)
+    if len(off_grid):
+        i = off_grid[0]
+        ts = _EPOCH + timedelta(microseconds=int(us[i]))
+        raise ParseError(f"timestamp {ts.isoformat()} not on the 5-minute grid",
+                         int(lines[i]))
+    idx = offset // _STEP_US
+    n = int(idx[-1]) + 1
+    arrays = {}
+    for _, name, dtype, _ in _FIELDS:
+        full = np.full(n, MODE_MISSING if name == "hvac_mode" else np.nan, dtype=dtype)
+        full[idx] = np.concatenate([b[3][name] for b in blocks])
+        arrays[name] = full
+    start = _EPOCH + timedelta(microseconds=int(us[0]))
+    return Trace(home_id=home_id, start=start, **arrays)
 
-    return Trace(home_id=home_id, start=start, hvac_mode=mode, **arrays)
+
+def _float_cells(values):
+    return ["" if v != v else repr(v) for v in np.asarray(values, dtype=float).tolist()]
 
 
 def write_trace_csv(trace, sink):
-    """Serialize a trace back to CSV; round-trips decimal fields bit-exactly."""
+    """Serialize a trace back to CSV; round-trips decimal fields bit-exactly.
+
+    Each column of a block of rows is formatted at once: timestamps as
+    ``datetime64`` strings in the wall clock of ``trace.start``, floats by
+    ``repr`` (shortest round-trip), missing values as empty fields.
+    """
     if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
         with open(sink, "w", newline="") as fh:
             write_trace_csv(trace, fh)
             return
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for i in range(len(trace)):
-        ts = trace.start + timedelta(seconds=i * trace.step)
-        mode = trace.hvac_mode[i]
-        motion = trace.motion[i]
-        writer.writerow([
-            ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
-            _fmt(trace.t_in[i]),
-            _fmt(trace.t_out[i]),
-            _fmt(trace.t_setheat[i]),
-            _fmt(trace.t_setcool[i]),
-            "" if mode == MODE_MISSING else _MODE_STRINGS[int(mode)],
-            "" if np.isnan(motion) else str(int(motion)),
-            _fmt(trace.humidity[i]),
-        ])
-
-
-def _fmt(value):
-    return "" if np.isnan(value) else repr(float(value))
+    sink.write(",".join(CSV_HEADER) + "\n")
+    base = np.datetime64(trace.start.replace(tzinfo=None, microsecond=0), "s")
+    step = np.timedelta64(trace.step, "s")
+    for lo in range(0, len(trace), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(trace))
+        stamps = np.datetime_as_string(base + np.arange(lo, hi) * step, unit="s")
+        columns = [
+            [s + "Z" for s in stamps.tolist()],
+            _float_cells(trace.t_in[lo:hi]),
+            _float_cells(trace.t_out[lo:hi]),
+            _float_cells(trace.t_setheat[lo:hi]),
+            _float_cells(trace.t_setcool[lo:hi]),
+            [_MODE_TEXT[m] for m in trace.hvac_mode[lo:hi].tolist()],
+            ["" if v != v else str(int(v)) for v in trace.motion[lo:hi].tolist()],
+            _float_cells(trace.humidity[lo:hi]),
+        ]
+        # one write per row: writing each block as one string left the peak
+        # memory of a caller that then splits the text 2 MB higher
+        sink.writelines(",".join(cells) + "\n" for cells in zip(*columns))
 
 
 def trace_to_csv_text(trace):

@@ -1,5 +1,7 @@
 """Unit tests for the ARIMAX baseline and series diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,16 @@ def test_fit_arimax_recovers_parameters():
     assert model.ma == pytest.approx(MA, rel=0.1)
     assert model.exog == pytest.approx(EXOG, rel=0.1)
     assert model.innovation_var == pytest.approx(ESTD ** 2, rel=0.1)
+
+
+def test_css_maps_overflow_to_cliff_without_warnings():
+    # a non-invertible MA polynomial makes the filtered innovations grow to
+    # ~1e190, whose squares overflow in the dot product
+    z = np.random.default_rng(0).normal(size=400)
+    params = np.array([0.0, 3.0, 0.0])  # ar, ma, intercept
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bl._css(params, z, None, 1, 1, False) == 1e12
 
 
 def test_fit_arimax_insufficient_data():

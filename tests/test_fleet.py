@@ -9,7 +9,13 @@ import pytest
 from conftest import FAST_2R2C
 from rctherm import fleet, rcnet
 from rctherm import timeseries as ts
-from rctherm.errors import ConfigError, DataError, DegenerateSeriesError, InvalidParameterError
+from rctherm.errors import (
+    ConfigError,
+    DataError,
+    DegenerateSeriesError,
+    InvalidParameterError,
+    ParseError,
+)
 
 START = datetime(2019, 1, 1, tzinfo=timezone.utc)
 
@@ -130,6 +136,19 @@ def test_metadata_csv_roundtrip():
     fleet.write_metadata_csv(metadata, buf)
     back = fleet.read_metadata_csv(io.StringIO(buf.getvalue()))
     assert back == metadata
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),                                              # no header at all
+    ("home_id,year_built\nh1,1990\n", 1),                 # missing column
+    ("home_id,floor_area,year_built\nh1,100,1990\nh2,100\n", 3),   # short row
+    ("home_id,floor_area,year_built\nh1,abc,1990\n", 2),    # bad float
+    ("home_id,floor_area,year_built\nh1,100,1990\n\nh2,100,19x0\n", 4),  # bad int
+])
+def test_metadata_csv_errors_name_the_line(text, line):
+    with pytest.raises(ParseError) as info:
+        fleet.read_metadata_csv(io.StringIO(text))
+    assert info.value.line == line
 
 
 def test_home_metadata_validation():

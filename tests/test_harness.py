@@ -1,6 +1,9 @@
 """Unit tests for experiment orchestration, reporting, and the CLI."""
 
+import io
 import json
+from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from rctherm import cli, estimators, fleet, harness
 from rctherm import timeseries as ts
 from rctherm.errors import ConfigError, DataError, NotFoundError
 from test_fleet import SHOULDER
+from test_timeseries import make_trace
 
 FAST_HYPER = estimators.TrainingConfig(epochs=5)
 
@@ -151,6 +155,50 @@ def test_model_library(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Segment hash
+
+def _hash_trace():
+    rng = np.random.default_rng(5)
+    n = 40
+    t_in = 70.0 + rng.normal(size=n)
+    t_in[3] = np.nan
+    t_in[7] = -np.abs(np.float64(np.nan))  # a NaN with the sign bit set
+    mode = rng.integers(-1, 4, n).astype(np.int8)
+    motion = rng.integers(0, 2, n).astype(float)
+    motion[5] = np.nan
+    return make_trace(n, t_in=t_in, hvac_mode=mode, motion=motion,
+                      humidity=rng.uniform(0, 1, n))
+
+
+def test_segment_hash_equal_for_equal_traces():
+    trace = _hash_trace()
+    copy = replace(trace, **{name: getattr(trace, name).copy() for name in ts.CSV_HEADER[1:]})
+    assert harness._segment_hash(copy) == harness._segment_hash(trace)
+    back = ts.ingest_trace(io.StringIO(ts.trace_to_csv_text(trace)), trace.home_id)
+    assert back == trace
+    assert harness._segment_hash(back) == harness._segment_hash(trace)
+
+
+@pytest.mark.parametrize("name", ts.CSV_HEADER[1:])
+def test_segment_hash_sees_one_ulp_in_any_field(name):
+    trace = _hash_trace()
+    values = getattr(trace, name).copy()
+    if name == "hvac_mode":
+        values[0] = (values[0] + 2) % 4
+    else:
+        values[0] = np.nextafter(values[0], np.inf)
+    assert harness._segment_hash(replace(trace, **{name: values})) != \
+        harness._segment_hash(trace)
+
+
+def test_segment_hash_sees_shifted_start():
+    trace = _hash_trace()
+    for shift in (timedelta(seconds=ts.STEP_SECONDS), timedelta(microseconds=1)):
+        moved = replace(trace, start=trace.start + shift)
+        assert harness._segment_hash(moved) != harness._segment_hash(trace)
+
+
+# ---------------------------------------------------------------------------
 # CLI
 
 def test_cli_synth_ingest_fit_coeffs_cluster(tmp_path):
@@ -204,6 +252,10 @@ def test_cli_exit_codes(tmp_path):
         "2024-01-01T00:05:00Z,70,30,68,75,auto,0,0.4\n")
     assert cli.main(["fit", str(short), "--kind", "arimax",
                      "--out", str(tmp_path)]) == 2
+    # data: metadata CSV with a bad number
+    metadata = tmp_path / "metadata.csv"
+    metadata.write_text("home_id,floor_area,year_built\nh1,1200,1990\nh2,abc,1990\n")
+    assert cli.main(["cluster", str(metadata), "--out", str(tmp_path)]) == 2
 
 
 def test_cli_experiment_and_library(tmp_path):

@@ -16,6 +16,7 @@ from oracles import (
     expm_series_oracle,
     gamma_series_oracle,
     s_interpolation_oracle,
+    simulate_difference_loop,
 )
 from rctherm import rcnet
 from rctherm.errors import InsufficientDataError, InvalidParameterError, ShapeError
@@ -155,6 +156,19 @@ def test_simulators_agree(rng):
     y_ss = rcnet.simulate_state_space(ds, ss, u, x0)
     y_dc = rcnet.simulate_difference(dc, u, y_ss[:3])
     assert y_dc == pytest.approx(y_ss, abs=1e-9)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_simulate_difference_matches_step_loop(rng, order):
+    p = random_params(rng, order)
+    ss = rcnet.build_state_space(p)
+    dc = rcnet.difference_coefficients(rcnet.discretize(ss, 300.0), ss)
+    dc = rcnet.DiffCoeffs(order=dc.order, s=dc.s, e=dc.e, offset=0.25)
+    u = random_inputs(rng, 2000)
+    y_init = rng.uniform(60.0, 80.0, size=order)
+    expected = simulate_difference_loop(dc, u, y_init)
+    # filtering sums in another order: agreement to 1e-9 degF over 2000 steps
+    assert np.abs(rcnet.simulate_difference(dc, u, y_init) - expected).max() < 1e-9
 
 
 def test_simulate_against_fine_euler(rng):

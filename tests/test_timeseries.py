@@ -2,18 +2,21 @@
 
 import io
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ingest_trace_rowwise, write_trace_csv_rowwise
 from rctherm import timeseries as ts
 from rctherm.errors import (
     DuplicateTimestampError,
     InsufficientDataError,
     OrderingError,
     ParseError,
+    RcthermError,
     UnimputableError,
 )
 
@@ -143,20 +146,22 @@ def test_csv_roundtrip_bit_exact():
     assert ts.trace_to_csv_text(back) == text  # serialization is a fixed point
 
 
-finite = st.floats(min_value=-200.0, max_value=200.0,
-                   allow_nan=False, allow_subnormal=False)
+finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
 maybe = st.one_of(st.just(float("nan")), finite)
 humid = st.one_of(st.just(float("nan")),
                   st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+starts = st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2060, 1, 1),
+                      timezones=st.just(timezone.utc))
+#: Block sizes for the column-at-a-time reader and writer: tiny ones put
+#: block boundaries inside the generated files.
+blocks = st.sampled_from([1, 2, 3, 5, ts._BLOCK_ROWS])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=2, max_value=20), st.data())
-def test_csv_roundtrip_property(n, data):
+def random_trace(data, n, start=START):
     arr = lambda strat: np.array(data.draw(st.lists(strat, min_size=n, max_size=n)))
-    trace = ts.Trace(
+    return ts.Trace(
         home_id="hp",
-        start=START,
+        start=start,
         t_in=arr(maybe), t_out=arr(maybe),
         t_setheat=arr(maybe), t_setcool=arr(maybe),
         hvac_mode=np.array(data.draw(st.lists(
@@ -164,7 +169,162 @@ def test_csv_roundtrip_property(n, data):
         motion=arr(st.sampled_from([0.0, 1.0, float("nan")])),
         humidity=arr(humid),
     )
-    assert ts.ingest_trace(io.StringIO(ts.trace_to_csv_text(trace)), "hp") == trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=20), st.data())
+def test_csv_roundtrip_property(n, data):
+    # the writer drops microseconds of start, so round trips use whole
+    # seconds; the comparison with the row-by-row writer uses any start
+    start = data.draw(starts)
+    trace = random_trace(data, n, start.replace(microsecond=0))
+    fractional = random_trace(data, n, start)
+    with mock.patch.object(ts, "_BLOCK_ROWS", data.draw(blocks)):
+        text = ts.trace_to_csv_text(trace)
+        assert ts.ingest_trace(io.StringIO(text), "hp") == trace
+        for t in (trace, fractional):
+            oracle = io.StringIO()
+            write_trace_csv_rowwise(t, oracle)
+            assert ts.trace_to_csv_text(t) == oracle.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Column-at-a-time reader against the row-by-row oracle
+
+_STAMP_FORMS = [
+    lambda t: t.strftime("%Y-%m-%dT%H:%M:%SZ"),
+    lambda t: t.strftime("%Y-%m-%dT%H:%M:%Sz"),
+    lambda t: t.isoformat(),
+    lambda t: " " + t.astimezone(timezone(timedelta(hours=-5))).isoformat(),
+    lambda t: t.strftime("%Y-%m-%d %H:%M:%S+00:00 "),
+]
+_CELLS = {
+    "float": st.one_of(finite.map(repr), st.sampled_from(["", " ", "70", " 70.5 ", "7e1"])),
+    "humidity": st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from(["", " 0.5"])),
+    "mode": st.sampled_from(["", "off", "heat", "cool", "auto", " auto "]),
+    "motion": st.sampled_from(["", "0", "1", " 1 "]),
+}
+_KINDS = ["float"] * 4 + ["mode", "motion", "humidity"]
+#: Cells that are faults in the column they land in.
+_BAD_CELLS = {
+    0: ["not-a-time", "2024-01-01T00:00:00", "2024-01-01T00:01:00Z", "",
+        "2024-02-30T00:00:00Z", "2024-13-01T00:00:00Z", "2024-01-01T24:00:00Z",
+        "0000-01-01T00:00:00Z", "2024-01-01T00:00:60Z", "2024-01-01T00:00:00Zx",
+        "2024-01-01T00:00:00+00"],
+    "float": ["seventy", "inf", "nan", "-Infinity", "1e400", "7;0"],
+    "humidity": ["1.5", "-0.1", "nan", "x"],
+    "mode": ["fan", "AUTO", "1"],
+    "motion": ["2", "0.0", "yes"],
+}
+_FAULTS = ["cell"] * 4 + ["cells", "duplicate", "backwards", "offgrid", "short", "long",
+                        "blank", "blank-commas"]
+
+
+def _generated_csv(data):
+    """A gapped trace CSV with blank fields and rows, and zero or more
+    injected faults."""
+    n = data.draw(st.integers(min_value=0, max_value=24))
+    gaps = data.draw(st.lists(st.sampled_from([1, 1, 1, 2, 5]), min_size=n, max_size=n))
+    rows = []
+    for step in np.cumsum(gaps).tolist():
+        t = START + timedelta(seconds=step * ts.STEP_SECONDS)
+        stamp = data.draw(st.sampled_from(_STAMP_FORMS))(t)
+        rows.append([stamp] + [data.draw(_CELLS[kind]) for kind in _KINDS])
+    for _ in range(data.draw(st.integers(min_value=0, max_value=5))):
+        if not rows:
+            break
+        i = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        fault = data.draw(st.sampled_from(_FAULTS))
+        source = rows[i - 1 if fault == "duplicate" else 0]
+        if fault == "blank":
+            rows.insert(i, [])
+        elif fault == "blank-commas":
+            rows.insert(i, [" "] * 8)
+        elif len(rows[i]) != 8:
+            continue
+        elif fault in ("cell", "cells"):
+            cols = data.draw(st.sets(st.integers(min_value=0, max_value=7),
+                                     min_size=1, max_size=1 if fault == "cell" else 8))
+            for col in cols:
+                key = 0 if col == 0 else _KINDS[col - 1]
+                rows[i][col] = data.draw(st.sampled_from(_BAD_CELLS[key]))
+        elif fault in ("duplicate", "backwards") and i > 0 and source:
+            rows[i][0] = source[0]
+        elif fault == "offgrid" and rows[i][0].endswith("Z"):
+            rows[i][0] = rows[i][0].replace(":00Z", ":30Z")
+        elif fault == "short":
+            rows[i] = rows[i][:data.draw(st.integers(min_value=1, max_value=7))]
+        elif fault == "long":
+            rows[i] = rows[i] + ["x"]
+    header = ",".join(ts.CSV_HEADER)
+    if data.draw(st.sampled_from([False] * 20 + [True])):
+        header = header.replace("humidity", "rh")
+    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+#: (edge values, valid range) of year, month, day, hour, minute and second
+_STAMP_PARTS = [
+    ([0, 1, 1900, 1970, 2000, 2023, 2024, 2100, 9999], (1, 9999)),
+    ([0, 1, 2, 12, 13], (1, 12)),
+    ([0, 1, 28, 29, 30, 31, 32], (1, 28)),
+    ([0, 23, 24], (0, 23)),
+    ([0, 59, 60], (0, 59)),
+    ([0, 59, 60], (0, 59)),
+]
+_stamp_parts = st.tuples(*(st.one_of(st.sampled_from(edges), st.integers(*valid))
+                           for edges, valid in _STAMP_PARTS))
+_canonical = st.one_of(
+    st.datetimes().map(lambda t: t.isoformat()[:19] + "Z"),
+    _stamp_parts.map(lambda p: "%04d-%02d-%02dT%02d:%02d:%02dZ" % p),
+)
+
+
+def _check_canonical(cells):
+    try:
+        exact = [ts._parse_timestamp(c) for c in cells]
+    except ParseError:
+        exact = None
+    fast = ts._canonical_stamps(cells)
+    if fast is not None:
+        assert fast.tolist() == exact
+    if all(len(c) == 20 for c in cells):  # the canonical shape: no suffix
+        assert (fast is None) == (exact is None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_canonical, st.sampled_from(["", "", "", "x", " "])),
+                min_size=1, max_size=3).map(lambda pairs: [a + b for a, b in pairs]))
+def test_canonical_timestamps_read_from_digits_match_exact_parse(cells):
+    _check_canonical(cells)
+
+
+@pytest.mark.parametrize("cell", [
+    "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "2000-02-29T00:00:00Z",
+    "0000-01-01T00:00:00Z", "1900-02-29T00:00:00Z", "2023-04-31T00:00:00Z",
+    "2024-01-01T24:00:00Z", "2024-01-01T00:60:00Z", "2024-01-01T00:00:60Z",
+])
+def test_canonical_timestamp_edges(cell):
+    _check_canonical([cell])
+
+
+def _outcome(read, text):
+    try:
+        return read(io.StringIO(text), "h"), None
+    except RcthermError as exc:
+        return None, (type(exc), str(exc), getattr(exc, "line", None))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_ingest_matches_rowwise_oracle(data):
+    text = _generated_csv(data)
+    expected, expected_error = _outcome(ingest_trace_rowwise, text)
+    with mock.patch.object(ts, "_BLOCK_ROWS", data.draw(blocks)):
+        got, error = _outcome(ts.ingest_trace, text)
+    # the same fault (class, message with its line number) or an equal trace
+    assert error == expected_error
+    if expected is not None:
+        assert got == expected and got.start == expected.start
 
 
 # ---------------------------------------------------------------------------
