@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.signal import lfilter
 
+from . import timeseries
 from .errors import (
     ConvergenceError,
     DegenerateSeriesError,
@@ -133,15 +134,7 @@ def pacf(series, max_lag):
 
 
 def _design(trace, controls, d):
-    z = difference(trace.t_in, d)
-    exog = np.column_stack([
-        trace.t_out,
-        controls.k_heat.astype(float),
-        controls.k_cool.astype(float),
-    ])
-    for _ in range(d):
-        exog = np.diff(exog, axis=0)
-    return z, exog
+    return difference(trace.t_in, d), np.diff(timeseries.exog(trace, controls), n=d, axis=0)
 
 
 def _innovations(params, z, exog, p, q, use_exog):
@@ -178,7 +171,7 @@ def _css(params, z, exog, p, q, use_exog):
     return float(css)
 
 
-def fit_arimax(train, controls, order=None, seed=0):
+def fit_arimax(train, controls, order=None):
     """Fit ARIMAX by conditional sum of squares.
 
     Initialization: AR and MA coefficients at zero, exogenous coefficients

@@ -12,13 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, estimators, fleet, harness, rcnet, timeseries
+from . import estimators, fleet, harness, rcnet, timeseries
 from .errors import ConfigError, ConvergenceError, DataError, RcthermError
 
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
 
@@ -68,10 +67,7 @@ def build_parser():
 
     p = sub.add_parser("experiment", help="run a configured experiment")
     _add_common(p)
-
-    p = sub.add_parser("library", help="list a model library directory")
-    _add_common(p)
-    p.add_argument("store", type=Path)
+    p.add_argument("--config", type=Path, required=True, help="JSON config file")
 
     return parser
 
@@ -123,25 +119,12 @@ def _cmd_ingest(args):
 
 def _cmd_fit(args):
     trace = _load_trace(args.trace, args.home_id)
-    controls = timeseries.derive_controls(trace)
+    model = harness.fit_model(args.kind, trace, timeseries.derive_controls(trace),
+                              args.order, seed=args.seed, home_id=args.home_id)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.kind == "bnn_rc":
-        ds = timeseries.build_regression(trace, controls, args.order)
-        posterior = estimators.fit_bnn(ds, seed=args.seed, home_id=args.home_id)
-        payload = posterior.to_json()
-    elif args.kind == "onercone":
-        fit = estimators.fit_1r1c(trace, controls)
-        payload = json.dumps({"kind": "onercone", "a": fit.a, "b": fit.b, "c": fit.c,
-                              "valid": fit.valid, "residual_norm": fit.residual_norm},
-                             sort_keys=True)
-    else:
-        order = baselines.ArimaxOrder() if args.kind == "arimax" \
-            else baselines.ArimaxOrder(0, 1, 0)
-        model = baselines.fit_arimax(trace, controls, order=order, seed=args.seed)
-        payload = model.to_json()
     dest = out / f"{args.home_id}__{args.kind}.json"
-    dest.write_text(payload)
+    dest.write_text(model.to_json())
     print(f"wrote {dest}")
     return 0
 
@@ -168,14 +151,7 @@ def _cmd_coeffs(args):
 
 def _cmd_cluster(args):
     metadata = fleet.read_metadata_csv(args.metadata)
-    k = args.k
-    if k == 0:
-        points = np.array([m.features for m in metadata])
-        std = points.std(axis=0)
-        std[std == 0] = 1.0
-        points = (points - points.mean(axis=0)) / std
-        sses = fleet.sse_curve(points, min(10, len(points)), seed=args.seed)
-        k, _ = fleet.select_k(fleet.diminishing_return(sses))
+    k = args.k or fleet.choose_k(metadata, args.seed)
     clustering = fleet.cluster_homes(metadata, k, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -199,20 +175,11 @@ def _cmd_transfer(args):
 
 
 def _cmd_experiment(args):
-    if args.config is None:
-        raise ConfigError("experiment requires --config")
     config = harness.ExperimentConfig.from_json(args.config.read_text())
     report = harness.run_experiment(config, out_dir=args.out)
     for key, summary in sorted(report.summaries.items()):
         print(f"{key}: mean={summary['mean']:.4f} median={summary['median']:.4f} "
               f"outliers={len(summary['outliers'])}")
-    return 0
-
-
-def _cmd_library(args):
-    library = harness.ModelLibrary(args.store)
-    for entry in library.list():
-        print(f"{entry['kind']} cluster={entry['cluster']} season={entry['season']}")
     return 0
 
 
@@ -225,7 +192,6 @@ _COMMANDS = {
     "cluster": _cmd_cluster,
     "transfer": _cmd_transfer,
     "experiment": _cmd_experiment,
-    "library": _cmd_library,
 }
 
 

@@ -51,10 +51,6 @@ class DegenerateSeriesError(DataError):
     """A series with no variance (or zero denominator) where variation is required."""
 
 
-class NotFoundError(DataError):
-    """Missing entry in a model library or manifest."""
-
-
 class ConfigError(RcthermError):
     """Invalid experiment or generator configuration."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -93,6 +93,9 @@ class OneROneCFit:
     c: float
     valid: bool
     residual_norm: float
+
+    def to_json(self):
+        return json.dumps({"kind": "onercone", **asdict(self)}, sort_keys=True)
 
 
 def fit_1r1c(train, controls):
@@ -196,18 +199,7 @@ class TrainingConfig:
     record_loss: bool = False
 
     def to_dict(self):
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "mc_samples": self.mc_samples,
-            "noise_std": self.noise_std,
-            "lr_decay": self.lr_decay,
-            "init_scale": self.init_scale,
-            "precondition": self.precondition,
-            "mean_lr": self.mean_lr,
-            "average_fraction": self.average_fraction,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "record_loss"}
 
 
 @dataclass(frozen=True)
@@ -250,18 +242,29 @@ class Posterior:
 
     @classmethod
     def from_dict(cls, data):
+        """Parse a posterior; any malformed field raises ShapeError (or
+        InvalidParameterError for nonpositive scales)."""
+        if not isinstance(data, dict):
+            raise ShapeError(f"posterior must be a JSON object, got {type(data).__name__}")
         if data.get("layout") != POSTERIOR_LAYOUT:
             raise ShapeError(f"unknown posterior layout {data.get('layout')!r}")
-        return cls(order=data["order"], means=np.array(data["means"]),
-                   scales=np.array(data["scales"]), noise_std=data["noise_std"],
-                   training_meta=data.get("training_meta", {}))
+        try:
+            return cls(order=data["order"], means=np.array(data["means"]),
+                       scales=np.array(data["scales"]), noise_std=data["noise_std"],
+                       training_meta=data.get("training_meta", {}))
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ShapeError(f"malformed posterior: {type(exc).__name__}: {exc}") from None
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ShapeError(f"posterior is not valid JSON: {exc}") from None
+        return cls.from_dict(data)
 
 
 def _softplus(x):

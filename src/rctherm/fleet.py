@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameterError,
     ParseError,
 )
-from .rcnet import RcParams, build_state_space, discretize, initial_state, steady_state
+from .rcnet import RcParams, build_state_space, discretize, initial_state
 from .timeseries import (
     MODE_AUTO,
     MODE_COOL,
@@ -36,6 +36,8 @@ from .timeseries import (
 
 HYSTERESIS_F = 0.5
 DEFAULT_RESTARTS = 10
+#: The elbow rule examines k = 1..ELBOW_K_MAX clusters (fewer on a small fleet).
+ELBOW_K_MAX = 10
 _MAX_LLOYD_ITERS = 100
 
 
@@ -159,14 +161,20 @@ def kmeans(points, k, seed=0, restarts=DEFAULT_RESTARTS, init=None):
     return best
 
 
-def cluster_homes(metadata, k, seed=0, restarts=DEFAULT_RESTARTS):
-    """Standardize metadata features and cluster; returns a Clustering."""
-    homes = list(metadata)
-    features = np.array([h.features for h in homes])
+def _standardize(metadata):
+    """(points, mean, std) of the z-scored metadata features; a constant
+    feature keeps unit scale."""
+    features = np.array([h.features for h in metadata])
     mean = features.mean(axis=0)
     std = features.std(axis=0)
     std[std == 0] = 1.0
-    points = (features - mean) / std
+    return (features - mean) / std, mean, std
+
+
+def cluster_homes(metadata, k, seed=0, restarts=DEFAULT_RESTARTS):
+    """Standardize metadata features and cluster; returns a Clustering."""
+    homes = list(metadata)
+    points, mean, std = _standardize(homes)
     centroids, labels, sse = kmeans(points, k, seed=seed, restarts=restarts)
     assignments = {h.home_id: int(lab) for h, lab in zip(homes, labels)}
     return Clustering(k=k, centroids=centroids, assignments=assignments,
@@ -223,6 +231,14 @@ def select_k(d, flat_threshold_pct=5.0):
         if flat[i:].all():
             return i + 1, True
     return len(d) + 1, False
+
+
+def choose_k(metadata, seed):
+    """Cluster count by the elbow rule on the standardized metadata features,
+    examining k = 1..min(ELBOW_K_MAX, number of homes)."""
+    points, _, _ = _standardize(metadata)
+    sses = sse_curve(points, min(ELBOW_K_MAX, len(points)), seed=seed)
+    return select_k(diminishing_return(sses))[0]
 
 
 def representative(clustering, cluster_index, metadata):

@@ -1,5 +1,5 @@
-"""Experiment orchestration: fit/transfer/evaluate pipelines over fleets,
-RMSE reports with quartile summaries, and a persistent model library.
+"""Experiment orchestration: one fit/transfer/evaluate pipeline over fleets
+and RMSE reports with quartile summaries.
 
 The headline metric is teacher-forced one-step RMSE on the held-out test
 segment; free-running simulation RMSE is emitted as a secondary column for
@@ -12,18 +12,42 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, estimators, fleet, rcnet, timeseries
-from .errors import ConfigError, DataError, NotFoundError
+from .errors import ConfigError, DataError
 
 MODEL_KINDS = ("bnn_rc", "onercone", "arimax", "persistence")
 SCENARIOS = ("none", "cross-home", "cross-season")
 RETRAIN_CHOICES = (0, 1, 7)
 CONFIG_SCHEMA_VERSION = 1
+#: Config keys read as they are; absent ones take the dataclass defaults.
+_PLAIN_FIELDS = ("manifest", "order", "train_days", "test_days", "scenario", "retrain_days",
+                 "cluster_k", "source_season", "target_season", "seed")
+_FLEET_SCALARS = ("order", "measurement_noise_std")
+_FLEET_RANGES = ("floor_area_range", "year_built_range", "lift_range")
+#: The JSON types a config field may hold, by its annotation: an int is a
+#: float, a bool is not a number.
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "str | None": (str, type(None))}
+
+
+def _check_type(name, value, annotation):
+    if not isinstance(value, _JSON_TYPES[annotation]) or (
+            isinstance(value, bool) and annotation != "bool"):
+        raise ConfigError(f"config field {name!r} must be {annotation}, got {value!r}")
+
+
+def _typed(config):
+    """``config``, a config dataclass, once each of its fields annotated in
+    ``_JSON_TYPES`` holds a value of that type."""
+    for f in fields(config):
+        if f.type in _JSON_TYPES:
+            _check_type(f.name, getattr(config, f.name), f.type)
+    return config
 
 
 @dataclass(frozen=True)
@@ -54,71 +78,57 @@ class ExperimentConfig:
             raise ConfigError("config needs a synthetic fleet or a manifest")
 
     def to_dict(self):
-        out = {
-            "schema_version": CONFIG_SCHEMA_VERSION,
-            "model_kinds": list(self.model_kinds),
-            "order": self.order,
-            "train_days": self.train_days,
-            "test_days": self.test_days,
-            "scenario": self.scenario,
-            "retrain_days": self.retrain_days,
-            "cluster_k": self.cluster_k,
-            "source_season": self.source_season,
-            "target_season": self.target_season,
-            "seed": self.seed,
-            "hyper": self.hyper.to_dict(),
-        }
+        out = {k: getattr(self, k) for k in _PLAIN_FIELDS if k != "manifest"}
+        out.update(schema_version=CONFIG_SCHEMA_VERSION, model_kinds=list(self.model_kinds),
+                   hyper=self.hyper.to_dict())
         if self.manifest is not None:
             out["manifest"] = str(self.manifest)
         if self.fleet_config is not None:
             fc = self.fleet_config
-            out["fleet"] = {
-                "n_homes": fc.n_homes,
-                "order": fc.order,
-                "measurement_noise_std": fc.measurement_noise_std,
-                "floor_area_range": list(fc.floor_area_range),
-                "year_built_range": list(fc.year_built_range),
-                "lift_range": list(fc.lift_range),
-                "seasons": [s.to_dict() for s in fc.seasons],
-            }
+            out["fleet"] = {**{k: getattr(fc, k) for k in ("n_homes",) + _FLEET_SCALARS},
+                            **{k: list(getattr(fc, k)) for k in _FLEET_RANGES},
+                            "seasons": [s.to_dict() for s in fc.seasons]}
         return out
 
     @classmethod
     def from_dict(cls, data):
+        """Parse a config; any malformed field raises ConfigError."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         if data.get("schema_version") != CONFIG_SCHEMA_VERSION:
             raise ConfigError(f"unsupported config schema {data.get('schema_version')!r}")
-        fleet_config = None
-        if "fleet" in data:
-            fc = data["fleet"]
-            fleet_config = fleet.FleetConfig(
-                n_homes=fc["n_homes"],
-                order=fc.get("order", 2),
-                measurement_noise_std=fc.get("measurement_noise_std", 0.05),
-                floor_area_range=tuple(fc.get("floor_area_range", (800.0, 4000.0))),
-                year_built_range=tuple(fc.get("year_built_range", (1950, 2020))),
-                lift_range=tuple(fc.get("lift_range", (20.0, 60.0))),
-                seasons=tuple(fleet.SeasonConfig(**s) for s in fc.get("seasons", [{}])),
-            )
-        hyper = estimators.TrainingConfig(**data.get("hyper", {}))
-        return cls(
-            fleet_config=fleet_config,
-            manifest=data.get("manifest"),
-            model_kinds=tuple(data.get("model_kinds", ("bnn_rc",))),
-            order=data.get("order", 2),
-            train_days=data.get("train_days", 75),
-            test_days=data.get("test_days", 15),
-            scenario=data.get("scenario", "none"),
-            retrain_days=data.get("retrain_days", 0),
-            cluster_k=data.get("cluster_k", 0),
-            source_season=data.get("source_season"),
-            target_season=data.get("target_season"),
-            seed=data.get("seed", 0),
-            hyper=hyper,
-        )
+        if isinstance(data.get("model_kinds"), str):
+            raise ConfigError(f"model_kinds must be a list of kinds, got {data['model_kinds']!r}")
+        try:
+            kwargs = {k: data[k] for k in _PLAIN_FIELDS if k in data}
+            if "model_kinds" in data:
+                kwargs["model_kinds"] = tuple(data["model_kinds"])
+            if "hyper" in data:
+                kwargs["hyper"] = _typed(estimators.TrainingConfig(**data["hyper"]))
+            if "fleet" in data:
+                fc = data["fleet"]
+                ranges = {k: tuple(fc[k]) for k in _FLEET_RANGES if k in fc}
+                for k, pair in ranges.items():
+                    if len(pair) != 2:
+                        raise ConfigError(f"config field {k!r} must be [low, high], got {fc[k]!r}")
+                    for v in pair:
+                        _check_type(k, v, "float")
+                kwargs["fleet_config"] = _typed(fleet.FleetConfig(
+                    n_homes=fc["n_homes"], **ranges,
+                    **{k: fc[k] for k in _FLEET_SCALARS if k in fc},
+                    seasons=tuple(_typed(fleet.SeasonConfig(**s))
+                                  for s in fc.get("seasons", [{}]))))
+            return _typed(cls(**kwargs))
+        except (IndexError, KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed config: {type(exc).__name__}: {exc}") from None
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
+        return cls.from_dict(data)
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -229,234 +239,148 @@ def _segment_hash(trace):
     return digest.hexdigest()[:16]
 
 
-def _home_seed(config, index):
-    # stable per-home fitting seed derived from the experiment seed
-    return config.seed + 7919 * (index + 1)
-
-
 # ---------------------------------------------------------------------------
-# Per-home fit/evaluate primitives
+# The fit-and-evaluate pipeline
 
-def _eval_coeff_model(dc, test_trace, test_controls, order):
-    """(one-step RMSE, free-running RMSE) on the test segment."""
-    ds = timeseries.build_regression(test_trace, test_controls, order)
-    pred = estimators.predict_one_step(dc, ds)
-    one_step = estimators.rmse(pred, ds.targets)
-    u = np.column_stack([
-        test_trace.t_out,
-        test_controls.k_heat.astype(float),
-        test_controls.k_cool.astype(float),
-    ])
-    free = rcnet.simulate_difference(dc, u, test_trace.t_in[:order])
-    free_rmse = estimators.rmse(free[order:], test_trace.t_in[order:])
-    return one_step, free_rmse
-
-
-def _fit_and_eval(kind, config, train, test, seed, home_id):
-    """Fit one model kind and evaluate; returns (rmse, freerun, model_json)."""
-    train_controls = timeseries.derive_controls(train)
-    test_controls = timeseries.derive_controls(test)
+def fit_model(kind, train, controls, order, hyper=None, seed=0, home_id=""):
+    """Fit one model kind to a training segment: a Posterior (bnn_rc), a
+    OneROneCFit (onercone) or an ArimaxModel (arimax, persistence). Each has
+    ``to_json`` for its model file."""
     if kind == "bnn_rc":
-        ds = timeseries.build_regression(train, train_controls, config.order)
-        posterior = estimators.fit_bnn(ds, hyper=config.hyper, seed=seed, home_id=home_id)
-        dc = estimators.posterior_to_coeffs(posterior)
-        one_step, free = _eval_coeff_model(dc, test, test_controls, config.order)
-        return one_step, free, posterior.to_json()
+        ds = timeseries.build_regression(train, controls, order)
+        return estimators.fit_bnn(ds, hyper=hyper, seed=seed, home_id=home_id)
     if kind == "onercone":
-        fit = estimators.fit_1r1c(train, train_controls)
-        pred = estimators.predict_1r1c(fit, test, test_controls)
-        one_step = estimators.rmse(pred, test.t_in[1:])
-        dc = rcnet.DiffCoeffs(order=1,
-                              s=np.array([[0.0, 0.0, 0.0],
-                                          [fit.a, fit.b, -fit.c]]),
-                              e=np.array([fit.a - 1.0]))
-        u = np.column_stack([test.t_out, test_controls.k_heat.astype(float),
-                             test_controls.k_cool.astype(float)])
-        free = rcnet.simulate_difference(dc, u, test.t_in[:1])
-        free_rmse = estimators.rmse(free[1:], test.t_in[1:])
-        model_json = json.dumps({"kind": "onercone", "a": fit.a, "b": fit.b,
-                                 "c": fit.c, "valid": fit.valid,
-                                 "residual_norm": fit.residual_norm}, sort_keys=True)
-        return one_step, free_rmse, model_json
+        return estimators.fit_1r1c(train, controls)
     if kind in ("arimax", "persistence"):
-        order = baselines.ArimaxOrder() if kind == "arimax" else baselines.ArimaxOrder(0, 1, 0)
-        model = baselines.fit_arimax(train, train_controls, order=order, seed=seed)
-        pred = baselines.predict_arimax(model, test, test_controls)
-        one_step = estimators.rmse(pred, test.t_in[model.warmup:])
-        return one_step, None, model.to_json()
+        arima = baselines.ArimaxOrder() if kind == "arimax" else baselines.ArimaxOrder(0, 1, 0)
+        return baselines.fit_arimax(train, controls, order=arima)
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def _head_days(trace, days):
-    return timeseries.slice_trace(trace, 0, days * timeseries.SAMPLES_PER_DAY)
+def evaluate(model, test, controls):
+    """(one-step RMSE, free-running RMSE or None) of a fitted model on a test
+    segment. Coefficient models (bnn_rc, onercone) also run free from the
+    first measured lags; ARIMAX has no free-running column."""
+    if isinstance(model, baselines.ArimaxModel):
+        pred = baselines.predict_arimax(model, test, controls)
+        return estimators.rmse(pred, test.t_in[model.warmup:]), None
+    if isinstance(model, estimators.OneROneCFit):
+        pred = estimators.predict_1r1c(model, test, controls)
+        one_step = estimators.rmse(pred, test.t_in[1:])
+        dc = rcnet.DiffCoeffs(order=1, s=np.array([[0.0, 0.0, 0.0],
+                                                   [model.a, model.b, -model.c]]),
+                              e=np.array([model.a - 1.0]))
+    else:
+        dc = estimators.posterior_to_coeffs(model)
+        ds = timeseries.build_regression(test, controls, dc.order)
+        one_step = estimators.rmse(estimators.predict_one_step(dc, ds), ds.targets)
+    n = dc.order
+    free = rcnet.simulate_difference(dc, timeseries.exog(test, controls), test.t_in[:n])
+    return one_step, estimators.rmse(free[n:], test.t_in[n:])
 
 
 def run_experiment(config, out_dir=None):
-    """Run the configured scenario over the fleet; returns an RmseReport."""
+    """Run the configured scenario over the fleet; returns an RmseReport.
+
+    Every scenario is one per-home loop: pick (train, test, retrain head),
+    fit from scratch ("none") or transfer a source posterior (the source is
+    the home's cluster representative for "cross-home", its own
+    source-season fit for "cross-season"), evaluate and emit.
+    """
+    scenario = config.scenario
     metadata, traces, seasons = _load_fleet(config)
     metadata = sorted(metadata, key=lambda m: m.home_id)
-    out_path = Path(out_dir) if out_dir is not None else None
-    models_dir = None
-    if out_path is not None:
-        models_dir = out_path / "models"
-        models_dir.mkdir(parents=True, exist_ok=True)
+    if scenario == "cross-season" and len(seasons) < 2 and (
+            config.source_season is None or config.target_season is None):
+        raise ConfigError("cross-season transfer needs two seasons")
+    if scenario == "cross-home" and "bnn_rc" not in config.model_kinds:
+        raise ConfigError("cross-home transfer requires the bnn_rc model kind")
+    src = config.source_season or seasons[0]
+    dst = (config.target_season or seasons[1]) if scenario == "cross-season" else src
+    present = [m for m in metadata
+               if (m.home_id, src) in traces and (m.home_id, dst) in traces]
+    exclusions = sorted({m.home_id for m in metadata} - {m.home_id for m in present})
+    # a stable per-home fitting seed from the experiment seed and the home's
+    # list position: in `present` for cross-home, in `metadata` otherwise
+    ordered = present if scenario == "cross-home" else metadata
+    seeds = {m.home_id: config.seed + 7919 * (i + 1) for i, m in enumerate(ordered)}
 
-    records, exclusions = [], []
+    def segments(home_id):
+        """(train, test, retrain head or None) of one home."""
+        train, test = timeseries.split(traces[(home_id, src)],
+                                       config.train_days, config.test_days)
+        target = train
+        if scenario == "cross-season":
+            target = traces[(home_id, dst)]
+            n = len(target)
+            test = timeseries.slice_trace(
+                target, n - config.test_days * timeseries.SAMPLES_PER_DAY, n)
+        head = None
+        if scenario != "none" and config.retrain_days > 0:
+            head = timeseries.slice_trace(
+                target, 0, config.retrain_days * timeseries.SAMPLES_PER_DAY)
+        return train, test, head
 
-    def emit(home_id, kind, scenario, one_step, free, train, test, seed, model_json):
-        model_file = ""
-        if models_dir is not None:
-            model_file = f"models/{kind}__{scenario}__{home_id}.json"
-            (out_path / model_file).write_text(model_json)
-        records.append({
-            "home_id": home_id,
-            "model": kind,
-            "scenario": scenario,
-            "rmse": one_step,
-            "rmse_freerun": free,
-            "n_train": len(train),
-            "n_test": len(test),
-            "seed": seed,
-            "model_file": model_file,
-            "data_hash": _segment_hash(train),
-        })
+    def fit(kind, home_id, train, controls):
+        return fit_model(kind, train, controls, config.order, hyper=config.hyper,
+                         seed=seeds[home_id], home_id=home_id)
 
-    if config.scenario == "none":
-        season = config.source_season or seasons[0]
-        for idx, meta in enumerate(metadata):
-            trace = traces.get((meta.home_id, season))
-            if trace is None:
-                exclusions.append(meta.home_id)
-                continue
-            train, test = timeseries.split(trace, config.train_days, config.test_days)
-            seed = _home_seed(config, idx)
-            for kind in config.model_kinds:
-                one_step, free, model_json = _fit_and_eval(
-                    kind, config, train, test, seed, meta.home_id)
-                emit(meta.home_id, kind, "none", one_step, free, train, test,
-                     seed, model_json)
-
-    elif config.scenario == "cross-home":
-        season = config.source_season or seasons[0]
-        present = [m for m in metadata if (m.home_id, season) in traces]
-        exclusions = [m.home_id for m in metadata if (m.home_id, season) not in traces]
-        if "bnn_rc" not in config.model_kinds:
-            raise ConfigError("cross-home transfer requires the bnn_rc model kind")
-        k = config.cluster_k
-        if k == 0:
-            points = np.array([m.features for m in present])
-            points = (points - points.mean(axis=0)) / np.where(
-                points.std(axis=0) == 0, 1.0, points.std(axis=0))
-            k_max = min(10, len(points))
-            sses = fleet.sse_curve(points, k_max, seed=config.seed)
-            k, _ = fleet.select_k(fleet.diminishing_return(sses))
+    sources = {}  # cluster index -> representative's posterior
+    if scenario == "cross-home":
+        k = config.cluster_k or fleet.choose_k(present, config.seed)
         clustering = fleet.cluster_homes(present, k, seed=config.seed)
-
-        rep_models = {}
         for cluster_index in range(k):
             rep_id = fleet.representative(clustering, cluster_index, present)
-            rep_idx = next(i for i, m in enumerate(present) if m.home_id == rep_id)
-            trace = traces[(rep_id, season)]
-            train, _ = timeseries.split(trace, config.train_days, config.test_days)
-            controls = timeseries.derive_controls(train)
-            ds = timeseries.build_regression(train, controls, config.order)
-            rep_models[cluster_index] = estimators.fit_bnn(
-                ds, hyper=config.hyper, seed=_home_seed(config, rep_idx), home_id=rep_id)
+            train = segments(rep_id)[0]
+            sources[cluster_index] = fit("bnn_rc", rep_id, train,
+                                         timeseries.derive_controls(train))
 
-        for idx, meta in enumerate(present):
-            trace = traces[(meta.home_id, season)]
-            train, test = timeseries.split(trace, config.train_days, config.test_days)
-            source = rep_models[clustering.assignments[meta.home_id]]
-            seed = _home_seed(config, idx)
-            target_ds = None
-            if config.retrain_days > 0:
-                head = _head_days(train, config.retrain_days)
-                controls = timeseries.derive_controls(head)
-                target_ds = timeseries.build_regression(head, controls, config.order)
-            posterior = estimators.transfer(source, target_ds, hyper=config.hyper,
-                                            seed=seed, home_id=meta.home_id)
-            dc = estimators.posterior_to_coeffs(posterior)
-            test_controls = timeseries.derive_controls(test)
-            one_step, free = _eval_coeff_model(dc, test, test_controls, config.order)
-            emit(meta.home_id, "bnn_rc", "cross-home", one_step, free, train, test,
-                 seed, posterior.to_json())
-
-    else:  # cross-season
-        if len(seasons) < 2 and (config.source_season is None or config.target_season is None):
-            raise ConfigError("cross-season transfer needs two seasons")
-        src = config.source_season or seasons[0]
-        dst = config.target_season or seasons[1]
-        for idx, meta in enumerate(metadata):
-            src_trace = traces.get((meta.home_id, src))
-            dst_trace = traces.get((meta.home_id, dst))
-            if src_trace is None or dst_trace is None:
-                exclusions.append(meta.home_id)
-                continue
-            seed = _home_seed(config, idx)
-            train, _ = timeseries.split(src_trace, config.train_days, config.test_days)
-            controls = timeseries.derive_controls(train)
-            ds = timeseries.build_regression(train, controls, config.order)
-            source = estimators.fit_bnn(ds, hyper=config.hyper, seed=seed,
-                                        home_id=meta.home_id)
-            target_ds = None
-            if config.retrain_days > 0:
-                head = _head_days(dst_trace, config.retrain_days)
-                head_controls = timeseries.derive_controls(head)
-                target_ds = timeseries.build_regression(head, head_controls, config.order)
-            posterior = estimators.transfer(source, target_ds, hyper=config.hyper,
-                                            seed=seed, home_id=meta.home_id)
-            dc = estimators.posterior_to_coeffs(posterior)
-            n_dst = len(dst_trace)
-            test = timeseries.slice_trace(
-                dst_trace, n_dst - config.test_days * timeseries.SAMPLES_PER_DAY, n_dst)
-            test_controls = timeseries.derive_controls(test)
-            one_step, free = _eval_coeff_model(dc, test, test_controls, config.order)
-            emit(meta.home_id, "bnn_rc", "cross-season", one_step, free, train, test,
-                 seed, posterior.to_json())
+    out_path = Path(out_dir) if out_dir is not None else None
+    if out_path is not None:
+        (out_path / "models").mkdir(parents=True, exist_ok=True)
+    kinds = config.model_kinds if scenario == "none" else ("bnn_rc",)
+    records = []
+    for meta in present:
+        home_id = meta.home_id
+        train, test, head = segments(home_id)
+        # cross-home transfers the representative's fit and never fits this train segment
+        train_controls = None if scenario == "cross-home" else timeseries.derive_controls(train)
+        test_controls = timeseries.derive_controls(test)
+        data_hash = _segment_hash(train)
+        for kind in kinds:
+            if scenario == "none":
+                model = fit(kind, home_id, train, train_controls)
+            else:
+                source = (sources[clustering.assignments[home_id]] if scenario == "cross-home"
+                          else fit("bnn_rc", home_id, train, train_controls))
+                target_ds = None if head is None else timeseries.build_regression(
+                    head, timeseries.derive_controls(head), config.order)
+                model = estimators.transfer(source, target_ds, hyper=config.hyper,
+                                            seed=seeds[home_id], home_id=home_id)
+            one_step, free = evaluate(model, test, test_controls)
+            model_file = ""
+            if out_path is not None:
+                model_file = f"models/{kind}__{scenario}__{home_id}.json"
+                (out_path / model_file).write_text(model.to_json())
+            records.append({
+                "home_id": home_id,
+                "model": kind,
+                "scenario": scenario,
+                "rmse": one_step,
+                "rmse_freerun": free,
+                "n_train": len(train),
+                "n_test": len(test),
+                "seed": seeds[home_id],
+                "model_file": model_file,
+                "data_hash": data_hash,
+            })
 
     records.sort(key=lambda r: (r["model"], r["home_id"]))
     summaries = {}
     for kind in sorted({r["model"] for r in records}):
         pairs = [(r["home_id"], r["rmse"]) for r in records if r["model"] == kind]
-        summaries[f"{kind}/{config.scenario}"] = summarize(pairs)
-    report = RmseReport(records=records, summaries=summaries,
-                        exclusions=sorted(exclusions))
+        summaries[f"{kind}/{scenario}"] = summarize(pairs)
+    report = RmseReport(records=records, summaries=summaries, exclusions=exclusions)
     if out_path is not None:
         report.write(out_path)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Model library
-
-class ModelLibrary:
-    """put/get/list of serialized models keyed by (cluster, season, kind)."""
-
-    def __init__(self, store_dir):
-        self.store_dir = Path(store_dir)
-        self.store_dir.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, cluster, season, kind):
-        return self.store_dir / f"{kind}__c{int(cluster)}__{season}.json"
-
-    def put(self, cluster, season, kind, model_json):
-        self._path(cluster, season, kind).write_text(model_json)
-
-    def get(self, cluster, season, kind):
-        path = self._path(cluster, season, kind)
-        if not path.exists():
-            raise NotFoundError(f"no model for cluster={cluster} season={season} kind={kind}")
-        return path.read_text()
-
-    def list(self):
-        out = []
-        for path in sorted(self.store_dir.glob("*__c*__*.json")):
-            kind, cluster, season = path.stem.split("__")
-            out.append({"kind": kind, "cluster": int(cluster[1:]), "season": season})
-        return out
-
-    def get_for_home(self, metadata, clustering, season, kind="bnn_rc"):
-        """The metadata-only lookup path: assign the home to its cluster and
-        return that cluster's stored model."""
-        cluster = fleet.assign(metadata, clustering)
-        return self.get(cluster, season, kind)

@@ -168,6 +168,10 @@ def epoch_us(ts):
     return (ts - _EPOCH) // _MICROSECOND
 
 
+_MIN_US, _MAX_US = (epoch_us(t.replace(tzinfo=timezone.utc))
+                    for t in (datetime.min, datetime.max))
+
+
 def _parse_timestamp(text):
     raw = text.strip()
     if raw.endswith(("Z", "z")):
@@ -178,7 +182,10 @@ def _parse_timestamp(text):
         raise ParseError(f"bad timestamp {text!r}: {exc}") from None
     if ts.tzinfo is None:
         raise ParseError(f"timestamp {text!r} lacks a UTC offset")
-    return epoch_us(ts)
+    us = epoch_us(ts)
+    if not _MIN_US <= us <= _MAX_US:
+        raise ParseError(f"timestamp {text!r} is outside years 1-9999 UTC")
+    return us
 
 
 def _float_field(name, lo=None, hi=None):
@@ -408,7 +415,7 @@ def write_trace_csv(trace, sink):
     """Serialize a trace back to CSV; round-trips decimal fields bit-exactly.
 
     Each column of a block of rows is formatted at once: timestamps as
-    ``datetime64`` strings in the wall clock of ``trace.start``, floats by
+    ``datetime64`` strings in UTC, floats by
     ``repr`` (shortest round-trip), missing values as empty fields.
     """
     if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
@@ -416,7 +423,8 @@ def write_trace_csv(trace, sink):
             write_trace_csv(trace, fh)
             return
     sink.write(",".join(CSV_HEADER) + "\n")
-    base = np.datetime64(trace.start.replace(tzinfo=None, microsecond=0), "s")
+    start = trace.start.astimezone(timezone.utc)
+    base = np.datetime64(start.replace(tzinfo=None, microsecond=0), "s")
     step = np.timedelta64(trace.step, "s")
     for lo in range(0, len(trace), _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, len(trace))
@@ -532,6 +540,15 @@ def derive_controls(trace):
     return ControlSeries(k_heat=k_heat, k_cool=k_cool, conflict=conflict)
 
 
+def exog(trace, controls):
+    """The input matrix ``u = (t_out, k_heat, k_cool)``, one row per sample."""
+    return np.column_stack([
+        trace.t_out,
+        controls.k_heat.astype(float),
+        controls.k_cool.astype(float),
+    ])
+
+
 def build_regression(trace, controls, order):
     """Assemble the lagged design matrix for an order-n model.
 
@@ -546,11 +563,7 @@ def build_regression(trace, controls, order):
     if len(controls) != len(trace):
         raise ParseError("controls length differs from trace length")
 
-    u = np.column_stack([
-        trace.t_out,
-        controls.k_heat.astype(float),
-        controls.k_cool.astype(float),
-    ])
+    u = exog(trace, controls)
     y = trace.t_in
     m = len(trace) - n
     cols = [u[n - i: len(trace) - i] for i in range(n + 1)]  # u_t .. u_{t-n}

@@ -168,7 +168,10 @@ def _parse_timestamp_rowwise(text, line):
         raise ParseError(f"bad timestamp {text!r}: {exc}", line) from None
     if ts.tzinfo is None:
         raise ParseError(f"timestamp {text!r} lacks a UTC offset", line)
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise ParseError(f"timestamp {text!r} is outside years 1-9999 UTC", line) from None
 
 
 def _parse_float_rowwise(text, name, line, lo=None, hi=None):
@@ -267,7 +270,7 @@ def write_trace_csv_rowwise(trace, sink):
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for i in range(len(trace)):
-        ts = trace.start + timedelta(seconds=i * trace.step)
+        ts = trace.start.astimezone(timezone.utc) + timedelta(seconds=i * trace.step)
         mode = trace.hvac_mode[i]
         motion = trace.motion[i]
         writer.writerow([

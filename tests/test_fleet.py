@@ -111,6 +111,39 @@ def test_assign_matches_training_assignments(rng):
         assert fleet.assign(m, clustering) == clustering.assignments[m.home_id]
 
 
+def test_assign_new_home_to_nearest_centroid():
+    # the metadata-only lookup for a home outside the clustered fleet
+    clustering = fleet.Clustering(
+        k=2, centroids=np.array([[-1.0, 0.0], [1.0, 0.0]]),
+        assignments={}, sse=0.0,
+        feature_mean=np.array([2000.0, 1990.0]),
+        feature_std=np.array([500.0, 10.0]))
+    assert fleet.assign(fleet.HomeMetadata("n", 1000.0, 1990), clustering) == 0  # (-2, 0)
+    assert fleet.assign(fleet.HomeMetadata("f", 2600.0, 1995), clustering) == 1  # (1.2, 0.5)
+
+
+def test_choose_k_matches_the_elbow_rule(rng):
+    metadata, _ = planted_blobs(rng)
+    points, _, _ = fleet._standardize(metadata)
+    sses = fleet.sse_curve(points, min(fleet.ELBOW_K_MAX, len(points)), seed=4)
+    expected, _ = fleet.select_k(fleet.diminishing_return(sses))
+    assert fleet.choose_k(metadata, seed=4) == expected
+
+
+def test_choose_k_handles_a_constant_feature():
+    # every home built the same year: that feature has std 0 and keeps unit
+    # scale, so it adds nothing and its value does not matter
+    areas = [1000.0, 1040.0, 1080.0, 3000.0, 3040.0, 3080.0, 3120.0]
+    homes = lambda year: [fleet.HomeMetadata(f"h{i}", a, year) for i, a in enumerate(areas)]
+    points, mean, std = fleet._standardize(homes(1990))
+    assert std[1] == 1.0 and np.all(points[:, 1] == 0.0)
+    k = fleet.choose_k(homes(1990), seed=0)
+    assert 1 <= k <= len(areas)
+    assert fleet.choose_k(homes(2010), seed=0) == k
+    area_only = fleet.sse_curve(points[:, :1], len(areas), seed=0)
+    assert k == fleet.select_k(fleet.diminishing_return(area_only))[0]
+
+
 def test_representative_closest_and_tie_break():
     clustering = fleet.Clustering(
         k=1, centroids=np.array([[0.0, 0.0]]),

@@ -7,10 +7,12 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rctherm import cli, estimators, fleet, harness
 from rctherm import timeseries as ts
-from rctherm.errors import ConfigError, DataError, NotFoundError
+from rctherm.errors import ConfigError, DataError, RcthermError, ShapeError
 from test_fleet import SHOULDER
 from test_timeseries import make_trace
 
@@ -86,6 +88,110 @@ def test_experiment_config_validation():
         harness.ExperimentConfig.from_dict({"schema_version": 99})
 
 
+def _edited_config(edit):
+    data = json.loads(small_config().to_json())
+    edit(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[1, 2]",
+    "null",
+    _edited_config(lambda d: d["fleet"].pop("n_homes")),
+    _edited_config(lambda d: d["fleet"].update(n_homes="many")),
+    _edited_config(lambda d: d["fleet"].update(seasons=[{"name": "winter", "snow": 1}])),
+    _edited_config(lambda d: d["hyper"].update(momentum=0.9)),
+    _edited_config(lambda d: d.update(model_kinds="bnn_rc")),
+    _edited_config(lambda d: d.update(model_kinds=[["bnn_rc"]])),
+    _edited_config(lambda d: d.update(fleet="big")),
+    # mistyped fields, which would otherwise fail inside run_experiment
+    _edited_config(lambda d: d.update(train_days="x")),
+    _edited_config(lambda d: d.update(seed="3")),
+    _edited_config(lambda d: d.update(seed=True)),
+    _edited_config(lambda d: d.update(cluster_k=1.5)),
+    _edited_config(lambda d: d.update(order=None)),
+    _edited_config(lambda d: d.update(manifest=5)),
+    _edited_config(lambda d: d.update(source_season=3)),
+    _edited_config(lambda d: d.update(scenario=None)),
+    _edited_config(lambda d: d["hyper"].update(epochs="x")),
+    _edited_config(lambda d: d["hyper"].update(precondition=1)),
+    _edited_config(lambda d: d["fleet"].update(n_homes=2.5)),
+    _edited_config(lambda d: d["fleet"].update(measurement_noise_std="0.1")),
+    _edited_config(lambda d: d["fleet"].update(floor_area_range=["a", 1])),
+    _edited_config(lambda d: d["fleet"].update(lift_range=[20, 40, 60])),
+    _edited_config(lambda d: d["fleet"]["seasons"][0].update(days="x")),
+    _edited_config(lambda d: d["fleet"]["seasons"][0].update(name=None)),
+])
+def test_experiment_config_malformed_json_is_a_config_error(text):
+    with pytest.raises(ConfigError):
+        harness.ExperimentConfig.from_json(text)
+
+
+def test_experiment_config_reads_an_int_as_a_float():
+    config = harness.ExperimentConfig.from_json(_edited_config(
+        lambda d: (d["hyper"].update(noise_std=1), d["fleet"].update(lift_range=[20, 60]))))
+    assert config.hyper.noise_std == 1 and config.fleet_config.lift_range == (20, 60)
+
+
+def _json_values():
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                        st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=8))
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+        max_leaves=12)
+
+
+def _mutated(valid, data):
+    """``valid`` (a nested dict) with some entries replaced by arbitrary JSON
+    values or deleted; or an arbitrary JSON value outright."""
+    if data.draw(st.booleans()):
+        return data.draw(_json_values())
+    node = valid
+    while isinstance(node, dict) and node:
+        key = data.draw(st.sampled_from(sorted(node)))
+        action = data.draw(st.sampled_from(["replace", "delete", "descend"]))
+        if action == "delete":
+            del node[key]
+            return valid
+        if action == "replace" or not isinstance(node[key], (dict, list)):
+            node[key] = data.draw(_json_values())
+            return valid
+        node = node[key] if isinstance(node[key], dict) else (
+            node[key][0] if node[key] and isinstance(node[key][0], dict) else {})
+    return valid
+
+
+_POSTERIOR = estimators.Posterior(order=1, means=np.arange(8.0), scales=np.ones(8),
+                                  noise_std=0.1, training_meta={"seed": 1})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_json_inputs_raise_only_package_errors(data):
+    for parse, valid in ((harness.ExperimentConfig.from_json,
+                          json.loads(small_config(cluster_k=2).to_json())),
+                         (estimators.Posterior.from_json, json.loads(_POSTERIOR.to_json()))):
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            valid = _mutated(valid, data)
+        try:
+            parse(json.dumps(valid))
+        except RcthermError:
+            pass
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[]",
+    json.dumps({k: v for k, v in _POSTERIOR.to_dict().items() if k != "order"}),
+    json.dumps({**_POSTERIOR.to_dict(), "means": "abc"}),
+    json.dumps({**_POSTERIOR.to_dict(), "scales": [10 ** 400] * 8}),
+])
+def test_posterior_malformed_json_is_a_shape_error(text):
+    with pytest.raises(ShapeError):
+        estimators.Posterior.from_json(text)
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 
@@ -128,30 +234,6 @@ def test_run_experiment_cross_season_needs_two_seasons():
     config = small_config(scenario="cross-season")
     with pytest.raises(ConfigError):
         harness.run_experiment(config)
-
-
-# ---------------------------------------------------------------------------
-# Model library
-
-def test_model_library(tmp_path):
-    lib = harness.ModelLibrary(tmp_path / "store")
-    lib.put(0, "winter", "bnn_rc", '{"x": 1}')
-    lib.put(1, "winter", "bnn_rc", '{"x": 2}')
-    assert lib.get(0, "winter", "bnn_rc") == '{"x": 1}'
-    assert lib.list() == [
-        {"kind": "bnn_rc", "cluster": 0, "season": "winter"},
-        {"kind": "bnn_rc", "cluster": 1, "season": "winter"},
-    ]
-    with pytest.raises(NotFoundError):
-        lib.get(2, "winter", "bnn_rc")
-
-    clustering = fleet.Clustering(
-        k=2, centroids=np.array([[-1.0, 0.0], [1.0, 0.0]]),
-        assignments={}, sse=0.0,
-        feature_mean=np.array([2000.0, 1990.0]),
-        feature_std=np.array([500.0, 10.0]))
-    near_first = fleet.HomeMetadata("n", 1000.0, 1990)  # standardized (-2, 0)
-    assert lib.get_for_home(near_first, clustering, "winter") == '{"x": 1}'
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +319,18 @@ def test_cli_synth_ingest_fit_coeffs_cluster(tmp_path):
 def test_cli_exit_codes(tmp_path):
     # usage: missing required argument
     assert cli.main(["fit"]) == 1
-    # usage: experiment without a config file
+    # usage: experiment without a config file; --config only on experiment;
+    # no library subcommand
     assert cli.main(["experiment"]) == 1
+    assert cli.main(["fit", "x.csv", "--config", "c.json"]) == 1
+    assert cli.main(["library", str(tmp_path)]) == 1
+    # usage: a config that is not JSON
+    config = tmp_path / "config.json"
+    config.write_text("{not json")
+    assert cli.main(["experiment", "--config", str(config), "--out", str(tmp_path)]) == 1
+    # usage: a config with a mistyped field
+    config.write_text(_edited_config(lambda d: d.update(train_days="x")))
+    assert cli.main(["experiment", "--config", str(config), "--out", str(tmp_path)]) == 1
     # data: malformed CSV
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,trace\n1,2,3\n")
@@ -252,13 +344,22 @@ def test_cli_exit_codes(tmp_path):
         "2024-01-01T00:05:00Z,70,30,68,75,auto,0,0.4\n")
     assert cli.main(["fit", str(short), "--kind", "arimax",
                      "--out", str(tmp_path)]) == 2
+    # data: a timestamp before 0001-01-01 UTC
+    early = tmp_path / "early.csv"
+    early.write_text(short.read_text().replace("2024-01-01T00", "0001-01-01T00")
+                     .replace("Z,", "+01:00,"))
+    assert cli.main(["ingest", str(early), "--out", str(tmp_path)]) == 2
+    # data: a source posterior that lacks a key
+    posterior = tmp_path / "posterior.json"
+    posterior.write_text(json.dumps({"layout": estimators.POSTERIOR_LAYOUT}))
+    assert cli.main(["transfer", str(posterior), str(short), "--out", str(tmp_path)]) == 2
     # data: metadata CSV with a bad number
     metadata = tmp_path / "metadata.csv"
     metadata.write_text("home_id,floor_area,year_built\nh1,1200,1990\nh2,abc,1990\n")
     assert cli.main(["cluster", str(metadata), "--out", str(tmp_path)]) == 2
 
 
-def test_cli_experiment_and_library(tmp_path):
+def test_cli_experiment(tmp_path):
     config = small_config()
     config_path = tmp_path / "config.json"
     config_path.write_text(config.to_json())
@@ -267,6 +368,23 @@ def test_cli_experiment_and_library(tmp_path):
                      "--out", str(run_dir)]) == 0
     assert (run_dir / "summary.json").exists()
 
-    store = tmp_path / "store"
-    harness.ModelLibrary(store).put(0, "winter", "bnn_rc", "{}")
-    assert cli.main(["library", str(store)]) == 0
+
+@pytest.mark.parametrize("kind", harness.MODEL_KINDS)
+def test_cli_fit_writes_the_harness_model_bytes(tmp_path, kind):
+    # the CLI and the harness share one fit path: fitting a home's training
+    # segment from CSV with that home's seed gives the harness's model file
+    config = small_config(model_kinds=(kind,), hyper=estimators.TrainingConfig(),
+                          fleet_config=fleet.FleetConfig(n_homes=2, seasons=(SHOULDER,)),
+                          train_days=4, test_days=1, seed=5)
+    report = harness.run_experiment(config, out_dir=tmp_path / "run")
+    _, traces = fleet.synth_fleet(config.fleet_config, seed=config.seed)
+    for record in report.records:
+        home = record["home_id"]
+        train, _ = ts.split(traces[(home, SHOULDER.name)], config.train_days,
+                            config.test_days)
+        ts.write_trace_csv(train, tmp_path / f"{home}.csv")
+        assert cli.main(["fit", str(tmp_path / f"{home}.csv"), "--kind", kind,
+                         "--seed", str(record["seed"]), "--home-id", home,
+                         "--out", str(tmp_path / "fit")]) == 0
+        assert (tmp_path / "fit" / f"{home}__{kind}.json").read_bytes() == \
+            (tmp_path / "run" / record["model_file"]).read_bytes()

@@ -131,6 +131,17 @@ def test_ingest_from_path(tmp_path):
     assert ts.ingest_trace(str(path), "h0") == make_trace()
 
 
+def test_timestamp_outside_utc_datetime_range_is_a_parse_error():
+    header = ",".join(ts.CSV_HEADER)
+    row = ",70,30,68,75,auto,0,0.4\n"
+    for first, second in (("0001-01-01T00:00:00+01:00", "0001-01-01T00:05:00+01:00"),
+                          ("9999-12-31T23:50:00Z", "9999-12-31T23:55:00-00:10")):
+        text = f"{header}\n{first}{row}{second}{row}"
+        bad = 3 if first.endswith("Z") else 2
+        with pytest.raises(ParseError, match=f"line {bad}: .*outside years 1-9999 UTC"):
+            ts.ingest_trace(io.StringIO(text), "h0")
+
+
 # ---------------------------------------------------------------------------
 # Serialization round trip
 
@@ -146,12 +157,22 @@ def test_csv_roundtrip_bit_exact():
     assert ts.trace_to_csv_text(back) == text  # serialization is a fixed point
 
 
+def test_csv_writer_stamps_utc_for_an_offset_start():
+    trace = make_trace(3, start=datetime(2024, 1, 1, 12, tzinfo=timezone(timedelta(hours=2))))
+    text = ts.trace_to_csv_text(trace)
+    assert text.splitlines()[1].startswith("2024-01-01T10:00:00Z,")
+    assert ts.ingest_trace(io.StringIO(text), "h0") == trace
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
 maybe = st.one_of(st.just(float("nan")), finite)
 humid = st.one_of(st.just(float("nan")),
                   st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 starts = st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2060, 1, 1),
-                      timezones=st.just(timezone.utc))
+                      timezones=st.sampled_from([
+                          timezone.utc, timezone(timedelta(hours=2)),
+                          timezone(timedelta(hours=-9, minutes=-30)),
+                          timezone(timedelta(hours=14))]))
 #: Block sizes for the column-at-a-time reader and writer: tiny ones put
 #: block boundaries inside the generated files.
 blocks = st.sampled_from([1, 2, 3, 5, ts._BLOCK_ROWS])
@@ -175,7 +196,9 @@ def random_trace(data, n, start=START):
 @given(st.integers(min_value=2, max_value=20), st.data())
 def test_csv_roundtrip_property(n, data):
     # the writer drops microseconds of start, so round trips use whole
-    # seconds; the comparison with the row-by-row writer uses any start
+    # seconds; the comparison with the row-by-row writer uses any start.
+    # Starts carry UTC offsets: the file is in UTC and reads back the same
+    # instant.
     start = data.draw(starts)
     trace = random_trace(data, n, start.replace(microsecond=0))
     fractional = random_trace(data, n, start)
@@ -210,7 +233,8 @@ _BAD_CELLS = {
     0: ["not-a-time", "2024-01-01T00:00:00", "2024-01-01T00:01:00Z", "",
         "2024-02-30T00:00:00Z", "2024-13-01T00:00:00Z", "2024-01-01T24:00:00Z",
         "0000-01-01T00:00:00Z", "2024-01-01T00:00:60Z", "2024-01-01T00:00:00Zx",
-        "2024-01-01T00:00:00+00"],
+        "2024-01-01T00:00:00+00", "0001-01-01T00:00:00+01:00",
+        "9999-12-31T23:59:00-00:01"],
     "float": ["seventy", "inf", "nan", "-Infinity", "1e400", "7;0"],
     "humidity": ["1.5", "-0.1", "nan", "x"],
     "mode": ["fan", "AUTO", "1"],
