@@ -1,6 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 convergence error.
+Exit codes: 0 success, 1 usage error (an experiment config file that
+cannot be read among them), 2 data error (any other file that cannot be
+read or written among them: a trace, posterior, metadata, parameter or
+manifest file, or an output), 3 convergence error. Every error ends in one
+``error:`` line on standard error, with no traceback.
 """
 
 from __future__ import annotations
@@ -175,7 +179,11 @@ def _cmd_transfer(args):
 
 
 def _cmd_experiment(args):
-    config = harness.ExperimentConfig.from_json(args.config.read_text())
+    try:
+        text = args.config.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
+    config = harness.ExperimentConfig.from_json(text)
     report = harness.run_experiment(config, out_dir=args.out)
     for key, summary in sorted(report.summaries.items()):
         print(f"{key}: mean={summary['mean']:.4f} median={summary['median']:.4f} "
@@ -210,6 +218,9 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (DataError, RcthermError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:  # a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

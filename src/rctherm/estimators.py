@@ -16,6 +16,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import (
     ConvergenceError,
@@ -182,6 +183,15 @@ class PriorConfig:
         return out
 
 
+#: TrainingConfig's numeric fields and the values each admits.
+_TRAINING_RANGES = (
+    (("batch_size", "epochs", "mc_samples"), "at least 1", lambda v: v >= 1),
+    (("noise_std", "learning_rate", "init_scale", "lr_decay", "mean_lr"), "positive",
+     lambda v: v > 0),
+    (("average_fraction",), "in [0, 1]", lambda v: 0 <= v <= 1),
+)
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     """Hyperparameters for the variational fit; all recorded in training_meta."""
@@ -197,6 +207,15 @@ class TrainingConfig:
     mean_lr: float = 0.3
     average_fraction: float = 0.25
     record_loss: bool = False
+
+    def __post_init__(self):
+        for names, allowed, ok in _TRAINING_RANGES:
+            for name in names:
+                value = getattr(self, name)
+                # a value of another type is left to the config parser's check
+                if isinstance(value, (int, float)) and not isinstance(value, bool) \
+                        and not ok(value):
+                    raise InvalidParameterError(f"{name} must be {allowed}, got {value!r}")
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "record_loss"}
@@ -275,17 +294,6 @@ def _softplus_inv(y):
     return np.log(np.expm1(y))
 
 
-def _mixture_logpdf_and_grad(w, prior):
-    log_n1 = -0.5 * math.log(2 * math.pi) - math.log(prior.sigma1) - w * w / (2 * prior.sigma1 ** 2)
-    log_n2 = -0.5 * math.log(2 * math.pi) - math.log(prior.sigma2) - w * w / (2 * prior.sigma2 ** 2)
-    la = math.log(prior.pi) + log_n1
-    lb = math.log(1 - prior.pi) + log_n2
-    logp = np.logaddexp(la, lb)
-    resp1 = np.exp(la - logp)
-    dlogp = -w * (resp1 / prior.sigma1 ** 2 + (1 - resp1) / prior.sigma2 ** 2)
-    return logp, dlogp
-
-
 def fit_bnn(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
     """Train the variational linear predictor on a regression dataset.
 
@@ -293,6 +301,10 @@ def fit_bnn(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
     supplies a Posterior whose means/scales seed the variational parameters
     (used by transfer); otherwise means start at zero except the first y-lag
     weight (persistence) and scales start at ``hyper.init_scale``.
+
+    Each epoch draws its row permutation, then the normal draws of all its
+    steps in one call (the same stream as one draw per sample); a step
+    treats its ``mc_samples`` weight draws as one (samples, weights) block.
     """
     if len(dataset) == 0:
         raise InsufficientDataError("regression dataset is empty")
@@ -303,10 +315,10 @@ def fit_bnn(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
     if prior.has_override and len(prior.override_means) != d:
         raise ShapeError(f"prior override length {len(prior.override_means)} != {d}")
 
-    x = np.column_stack([dataset.inputs, np.ones(len(dataset))])
-    y = dataset.targets
+    inputs, y = dataset.inputs, dataset.targets
     num_rows = len(y)
     noise_var = hyper.noise_std ** 2
+    mc = hyper.mc_samples
 
     if init is not None:
         mu = init.means.copy()
@@ -317,8 +329,6 @@ def fit_bnn(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
         rho = np.full(d, _softplus_inv(hyper.init_scale))
 
     rng = np.random.default_rng(seed)
-    adam_m = np.zeros(2 * d)
-    adam_v = np.zeros(2 * d)
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     const_nll = num_rows * 0.5 * math.log(2 * math.pi * noise_var)
 
@@ -334,10 +344,50 @@ def fit_bnn(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
             prior_curv = 1.0 / prior.override_scales ** 2
         else:
             prior_curv = np.full(d, 1.0 / prior.sigma1 ** 2)
-        precond = np.linalg.inv(x.T @ x / noise_var + np.diag(prior_curv))
+        gram = np.empty((d, d))  # of the design: the inputs, then the bias
+        gram[:-1, :-1] = inputs.T @ inputs
+        gram[-1, :-1] = gram[:-1, -1] = inputs.sum(axis=0)
+        gram[-1, -1] = num_rows
+        precond = np.linalg.inv(gram / noise_var + np.diag(prior_curv))
+    # Adam moments of (means, scales), or of the scales alone when the mean
+    # step is preconditioned
+    adam_m = np.zeros(d if precond is not None else 2 * d)
+    adam_v = np.zeros_like(adam_m)
 
     batch = min(hyper.batch_size, num_rows)
     steps_per_epoch = max(1, num_rows // batch)
+    # Every batch is full, so the minibatch likelihood's scale-up is fixed;
+    # g_scale also averages the per-sample gradients over the samples.
+    scale_up = num_rows / batch
+    g_scale = scale_up / noise_var / mc
+    nll_scale = scale_up * 0.5 / noise_var
+    if prior.has_override:
+        m0 = prior.override_means
+        inv_var0 = 1.0 / prior.override_scales ** 2
+        half_inv_var0 = 0.5 * inv_var0
+        kl_const = float(np.sum(np.log(prior.override_scales))) - 0.5 * d
+    else:
+        # log(pi_k N(w; 0, sigma_k^2)) = c_k - a_k w^2 for the two components;
+        # the log density is the second term plus softplus(z), z their
+        # difference, and the first component's responsibility is expit(z)
+        half_log_2pi = 0.5 * math.log(2 * math.pi)
+        inv1, inv2 = 1.0 / prior.sigma1 ** 2, 1.0 / prior.sigma2 ** 2
+        c1 = math.log(prior.pi) - half_log_2pi - math.log(prior.sigma1)
+        c2 = math.log(1 - prior.pi) - half_log_2pi - math.log(prior.sigma2)
+        a1, a2 = 0.5 * inv1, 0.5 * inv2
+        z0, z1 = c1 - c2, a1 - a2
+        prior_g2, prior_g12 = inv2 / mc, (inv1 - inv2) / mc
+        # the constant parts of log q and of the second term, over a block
+        kl_const = (-half_log_2pi - c2) * d * mc
+
+    # Each step gathers its batch into these; xb's last column is the bias.
+    # The whole design with a bias column is never built, so the fit holds
+    # no second copy of the inputs.
+    inputs_b = np.empty((batch, d - 1))
+    xb = np.ones((batch, d))
+    yb = np.empty(batch)
+    yb_col = yb[:, None]
+
     history = [] if hyper.record_loss else None
     step = 0
     lr = hyper.learning_rate
@@ -348,58 +398,68 @@ def fit_bnn(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
 
     for epoch in range(hyper.epochs):
         perm = rng.permutation(num_rows)
+        noise = rng.standard_normal((steps_per_epoch, mc, d))
+        half_noise_sq = (0.5 * np.einsum("smd,smd->s", noise, noise)).tolist()
+        if precond is not None:
+            mean_step = mean_lr * precond
         for b in range(steps_per_epoch):
             idx = perm[b * batch:(b + 1) * batch]
-            xb, yb = x[idx], y[idx]
-            scale_up = num_rows / len(idx)
+            # indices from a permutation are in range, so "clip" clips none
+            np.take(inputs, idx, axis=0, out=inputs_b, mode="clip")
+            xb[:, :-1] = inputs_b
+            np.take(y, idx, out=yb, mode="clip")
+            eps = noise[b]
+            sigma = _softplus(rho)
+            log_sigma_sum = np.log(sigma).sum()
+            inv_sigma = 1.0 / sigma
+            w = sigma * eps
+            w += mu  # (mc, d): one weight draw per row
+            r = np.dot(xb, w.T)
+            r -= yb_col  # (batch, mc) residuals
+            loss = nll_scale * np.vdot(r, r) + mc * const_nll
+            r *= g_scale
+            g_w = np.dot(r.T, xb)  # (mc, d) likelihood gradients
 
-            g_mu = np.zeros(d)
-            g_rho = np.zeros(d)
-            loss = 0.0
-            for _ in range(hyper.mc_samples):
-                eps = rng.standard_normal(d)
-                sigma = _softplus(rho)
-                w = mu + sigma * eps
-                r = xb @ w - yb
-                g_w = scale_up * (xb.T @ r) / noise_var
-                nll = scale_up * 0.5 * np.dot(r, r) / noise_var + const_nll
-
-                if prior.has_override:
-                    m0, s0 = prior.override_means, prior.override_scales
-                    kl = np.sum(np.log(s0 / sigma)
-                                + (sigma ** 2 + (mu - m0) ** 2) / (2 * s0 ** 2) - 0.5)
-                    gm = g_w + (mu - m0) / s0 ** 2
-                    gs = g_w * eps + sigma / s0 ** 2 - 1.0 / sigma
-                else:
-                    logp, dlogp = _mixture_logpdf_and_grad(w, prior)
-                    log_q = -0.5 * math.log(2 * math.pi) - np.log(sigma) - eps ** 2 / 2
-                    kl = float(np.sum(log_q - logp))
-                    gm = g_w - dlogp
-                    gs = (g_w - dlogp) * eps - 1.0 / sigma
-                g_mu += gm
-                g_rho += gs * _sigmoid(rho)
-                loss += nll + kl
-
-            loss /= hyper.mc_samples
-            if not np.isfinite(loss):
-                raise TrainingError("variational loss diverged", step=step)
-            g_mu /= hyper.mc_samples
-            g_rho /= hyper.mc_samples
-
-            grad = np.concatenate([g_mu, g_rho])
-            step += 1
-            adam_m = beta1 * adam_m + (1 - beta1) * grad
-            adam_v = beta2 * adam_v + (1 - beta2) * grad * grad
-            m_hat = adam_m / (1 - beta1 ** step)
-            v_hat = adam_v / (1 - beta2 ** step)
-            update = lr * m_hat / (np.sqrt(v_hat) + adam_eps)
-            if precond is None:
-                mu = mu - update[:d]
+            if prior.has_override:
+                dev = mu - m0
+                loss += mc * (kl_const - log_sigma_sum
+                              + np.dot(sigma * sigma + dev * dev, half_inv_var0))
+                g_mu = g_w.sum(axis=0) + dev * inv_var0
+                g_sigma = (g_w * eps).sum(axis=0) + sigma * inv_var0 - inv_sigma
             else:
-                mu = mu - mean_lr * (precond @ g_mu)
-            rho = rho - update[d:]
+                w2 = w * w
+                z = z0 - z1 * w2
+                loss += (kl_const - mc * log_sigma_sum - half_noise_sq[b]
+                         + a2 * w2.sum() - np.logaddexp(0.0, z).sum())
+                # minus the gradient of the log prior density
+                g_w += w * (prior_g2 + expit(z) * prior_g12)
+                g_mu = g_w.sum(axis=0)
+                g_sigma = (g_w * eps).sum(axis=0) - inv_sigma
+
+            loss /= mc
+            if not math.isfinite(loss):
+                raise TrainingError("variational loss diverged", step=step)
+            g_rho = g_sigma * expit(rho)  # d softplus / d rho
+
+            grad = g_rho if precond is not None else np.concatenate([g_mu, g_rho])
+            step += 1
+            adam_m *= beta1
+            adam_m += (1 - beta1) * grad
+            adam_v *= beta2
+            adam_v += (1 - beta2) * grad * grad
+            # lr m_hat / (sqrt(v_hat) + eps), with both bias corrections
+            # folded into the scalars
+            root_bias2 = math.sqrt(1 - beta2 ** step)
+            update = (lr * root_bias2 / (1 - beta1 ** step)) * adam_m
+            update /= np.sqrt(adam_v) + adam_eps * root_bias2
+            if precond is None:
+                mu -= update[:d]
+            else:
+                mu -= mean_step @ g_mu
+            rho -= update[-d:]
             if history is not None:
                 history.append(loss)
+        perm = None  # freed before the next epoch draws its permutation
         lr *= hyper.lr_decay
         mean_lr *= hyper.lr_decay
         if epoch >= avg_start:
@@ -420,10 +480,6 @@ def fit_bnn(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
     return Posterior(order=n, means=mu, scales=_softplus(rho),
                      noise_std=hyper.noise_std, training_meta=meta,
                      loss_history=None if history is None else np.array(history))
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def posterior_to_coeffs(posterior):

@@ -373,8 +373,8 @@ def _outdoor_profile(season, n_samples, rng):
 def _setpoint_schedule(season, n_samples):
     hour = (np.arange(n_samples) % SAMPLES_PER_DAY) / (SAMPLES_PER_DAY / 24)
     day = (hour >= 7) & (hour < 22)
-    setheat = np.where(day, season.setheat_day, season.setheat_night)
-    setcool = np.where(day, season.setcool_day, season.setcool_night)
+    setheat = np.where(day, float(season.setheat_day), float(season.setheat_night))
+    setcool = np.where(day, float(season.setcool_day), float(season.setcool_night))
     return setheat, setcool
 
 
@@ -404,14 +404,25 @@ def generate_trace(truth, season, home_id, start, rng, measurement_noise_std,
     x = initial_state(params, 0.5 * (setheat[0] + setcool[0]), t_out[0])
     out_row = ss.cm[0]
     hold = ds.gamma1 - ds.gamma2
+    # Interval t's input term is hold @ u_t + gamma2 @ u_{t+1}. Its outdoor
+    # part is known before the loop. Its duty part is kicks[a, b] for duty a
+    # at the start and b at the end, a duty being the column of u it sets
+    # (0 off, 1 heat, 2 cool).
+    drive = np.multiply.outer(t_out[:-1], hold[:, 0])
+    drive += np.multiply.outer(t_out[1:], ds.gamma2[:, 0])
+    kicks = np.zeros((3, 3, len(x)))
+    for col in (1, 2):
+        kicks[col, :] += hold[:, col]
+        kicks[:, col] += ds.gamma2[:, col]
 
     y = np.empty(n_samples)
     kh = np.zeros(n_samples, dtype=np.int8)
     kc = np.zeros(n_samples, dtype=np.int8)
     heat_on = False
     cool_on = False
-    y[0] = out_row @ x
-    for t in range(n_samples):
+    duty = 0
+    nxt = np.empty_like(x)
+    for t in range(n_samples - 1):
         yt = out_row @ x
         y[t] = yt
         # thermostat decision for the next interval, from the current reading
@@ -425,12 +436,17 @@ def generate_trace(truth, season, home_id, start, rng, measurement_noise_std,
                 cool_on = True
             elif yt < setcool[t] - HYSTERESIS_F:
                 cool_on = False
-        if t + 1 < n_samples:
-            kh[t + 1] = 1 if heat_on else 0
-            kc[t + 1] = 1 if cool_on and not heat_on else 0
-            u_now = np.array([t_out[t], float(kh[t]), float(kc[t])])
-            u_next = np.array([t_out[t + 1], float(kh[t + 1]), float(kc[t + 1])])
-            x = ds.phi @ x + hold @ u_now + ds.gamma2 @ u_next
+        new_duty = 1 if heat_on else 2 if cool_on else 0
+        kh[t + 1] = new_duty == 1
+        kc[t + 1] = new_duty == 2
+        np.dot(ds.phi, x, out=nxt)
+        nxt += drive[t]
+        if duty or new_duty:
+            nxt += kicks[duty, new_duty]
+        x, nxt = nxt, x
+        duty = new_duty
+    y[-1] = out_row @ x
+    del drive  # trace-sized; freed before the trace's own arrays are built
 
     t_in = y + rng.normal(0, measurement_noise_std, size=n_samples) \
         if measurement_noise_std > 0 else y.copy()
@@ -441,8 +457,8 @@ def generate_trace(truth, season, home_id, start, rng, measurement_noise_std,
         start=start,
         t_in=t_in,
         t_out=t_out,
-        t_setheat=setheat.astype(float),
-        t_setcool=setcool.astype(float),
+        t_setheat=setheat,
+        t_setcool=setcool,
         hvac_mode=np.full(n_samples, season.hvac_mode, dtype=np.int8),
         motion=motion,
         humidity=humidity,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, estimators, fleet, rcnet, timeseries
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InvalidParameterError
 
 MODEL_KINDS = ("bnn_rc", "onercone", "arimax", "persistence")
 SCENARIOS = ("none", "cross-home", "cross-season")
@@ -32,13 +32,13 @@ _FLEET_RANGES = ("floor_area_range", "year_built_range", "lift_range")
 #: The JSON types a config field may hold, by its annotation: an int is a
 #: float, a bool is not a number.
 _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
-               "str | None": (str, type(None))}
+               "str | None": (str, type(None)), "object": dict, "array": list}
 
 
-def _check_type(name, value, annotation):
+def _check_type(label, value, annotation):
     if not isinstance(value, _JSON_TYPES[annotation]) or (
             isinstance(value, bool) and annotation != "bool"):
-        raise ConfigError(f"config field {name!r} must be {annotation}, got {value!r}")
+        raise ConfigError(f"{label} must be {annotation}, got {value!r}")
 
 
 def _typed(config):
@@ -46,7 +46,7 @@ def _typed(config):
     ``_JSON_TYPES`` holds a value of that type."""
     for f in fields(config):
         if f.type in _JSON_TYPES:
-            _check_type(f.name, getattr(config, f.name), f.type)
+            _check_type(f"config field {f.name!r}", getattr(config, f.name), f.type)
     return config
 
 
@@ -112,7 +112,7 @@ class ExperimentConfig:
                     if len(pair) != 2:
                         raise ConfigError(f"config field {k!r} must be [low, high], got {fc[k]!r}")
                     for v in pair:
-                        _check_type(k, v, "float")
+                        _check_type(f"config field {k!r}", v, "float")
                 kwargs["fleet_config"] = _typed(fleet.FleetConfig(
                     n_homes=fc["n_homes"], **ranges,
                     **{k: fc[k] for k in _FLEET_SCALARS if k in fc},
@@ -121,6 +121,8 @@ class ExperimentConfig:
             return _typed(cls(**kwargs))
         except (IndexError, KeyError, TypeError) as exc:
             raise ConfigError(f"malformed config: {type(exc).__name__}: {exc}") from None
+        except InvalidParameterError as exc:  # an impossible hyper value
+            raise ConfigError(f"config field 'hyper': {exc}") from None
 
     @classmethod
     def from_json(cls, text):
@@ -194,6 +196,48 @@ def summarize(values):
 # ---------------------------------------------------------------------------
 # Fleet loading
 
+def _manifest_value(obj, key, annotation, where, default=None):
+    """``obj[key]`` once it holds the JSON type ``annotation`` (a float
+    field as a float); ConfigError names the key when it is absent (with no
+    default), mistyped, or a number no float can hold."""
+    if key not in obj:
+        if default is None:
+            raise ConfigError(f"{where} lacks {key!r}")
+        return default
+    value = obj[key]
+    _check_type(f"{where}.{key}", value, annotation)
+    if annotation == "float":
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{where}.{key} is too large for a float") from None
+    return value
+
+
+def _manifest_homes(data):
+    """(metadata list, {(home_id, season): trace path relative to the
+    manifest}) of a parsed manifest; a manifest that is not an object, or
+    that lacks a key or holds one of the wrong type, raises ConfigError."""
+    _check_type("manifest", data, "object")
+    metadata, paths = [], {}
+    for i, entry in enumerate(_manifest_value(data, "homes", "array", "manifest")):
+        where = f"manifest.homes[{i}]"
+        _check_type(where, entry, "object")
+        home_id = _manifest_value(entry, "home_id", "str", where)
+        meta = _manifest_value(entry, "metadata", "object", where)
+        metadata.append(fleet.HomeMetadata(
+            home_id=home_id,
+            floor_area=_manifest_value(meta, "floor_area", "float", f"{where}.metadata"),
+            year_built=_manifest_value(meta, "year_built", "int", f"{where}.metadata"),
+            province=_manifest_value(meta, "province", "str", f"{where}.metadata", ""),
+            city=_manifest_value(meta, "city", "str", f"{where}.metadata", ""),
+        ))
+        for season, rel in _manifest_value(entry, "traces", "object", where).items():
+            _check_type(f"{where}.traces.{season}", rel, "str")
+            paths[(home_id, season)] = rel
+    return metadata, paths
+
+
 def _load_fleet(config):
     """Returns (metadata list, {(home_id, season): Trace}, season names)."""
     if config.fleet_config is not None:
@@ -201,24 +245,18 @@ def _load_fleet(config):
         metadata = [h.metadata for h in homes]
         seasons = [s.name for s in config.fleet_config.seasons]
         return metadata, traces, seasons
-    manifest = json.loads(Path(config.manifest).read_text())
-    base = Path(config.manifest).parent
-    metadata, traces = [], {}
-    seasons = []
-    for entry in manifest["homes"]:
-        meta = fleet.HomeMetadata(
-            home_id=entry["home_id"],
-            floor_area=entry["metadata"]["floor_area"],
-            year_built=entry["metadata"]["year_built"],
-            province=entry["metadata"].get("province", ""),
-            city=entry["metadata"].get("city", ""),
-        )
-        metadata.append(meta)
-        for season, rel in entry["traces"].items():
-            if season not in seasons:
-                seasons.append(season)
-            trace = timeseries.ingest_trace(base / rel, meta.home_id)
-            traces[(meta.home_id, season)] = timeseries.impute(trace)
+    manifest = Path(config.manifest)
+    try:
+        data = json.loads(manifest.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"manifest {manifest} is not valid JSON: {exc}") from None
+    metadata, paths = _manifest_homes(data)
+    traces, seasons = {}, []
+    for (home_id, season), rel in paths.items():
+        if season not in seasons:
+            seasons.append(season)
+        trace = timeseries.ingest_trace(manifest.parent / rel, home_id)
+        traces[(home_id, season)] = timeseries.impute(trace)
     return metadata, traces, seasons
 
 

@@ -4,11 +4,13 @@ Each oracle deliberately takes a different computational route from the code
 under test: eigendecompositions and polynomial interpolation instead of the
 Leverrier recursion, truncated series instead of the matrix exponential,
 forward Euler instead of exact discretization, projected gradient
-instead of the active-set method, and row-by-row CSV reading and writing
-instead of the column-at-a-time trace I/O.
+instead of the active-set method, row-by-row CSV reading and writing
+instead of the column-at-a-time trace I/O, and one-step-at-a-time loops
+for the variational fit and the thermostat simulation.
 """
 
 import csv
+import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -18,8 +20,28 @@ from rctherm.errors import (
     InsufficientDataError,
     OrderingError,
     ParseError,
+    ShapeError,
+    TrainingError,
 )
-from rctherm.timeseries import CSV_HEADER, MODE_MISSING, STEP_SECONDS, Trace
+from rctherm.estimators import Posterior, PriorConfig, TrainingConfig
+from rctherm.fleet import (
+    HYSTERESIS_F,
+    _outdoor_profile,
+    _season_truth,
+    _setpoint_schedule,
+)
+from rctherm.rcnet import build_state_space, discretize, initial_state
+from rctherm.timeseries import (
+    CSV_HEADER,
+    MODE_AUTO,
+    MODE_COOL,
+    MODE_HEAT,
+    MODE_MISSING,
+    SAMPLES_PER_DAY,
+    STEP_SECONDS,
+    ControlSeries,
+    Trace,
+)
 
 _MODE_NAMES = {"off": 0, "heat": 1, "cool": 2, "auto": 3}
 _MODE_STRINGS = {v: k for k, v in _MODE_NAMES.items()}
@@ -283,3 +305,226 @@ def write_trace_csv_rowwise(trace, sink):
             "" if np.isnan(motion) else str(int(motion)),
             _fmt_rowwise(trace.humidity[i]),
         ])
+
+
+def _softplus(x):
+    return np.logaddexp(0.0, x)
+
+
+def _softplus_inv(y):
+    return np.log(np.expm1(y))
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _mixture_logpdf_and_grad(w, prior):
+    log_n1 = -0.5 * math.log(2 * math.pi) - math.log(prior.sigma1) - w * w / (2 * prior.sigma1 ** 2)
+    log_n2 = -0.5 * math.log(2 * math.pi) - math.log(prior.sigma2) - w * w / (2 * prior.sigma2 ** 2)
+    la = math.log(prior.pi) + log_n1
+    lb = math.log(1 - prior.pi) + log_n2
+    logp = np.logaddexp(la, lb)
+    resp1 = np.exp(la - logp)
+    dlogp = -w * (resp1 / prior.sigma1 ** 2 + (1 - resp1) / prior.sigma2 ** 2)
+    return logp, dlogp
+
+
+def fit_bnn_loop(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
+    """``estimators.fit_bnn`` one Monte-Carlo sample at a time: a normal
+    draw per sample, a matrix-vector pair per sample and Adam over both
+    halves of the parameters (the package's fit before it drew each epoch's
+    noise at once and treated the samples as one block)."""
+    if len(dataset) == 0:
+        raise InsufficientDataError("regression dataset is empty")
+    prior = prior or PriorConfig()
+    hyper = hyper or TrainingConfig()
+    n = dataset.order
+    d = 4 * n + 4
+    if prior.has_override and len(prior.override_means) != d:
+        raise ShapeError(f"prior override length {len(prior.override_means)} != {d}")
+
+    x = np.column_stack([dataset.inputs, np.ones(len(dataset))])
+    y = dataset.targets
+    num_rows = len(y)
+    noise_var = hyper.noise_std ** 2
+
+    if init is not None:
+        mu = init.means.copy()
+        rho = _softplus_inv(init.scales)
+    else:
+        mu = np.zeros(d)
+        mu[3 * (n + 1)] = 1.0  # persistence start on the y_{t-1} weight
+        rho = np.full(d, _softplus_inv(hyper.init_scale))
+
+    rng = np.random.default_rng(seed)
+    adam_m = np.zeros(2 * d)
+    adam_v = np.zeros(2 * d)
+    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    const_nll = num_rows * 0.5 * math.log(2 * math.pi * noise_var)
+
+    # Lagged temperature regressors are extremely collinear (condition
+    # numbers ~1e4 and up), which starves a diagonal adaptive update of
+    # progress along the sloppy directions. The mean update is therefore
+    # preconditioned by the inverse Gaussian curvature of the objective,
+    # computed once from the full design; the scales keep the diagonal
+    # adaptive update.
+    precond = None
+    if hyper.precondition:
+        if prior.has_override:
+            prior_curv = 1.0 / prior.override_scales ** 2
+        else:
+            prior_curv = np.full(d, 1.0 / prior.sigma1 ** 2)
+        precond = np.linalg.inv(x.T @ x / noise_var + np.diag(prior_curv))
+
+    batch = min(hyper.batch_size, num_rows)
+    steps_per_epoch = max(1, num_rows // batch)
+    history = [] if hyper.record_loss else None
+    step = 0
+    lr = hyper.learning_rate
+    mean_lr = hyper.mean_lr
+    avg_start = int(hyper.epochs * (1.0 - hyper.average_fraction))
+    mu_sum = np.zeros(d)
+    mu_count = 0
+
+    for epoch in range(hyper.epochs):
+        perm = rng.permutation(num_rows)
+        for b in range(steps_per_epoch):
+            idx = perm[b * batch:(b + 1) * batch]
+            xb, yb = x[idx], y[idx]
+            scale_up = num_rows / len(idx)
+
+            g_mu = np.zeros(d)
+            g_rho = np.zeros(d)
+            loss = 0.0
+            for _ in range(hyper.mc_samples):
+                eps = rng.standard_normal(d)
+                sigma = _softplus(rho)
+                w = mu + sigma * eps
+                r = xb @ w - yb
+                g_w = scale_up * (xb.T @ r) / noise_var
+                nll = scale_up * 0.5 * np.dot(r, r) / noise_var + const_nll
+
+                if prior.has_override:
+                    m0, s0 = prior.override_means, prior.override_scales
+                    kl = np.sum(np.log(s0 / sigma)
+                                + (sigma ** 2 + (mu - m0) ** 2) / (2 * s0 ** 2) - 0.5)
+                    gm = g_w + (mu - m0) / s0 ** 2
+                    gs = g_w * eps + sigma / s0 ** 2 - 1.0 / sigma
+                else:
+                    logp, dlogp = _mixture_logpdf_and_grad(w, prior)
+                    log_q = -0.5 * math.log(2 * math.pi) - np.log(sigma) - eps ** 2 / 2
+                    kl = float(np.sum(log_q - logp))
+                    gm = g_w - dlogp
+                    gs = (g_w - dlogp) * eps - 1.0 / sigma
+                g_mu += gm
+                g_rho += gs * _sigmoid(rho)
+                loss += nll + kl
+
+            loss /= hyper.mc_samples
+            if not np.isfinite(loss):
+                raise TrainingError("variational loss diverged", step=step)
+            g_mu /= hyper.mc_samples
+            g_rho /= hyper.mc_samples
+
+            grad = np.concatenate([g_mu, g_rho])
+            step += 1
+            adam_m = beta1 * adam_m + (1 - beta1) * grad
+            adam_v = beta2 * adam_v + (1 - beta2) * grad * grad
+            m_hat = adam_m / (1 - beta1 ** step)
+            v_hat = adam_v / (1 - beta2 ** step)
+            update = lr * m_hat / (np.sqrt(v_hat) + adam_eps)
+            if precond is None:
+                mu = mu - update[:d]
+            else:
+                mu = mu - mean_lr * (precond @ g_mu)
+            rho = rho - update[d:]
+            if history is not None:
+                history.append(loss)
+        lr *= hyper.lr_decay
+        mean_lr *= hyper.lr_decay
+        if epoch >= avg_start:
+            mu_sum += mu
+            mu_count += 1
+
+    # Tail-averaged means damp the Monte Carlo jitter of the final iterates.
+    if mu_count:
+        mu = mu_sum / mu_count
+
+    meta = {
+        "home_id": home_id,
+        "sample_count": int(num_rows),
+        "seed": int(seed),
+        "hyper": hyper.to_dict(),
+        "prior": prior.to_dict(),
+    }
+    return Posterior(order=n, means=mu, scales=_softplus(rho),
+                     noise_std=hyper.noise_std, training_meta=meta,
+                     loss_history=None if history is None else np.array(history))
+
+
+def generate_trace_loop(truth, season, home_id, start, rng, measurement_noise_std,
+                        return_controls=False):
+    """``fleet.generate_trace`` with the whole input vector rebuilt and
+    multiplied at every step (the package's generator before it precomputed
+    the open-loop outdoor drive)."""
+    params = _season_truth(truth, season)
+    ss = build_state_space(params)
+    ds = discretize(ss, STEP_SECONDS)
+    n_samples = season.days * SAMPLES_PER_DAY
+
+    t_out = _outdoor_profile(season, n_samples, rng)
+    setheat, setcool = _setpoint_schedule(season, n_samples)
+    heating_enabled = season.hvac_mode in (MODE_HEAT, MODE_AUTO)
+    cooling_enabled = season.hvac_mode in (MODE_COOL, MODE_AUTO)
+
+    x = initial_state(params, 0.5 * (setheat[0] + setcool[0]), t_out[0])
+    out_row = ss.cm[0]
+    hold = ds.gamma1 - ds.gamma2
+
+    y = np.empty(n_samples)
+    kh = np.zeros(n_samples, dtype=np.int8)
+    kc = np.zeros(n_samples, dtype=np.int8)
+    heat_on = False
+    cool_on = False
+    y[0] = out_row @ x
+    for t in range(n_samples):
+        yt = out_row @ x
+        y[t] = yt
+        # thermostat decision for the next interval, from the current reading
+        if heating_enabled:
+            if yt < setheat[t] - HYSTERESIS_F:
+                heat_on = True
+            elif yt > setheat[t] + HYSTERESIS_F:
+                heat_on = False
+        if cooling_enabled:
+            if yt > setcool[t] + HYSTERESIS_F:
+                cool_on = True
+            elif yt < setcool[t] - HYSTERESIS_F:
+                cool_on = False
+        if t + 1 < n_samples:
+            kh[t + 1] = 1 if heat_on else 0
+            kc[t + 1] = 1 if cool_on and not heat_on else 0
+            u_now = np.array([t_out[t], float(kh[t]), float(kc[t])])
+            u_next = np.array([t_out[t + 1], float(kh[t + 1]), float(kc[t + 1])])
+            x = ds.phi @ x + hold @ u_now + ds.gamma2 @ u_next
+
+    t_in = y + rng.normal(0, measurement_noise_std, size=n_samples) \
+        if measurement_noise_std > 0 else y.copy()
+    humidity = np.clip(0.4 + rng.normal(0, 0.02, size=n_samples), 0.0, 1.0)
+    motion = (rng.random(n_samples) < 0.1).astype(float)
+    trace = Trace(
+        home_id=home_id,
+        start=start,
+        t_in=t_in,
+        t_out=t_out,
+        t_setheat=setheat.astype(float),
+        t_setcool=setcool.astype(float),
+        hvac_mode=np.full(n_samples, season.hvac_mode, dtype=np.int8),
+        motion=motion,
+        humidity=humidity,
+        long_gap=np.zeros(n_samples, dtype=bool),
+    )
+    if return_controls:
+        return trace, ControlSeries(k_heat=kh.copy(), k_cool=kc.copy())
+    return trace

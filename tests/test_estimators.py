@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import FAST_2R2C, open_loop_dataset, split_by_day
-from oracles import projected_gradient_nnls
+from oracles import fit_bnn_loop, projected_gradient_nnls
 from rctherm import estimators as est
 from rctherm import rcnet
 from rctherm import timeseries as ts
@@ -265,8 +265,63 @@ def test_fit_bnn_divergence_raises():
                            seed=7, days=2)
     hyper = est.TrainingConfig(learning_rate=1e6, epochs=50,
                                precondition=False)
-    with pytest.raises(TrainingError):
+    with pytest.raises(TrainingError) as got:
         est.fit_bnn(ds, hyper=hyper, seed=0)
+    # at the step where the one-sample-at-a-time loop diverges
+    with pytest.raises(TrainingError) as want:
+        fit_bnn_loop(ds, hyper=hyper, seed=0)
+    assert want.value.step is not None
+    assert got.value.step == want.value.step
+
+
+@pytest.mark.parametrize("start,order,options", [
+    ("cold", 2, dict()),
+    ("cold", 2, dict(mc_samples=2)),
+    ("cold", 2, dict(mc_samples=8)),
+    ("cold", 2, dict(precondition=False, learning_rate=5e-3)),
+    ("cold", 2, dict(precondition=False, mc_samples=2)),
+    ("init", 2, dict()),
+    ("transfer", 2, dict()),
+    ("transfer", 2, dict(mc_samples=8)),
+    ("transfer", 2, dict(mc_samples=2, precondition=False)),
+    ("cold", 2, dict(batch_size=1000)),  # fewer rows than one batch
+    ("cold", 1, dict(batch_size=100)),  # rows not a multiple of the batch
+])
+def test_fit_bnn_matches_the_step_loop_oracle(start, order, options):
+    # "init" starts from a source posterior under the mixture prior;
+    # "transfer" also takes it as the Gaussian override prior
+    params = FAST_2R2C if order == 2 else rcnet.RcParams((1.0,), (0.2,), 15.0, 12.0)
+    ds = open_loop_dataset(rcnet.analytic_coefficients(params, 300.0),
+                           seed=2, noise_std=0.05, days=2)
+    hyper = est.TrainingConfig(epochs=6, noise_std=0.05, record_loss=True,
+                               lr_decay=0.9, average_fraction=0.5, **options)
+    init = prior = None
+    if start != "cold":
+        init = est.fit_bnn(ds, hyper=est.TrainingConfig(epochs=3, noise_std=0.05), seed=1)
+    if start == "transfer":
+        prior = est.PriorConfig(override_means=init.means, override_scales=init.scales)
+    got = est.fit_bnn(ds, prior=prior, hyper=hyper, seed=3, init=init)
+    want = fit_bnn_loop(ds, prior=prior, hyper=hyper, seed=3, init=init)
+    np.testing.assert_allclose(got.means, want.means, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(got.scales, want.scales, rtol=1e-9)
+    np.testing.assert_allclose(got.loss_history, want.loss_history, rtol=1e-9)
+    assert got.training_meta == want.training_meta
+
+
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 0), ("epochs", 0), ("mc_samples", -1),
+    ("noise_std", 0.0), ("learning_rate", -1e-3), ("init_scale", 0),
+    ("lr_decay", 0.0), ("mean_lr", float("nan")),
+    ("average_fraction", -0.1), ("average_fraction", 1.5),
+])
+def test_training_config_rejects_impossible_values(field, value):
+    with pytest.raises(InvalidParameterError, match=field):
+        est.TrainingConfig(**{field: value})
+
+
+def test_training_config_accepts_the_range_ends():
+    est.TrainingConfig(batch_size=1, epochs=1, mc_samples=1, average_fraction=0.0)
+    est.TrainingConfig(average_fraction=1.0, lr_decay=1e-9)
 
 
 def test_fit_bnn_empty_dataset():

@@ -1,12 +1,14 @@
 """Unit tests for clustering, fleet synthesis, and the generator's physics."""
 
 import io
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
-from conftest import FAST_2R2C
+from conftest import FAST_2R2C, random_slow_params
+from oracles import generate_trace_loop
 from rctherm import fleet, rcnet
 from rctherm import timeseries as ts
 from rctherm.errors import (
@@ -262,6 +264,27 @@ def test_generator_bang_bang_regulation():
     turn_off = np.flatnonzero((kh[1:] == 0) & (kh[:-1] == 1))
     assert (trace.t_in[turn_on] < trace.t_setheat[turn_on] - fleet.HYSTERESIS_F).all()
     assert (trace.t_in[turn_off] > trace.t_setheat[turn_off] + fleet.HYSTERESIS_F).all()
+
+
+@pytest.mark.parametrize("mode", [ts.MODE_HEAT, ts.MODE_COOL, ts.MODE_AUTO, ts.MODE_OFF])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_generate_trace_matches_the_step_loop_oracle(mode, order, noise):
+    params = random_slow_params(np.random.default_rng(order), order)
+    season = replace(SHOULDER, hvac_mode=mode, days=4)
+    got, got_controls = fleet.generate_trace(
+        params, season, "h", START, np.random.default_rng(5), noise, return_controls=True)
+    want, want_controls = generate_trace_loop(
+        params, season, "h", START, np.random.default_rng(5), noise, return_controls=True)
+    assert (got_controls.k_heat == want_controls.k_heat).all()
+    assert (got_controls.k_cool == want_controls.k_cool).all()
+    np.testing.assert_allclose(got.t_in, want.t_in, rtol=0, atol=1e-9)
+    for name in ("t_out", "t_setheat", "t_setcool", "hvac_mode", "motion", "humidity"):
+        assert (getattr(got, name) == getattr(want, name)).all(), name
+    if mode in (ts.MODE_HEAT, ts.MODE_AUTO):
+        assert got_controls.k_heat.any()
+    if mode in (ts.MODE_COOL, ts.MODE_AUTO):
+        assert got_controls.k_cool.any()
 
 
 def test_derive_controls_consistency_with_generator():

@@ -116,6 +116,11 @@ def _edited_config(edit):
     _edited_config(lambda d: d.update(scenario=None)),
     _edited_config(lambda d: d["hyper"].update(epochs="x")),
     _edited_config(lambda d: d["hyper"].update(precondition=1)),
+    # impossible values, which would otherwise fail inside run_experiment
+    _edited_config(lambda d: d["hyper"].update(batch_size=0)),
+    _edited_config(lambda d: d["hyper"].update(mc_samples=0)),
+    _edited_config(lambda d: d["hyper"].update(noise_std=0)),
+    _edited_config(lambda d: d["hyper"].update(average_fraction=2)),
     _edited_config(lambda d: d["fleet"].update(n_homes=2.5)),
     _edited_config(lambda d: d["fleet"].update(measurement_noise_std="0.1")),
     _edited_config(lambda d: d["fleet"].update(floor_area_range=["a", 1])),
@@ -162,6 +167,12 @@ def _mutated(valid, data):
     return valid
 
 
+_MANIFEST = {"homes": [{
+    "home_id": "h0",
+    "metadata": {"floor_area": 1500.0, "year_built": 1990, "province": "", "city": ""},
+    "traces": {"winter": "h0__winter.csv"},
+}]}
+
 _POSTERIOR = estimators.Posterior(order=1, means=np.arange(8.0), scales=np.ones(8),
                                   noise_std=0.1, training_meta={"seed": 1})
 
@@ -171,7 +182,9 @@ _POSTERIOR = estimators.Posterior(order=1, means=np.arange(8.0), scales=np.ones(
 def test_json_inputs_raise_only_package_errors(data):
     for parse, valid in ((harness.ExperimentConfig.from_json,
                           json.loads(small_config(cluster_k=2).to_json())),
-                         (estimators.Posterior.from_json, json.loads(_POSTERIOR.to_json()))):
+                         (estimators.Posterior.from_json, json.loads(_POSTERIOR.to_json())),
+                         (lambda text: harness._manifest_homes(json.loads(text)),
+                          json.loads(json.dumps(_MANIFEST)))):
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
             valid = _mutated(valid, data)
         try:
@@ -190,6 +203,49 @@ def test_json_inputs_raise_only_package_errors(data):
 def test_posterior_malformed_json_is_a_shape_error(text):
     with pytest.raises(ShapeError):
         estimators.Posterior.from_json(text)
+
+
+def _edited_manifest(edit):
+    data = json.loads(json.dumps(_MANIFEST))
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("data,key", [
+    ([], "manifest"),
+    ({}, "homes"),
+    ({"homes": {}}, "homes"),
+    ({"homes": ["h0"]}, r"homes\[0\]"),
+    (_edited_manifest(lambda m: m["homes"][0].pop("home_id")), "home_id"),
+    (_edited_manifest(lambda m: m["homes"][0].pop("metadata")), "metadata"),
+    (_edited_manifest(lambda m: m["homes"][0]["metadata"].pop("floor_area")), "floor_area"),
+    (_edited_manifest(lambda m: m["homes"][0]["metadata"].pop("year_built")), "year_built"),
+    (_edited_manifest(lambda m: m["homes"][0].pop("traces")), "traces"),
+    (_edited_manifest(lambda m: m["homes"][0].update(home_id=7)), "home_id"),
+    (_edited_manifest(lambda m: m["homes"][0].update(metadata=[1500, 1990])), "metadata"),
+    (_edited_manifest(lambda m: m["homes"][0]["metadata"].update(floor_area="big")),
+     "floor_area"),
+    (_edited_manifest(lambda m: m["homes"][0]["metadata"].update(floor_area=10 ** 400)),
+     "floor_area"),
+    (_edited_manifest(lambda m: m["homes"][0]["metadata"].update(year_built=1990.5)),
+     "year_built"),
+    (_edited_manifest(lambda m: m["homes"][0]["metadata"].update(city=None)), "city"),
+    (_edited_manifest(lambda m: m["homes"][0].update(traces=["h0.csv"])), "traces"),
+    (_edited_manifest(lambda m: m["homes"][0]["traces"].update(winter=3)), "winter"),
+])
+def test_malformed_manifest_is_a_config_error_naming_the_key(tmp_path, data, key):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(data))
+    config = harness.ExperimentConfig(manifest=str(manifest), model_kinds=("persistence",))
+    with pytest.raises(ConfigError, match=key):
+        harness.run_experiment(config)
+
+
+def test_manifest_that_is_not_json_is_a_config_error(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{homes")
+    with pytest.raises(ConfigError, match="JSON"):
+        harness.run_experiment(harness.ExperimentConfig(manifest=str(manifest)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +387,9 @@ def test_cli_exit_codes(tmp_path):
     # usage: a config with a mistyped field
     config.write_text(_edited_config(lambda d: d.update(train_days="x")))
     assert cli.main(["experiment", "--config", str(config), "--out", str(tmp_path)]) == 1
+    # usage: a config with an impossible hyper value
+    config.write_text(_edited_config(lambda d: d["hyper"].update(batch_size=0)))
+    assert cli.main(["experiment", "--config", str(config), "--out", str(tmp_path)]) == 1
     # data: malformed CSV
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,trace\n1,2,3\n")
@@ -357,6 +416,29 @@ def test_cli_exit_codes(tmp_path):
     metadata = tmp_path / "metadata.csv"
     metadata.write_text("home_id,floor_area,year_built\nh1,1200,1990\nh2,abc,1990\n")
     assert cli.main(["cluster", str(metadata), "--out", str(tmp_path)]) == 2
+
+
+def test_cli_unreadable_files_end_in_one_error_line(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    # an input trace, posterior, metadata or parameter file: a data error
+    for argv in (["ingest", missing], ["fit", missing], ["coeffs", missing],
+                 ["simulate", missing], ["cluster", missing],
+                 ["transfer", missing, missing], ["ingest", str(tmp_path)]):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    # the experiment config file: a usage error
+    assert cli.main(["experiment", "--config", missing, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config") and err.count("\n") == 1, err
+    # a manifest naming a trace file that is not there
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(_MANIFEST))
+    config = tmp_path / "config.json"
+    config.write_text(harness.ExperimentConfig(manifest=str(manifest),
+                                               model_kinds=("persistence",)).to_json())
+    assert cli.main(["experiment", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "h0__winter.csv" in capsys.readouterr().err
 
 
 def test_cli_experiment(tmp_path):
