@@ -256,13 +256,10 @@ def predict_arimax(model, test, controls):
     for j, theta in enumerate(model.ma, start=1):
         pred_dz[j:] += theta * e[:-j]
 
-    # undifference with measured lags: y_t = pred_dz_t - sum_{k>=1} (-1)^k C(d,k) y_{t-k}
-    y = test.t_in
-    start = warm  # first predictable original-scale index
-    preds = np.empty(len(test) - start)
-    for t in range(start, len(test)):
-        acc = pred_dz[t - d]
-        for k in range(1, d + 1):
-            acc -= ((-1) ** k) * comb(d, k) * y[t - k]
-        preds[t - start] = acc
+    # undifference with measured lags: y_t = pred_dz_t - sum_{k>=1} (-1)^k C(d,k) y_{t-k},
+    # for t from warm, the first predictable original-scale index
+    y, n = test.t_in, len(test)
+    preds = pred_dz[warm - d:n - d].copy()
+    for k in range(1, d + 1):
+        preds -= ((-1) ** k) * comb(d, k) * y[warm - k:n - k]
     return preds

@@ -134,7 +134,7 @@ def _cmd_fit(args):
 
 
 def _cmd_simulate(args):
-    params = rcnet.RcParams.from_dict(json.loads(args.params.read_text()))
+    params = rcnet.RcParams.from_json(args.params.read_text())
     ss = rcnet.build_state_space(params)
     ds = rcnet.discretize(ss, timeseries.STEP_SECONDS)
     steps = args.days * timeseries.SAMPLES_PER_DAY
@@ -147,7 +147,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_coeffs(args):
-    params = rcnet.RcParams.from_dict(json.loads(args.params.read_text()))
+    params = rcnet.RcParams.from_json(args.params.read_text())
     dc = rcnet.analytic_coefficients(params, timeseries.STEP_SECONDS)
     print(dc.to_json())
     return 0

@@ -14,7 +14,8 @@ class DataError(RcthermError):
 
 
 class ParseError(DataError):
-    """Malformed CSV row or field; carries a line number when known."""
+    """Malformed CSV row or field, or malformed RC parameters; carries a
+    line number when known."""
 
     def __init__(self, message, line=None):
         if line is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -34,7 +34,7 @@ POSTERIOR_LAYOUT = "u-lags-then-y-lags-bias-last/1"
 # ---------------------------------------------------------------------------
 # Non-negative least squares
 
-def nnls(a, y, max_iter=None):
+def nnls(a, y):
     """Lawson-Hanson active-set solution of min ||Ax - y|| s.t. x >= 0.
 
     Raises ConvergenceError if more than 3k active-set iterations are needed
@@ -50,14 +50,12 @@ def nnls(a, y, max_iter=None):
         raise InvalidParameterError("nnls inputs must be finite")
 
     m, k = a.shape
-    if max_iter is None:
-        max_iter = 3 * k
     x = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
     w = a.T @ y  # gradient of the objective at x = 0 (negated)
     tol = 1e-12 * max(np.abs(w).max(), 1.0)
 
-    for _ in range(max_iter):
+    for _ in range(3 * k):
         w = a.T @ (y - a @ x)
         candidates = ~passive
         if not candidates.any() or w[candidates].max() <= tol:
@@ -78,7 +76,7 @@ def nnls(a, y, max_iter=None):
             x = x + alpha * (z - x)
             passive[np.abs(x) <= tol] = False
             x[~passive] = 0.0
-    raise ConvergenceError(f"nnls exceeded {max_iter} active-set iterations")
+    raise ConvergenceError(f"nnls exceeded {3 * k} active-set iterations")
 
 
 @dataclass(frozen=True)
@@ -140,54 +138,20 @@ def predict_1r1c(fit, trace, controls):
 # ---------------------------------------------------------------------------
 # Variational Bayesian linear regression (BNN-nRnC)
 
-@dataclass(frozen=True)
-class PriorConfig:
-    """Gaussian scale-mixture prior, or per-weight Gaussian overrides.
-
-    The mixture defaults (sigma1=1, sigma2=0.1, pi=0.2) apply to every
-    weight and the bias. Override arrays (length 4n+4) replace the mixture
-    with independent Gaussians; transfer uses this to carry a source
-    posterior forward as the prior.
-    """
-
-    sigma1: float = 1.0
-    sigma2: float = 0.1
-    pi: float = 0.2
-    override_means: np.ndarray | None = None
-    override_scales: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (self.sigma1 > self.sigma2 > 0):
-            raise InvalidParameterError("prior requires sigma1 > sigma2 > 0")
-        if not (0 < self.pi < 1):
-            raise InvalidParameterError("prior requires 0 < pi < 1")
-        if (self.override_means is None) != (self.override_scales is None):
-            raise InvalidParameterError("override means and scales must come together")
-        if self.override_means is not None:
-            object.__setattr__(self, "override_means",
-                               np.asarray(self.override_means, dtype=float))
-            object.__setattr__(self, "override_scales",
-                               np.asarray(self.override_scales, dtype=float))
-            if (self.override_scales <= 0).any():
-                raise InvalidParameterError("override scales must be positive")
-
-    @property
-    def has_override(self):
-        return self.override_means is not None
-
-    def to_dict(self):
-        out = {"sigma1": self.sigma1, "sigma2": self.sigma2, "pi": self.pi}
-        if self.has_override:
-            out["override_means"] = list(self.override_means)
-            out["override_scales"] = list(self.override_scales)
-        return out
+#: The scale-mixture prior (Blundell et al. 2015) of a fit with no source
+#: posterior: pi N(0, sigma1^2) + (1 - pi) N(0, sigma2^2) on every weight and
+#: the bias.
+PRIOR_SIGMA1, PRIOR_SIGMA2, PRIOR_PI = 1.0, 0.1, 0.2
+#: Starting posterior scale of every weight in a fit with no source.
+INIT_SCALE = 0.05
+#: Step size of the preconditioned mean update; it decays with lr_decay.
+MEAN_LR = 0.3
 
 
 #: TrainingConfig's numeric fields and the values each admits.
 _TRAINING_RANGES = (
     (("batch_size", "epochs", "mc_samples"), "at least 1", lambda v: v >= 1),
-    (("noise_std", "learning_rate", "init_scale", "lr_decay", "mean_lr"), "positive",
-     lambda v: v > 0),
+    (("noise_std", "learning_rate", "lr_decay"), "positive", lambda v: v > 0),
     (("average_fraction",), "in [0, 1]", lambda v: 0 <= v <= 1),
 )
 
@@ -202,11 +166,7 @@ class TrainingConfig:
     mc_samples: int = 1
     noise_std: float = 0.1
     lr_decay: float = 1.0  # multiplicative per-epoch factor
-    init_scale: float = 0.05
-    precondition: bool = True
-    mean_lr: float = 0.3
     average_fraction: float = 0.25
-    record_loss: bool = False
 
     def __post_init__(self):
         for names, allowed, ok in _TRAINING_RANGES:
@@ -218,7 +178,7 @@ class TrainingConfig:
                     raise InvalidParameterError(f"{name} must be {allowed}, got {value!r}")
 
     def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "record_loss"}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -294,39 +254,41 @@ def _softplus_inv(y):
     return np.log(np.expm1(y))
 
 
-def fit_bnn(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
+def fit_bnn(dataset, hyper=None, seed=0, home_id="", source=None):
     """Train the variational linear predictor on a regression dataset.
 
-    Deterministic given (dataset, prior, hyper, seed). ``init`` optionally
-    supplies a Posterior whose means/scales seed the variational parameters
-    (used by transfer); otherwise means start at zero except the first y-lag
-    weight (persistence) and scales start at ``hyper.init_scale``.
+    Deterministic given (dataset, hyper, seed, source). With no ``source``
+    every weight has the scale-mixture prior (PRIOR_SIGMA1, PRIOR_SIGMA2,
+    PRIOR_PI), and the fit starts from persistence (means zero except the
+    first y-lag weight) with scales at INIT_SCALE. A ``source`` Posterior of
+    the same order is both the per-weight Gaussian prior and the starting
+    point (posterior-as-prior transfer).
 
     Each epoch draws its row permutation, then the normal draws of all its
     steps in one call (the same stream as one draw per sample); a step
     treats its ``mc_samples`` weight draws as one (samples, weights) block.
+    The per-step loss lands in the posterior's ``loss_history``.
     """
     if len(dataset) == 0:
         raise InsufficientDataError("regression dataset is empty")
-    prior = prior or PriorConfig()
     hyper = hyper or TrainingConfig()
     n = dataset.order
     d = 4 * n + 4
-    if prior.has_override and len(prior.override_means) != d:
-        raise ShapeError(f"prior override length {len(prior.override_means)} != {d}")
+    if source is not None and source.order != n:
+        raise ShapeError(f"source posterior order {source.order} != dataset order {n}")
 
     inputs, y = dataset.inputs, dataset.targets
     num_rows = len(y)
     noise_var = hyper.noise_std ** 2
     mc = hyper.mc_samples
 
-    if init is not None:
-        mu = init.means.copy()
-        rho = _softplus_inv(init.scales)
+    if source is not None:
+        mu = source.means.copy()
+        rho = _softplus_inv(source.scales)
     else:
         mu = np.zeros(d)
         mu[3 * (n + 1)] = 1.0  # persistence start on the y_{t-1} weight
-        rho = np.full(d, _softplus_inv(hyper.init_scale))
+        rho = np.full(d, _softplus_inv(INIT_SCALE))
 
     rng = np.random.default_rng(seed)
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
@@ -337,22 +299,18 @@ def fit_bnn(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
     # progress along the sloppy directions. The mean update is therefore
     # preconditioned by the inverse Gaussian curvature of the objective,
     # computed once from the full design; the scales keep the diagonal
-    # adaptive update.
-    precond = None
-    if hyper.precondition:
-        if prior.has_override:
-            prior_curv = 1.0 / prior.override_scales ** 2
-        else:
-            prior_curv = np.full(d, 1.0 / prior.sigma1 ** 2)
-        gram = np.empty((d, d))  # of the design: the inputs, then the bias
-        gram[:-1, :-1] = inputs.T @ inputs
-        gram[-1, :-1] = gram[:-1, -1] = inputs.sum(axis=0)
-        gram[-1, -1] = num_rows
-        precond = np.linalg.inv(gram / noise_var + np.diag(prior_curv))
-    # Adam moments of (means, scales), or of the scales alone when the mean
-    # step is preconditioned
-    adam_m = np.zeros(d if precond is not None else 2 * d)
-    adam_v = np.zeros_like(adam_m)
+    # adaptive update (Adam, whose moments are these).
+    if source is not None:
+        prior_curv = 1.0 / source.scales ** 2
+    else:
+        prior_curv = np.full(d, 1.0 / PRIOR_SIGMA1 ** 2)
+    gram = np.empty((d, d))  # of the design: the inputs, then the bias
+    gram[:-1, :-1] = inputs.T @ inputs
+    gram[-1, :-1] = gram[:-1, -1] = inputs.sum(axis=0)
+    gram[-1, -1] = num_rows
+    precond = np.linalg.inv(gram / noise_var + np.diag(prior_curv))
+    adam_m = np.zeros(d)
+    adam_v = np.zeros(d)
 
     batch = min(hyper.batch_size, num_rows)
     steps_per_epoch = max(1, num_rows // batch)
@@ -361,19 +319,19 @@ def fit_bnn(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
     scale_up = num_rows / batch
     g_scale = scale_up / noise_var / mc
     nll_scale = scale_up * 0.5 / noise_var
-    if prior.has_override:
-        m0 = prior.override_means
-        inv_var0 = 1.0 / prior.override_scales ** 2
+    if source is not None:
+        m0 = source.means
+        inv_var0 = prior_curv
         half_inv_var0 = 0.5 * inv_var0
-        kl_const = float(np.sum(np.log(prior.override_scales))) - 0.5 * d
+        kl_const = float(np.sum(np.log(source.scales))) - 0.5 * d
     else:
         # log(pi_k N(w; 0, sigma_k^2)) = c_k - a_k w^2 for the two components;
         # the log density is the second term plus softplus(z), z their
         # difference, and the first component's responsibility is expit(z)
         half_log_2pi = 0.5 * math.log(2 * math.pi)
-        inv1, inv2 = 1.0 / prior.sigma1 ** 2, 1.0 / prior.sigma2 ** 2
-        c1 = math.log(prior.pi) - half_log_2pi - math.log(prior.sigma1)
-        c2 = math.log(1 - prior.pi) - half_log_2pi - math.log(prior.sigma2)
+        inv1, inv2 = 1.0 / PRIOR_SIGMA1 ** 2, 1.0 / PRIOR_SIGMA2 ** 2
+        c1 = math.log(PRIOR_PI) - half_log_2pi - math.log(PRIOR_SIGMA1)
+        c2 = math.log(1 - PRIOR_PI) - half_log_2pi - math.log(PRIOR_SIGMA2)
         a1, a2 = 0.5 * inv1, 0.5 * inv2
         z0, z1 = c1 - c2, a1 - a2
         prior_g2, prior_g12 = inv2 / mc, (inv1 - inv2) / mc
@@ -388,10 +346,10 @@ def fit_bnn(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
     yb = np.empty(batch)
     yb_col = yb[:, None]
 
-    history = [] if hyper.record_loss else None
+    history = np.empty(hyper.epochs * steps_per_epoch)
     step = 0
     lr = hyper.learning_rate
-    mean_lr = hyper.mean_lr
+    mean_lr = MEAN_LR
     avg_start = int(hyper.epochs * (1.0 - hyper.average_fraction))
     mu_sum = np.zeros(d)
     mu_count = 0
@@ -400,8 +358,7 @@ def fit_bnn(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
         perm = rng.permutation(num_rows)
         noise = rng.standard_normal((steps_per_epoch, mc, d))
         half_noise_sq = (0.5 * np.einsum("smd,smd->s", noise, noise)).tolist()
-        if precond is not None:
-            mean_step = mean_lr * precond
+        mean_step = mean_lr * precond
         for b in range(steps_per_epoch):
             idx = perm[b * batch:(b + 1) * batch]
             # indices from a permutation are in range, so "clip" clips none
@@ -420,7 +377,7 @@ def fit_bnn(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
             r *= g_scale
             g_w = np.dot(r.T, xb)  # (mc, d) likelihood gradients
 
-            if prior.has_override:
+            if source is not None:
                 dev = mu - m0
                 loss += mc * (kl_const - log_sigma_sum
                               + np.dot(sigma * sigma + dev * dev, half_inv_var0))
@@ -439,26 +396,21 @@ def fit_bnn(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
             loss /= mc
             if not math.isfinite(loss):
                 raise TrainingError("variational loss diverged", step=step)
+            history[step] = loss
             g_rho = g_sigma * expit(rho)  # d softplus / d rho
 
-            grad = g_rho if precond is not None else np.concatenate([g_mu, g_rho])
             step += 1
             adam_m *= beta1
-            adam_m += (1 - beta1) * grad
+            adam_m += (1 - beta1) * g_rho
             adam_v *= beta2
-            adam_v += (1 - beta2) * grad * grad
+            adam_v += (1 - beta2) * g_rho * g_rho
             # lr m_hat / (sqrt(v_hat) + eps), with both bias corrections
             # folded into the scalars
             root_bias2 = math.sqrt(1 - beta2 ** step)
             update = (lr * root_bias2 / (1 - beta1 ** step)) * adam_m
             update /= np.sqrt(adam_v) + adam_eps * root_bias2
-            if precond is None:
-                mu -= update[:d]
-            else:
-                mu -= mean_step @ g_mu
-            rho -= update[-d:]
-            if history is not None:
-                history.append(loss)
+            mu -= mean_step @ g_mu
+            rho -= update
         perm = None  # freed before the next epoch draws its permutation
         lr *= hyper.lr_decay
         mean_lr *= hyper.lr_decay
@@ -470,16 +422,19 @@ def fit_bnn(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
     if mu_count:
         mu = mu_sum / mu_count
 
+    prior = {"sigma1": PRIOR_SIGMA1, "sigma2": PRIOR_SIGMA2, "pi": PRIOR_PI}
+    if source is not None:
+        prior.update(override_means=list(source.means), override_scales=list(source.scales))
     meta = {
         "home_id": home_id,
         "sample_count": int(num_rows),
         "seed": int(seed),
         "hyper": hyper.to_dict(),
-        "prior": prior.to_dict(),
+        "prior": prior,
     }
     return Posterior(order=n, means=mu, scales=_softplus(rho),
                      noise_std=hyper.noise_std, training_meta=meta,
-                     loss_history=None if history is None else np.array(history))
+                     loss_history=history)
 
 
 def posterior_to_coeffs(posterior):
@@ -507,16 +462,6 @@ def predict_one_step(model, dataset):
     return dataset.inputs @ w[:-1] + w[-1]
 
 
-def sample_predictions(posterior, dataset, draws, seed=0):
-    """Monte Carlo predictive samples; (draws, rows) array."""
-    if dataset.order != posterior.order:
-        raise ShapeError("dataset and posterior orders differ")
-    rng = np.random.default_rng(seed)
-    x = np.column_stack([dataset.inputs, np.ones(len(dataset))])
-    w = posterior.means + posterior.scales * rng.standard_normal((draws, len(posterior.means)))
-    return w @ x.T
-
-
 def transfer(source, target_train, hyper=None, seed=0, home_id=""):
     """Posterior-as-prior transfer to a new home or season.
 
@@ -526,11 +471,7 @@ def transfer(source, target_train, hyper=None, seed=0, home_id=""):
     """
     if target_train is None or len(target_train) == 0:
         return source
-    if target_train.order != source.order:
-        raise ShapeError("source posterior and target dataset orders differ")
-    prior = PriorConfig(override_means=source.means, override_scales=source.scales)
-    return fit_bnn(target_train, prior=prior, hyper=hyper, seed=seed,
-                   home_id=home_id, init=source)
+    return fit_bnn(target_train, hyper=hyper, seed=seed, home_id=home_id, source=source)
 
 
 def rmse(predicted, actual):

@@ -171,17 +171,17 @@ def _standardize(metadata):
     return (features - mean) / std, mean, std
 
 
-def cluster_homes(metadata, k, seed=0, restarts=DEFAULT_RESTARTS):
+def cluster_homes(metadata, k, seed=0):
     """Standardize metadata features and cluster; returns a Clustering."""
     homes = list(metadata)
     points, mean, std = _standardize(homes)
-    centroids, labels, sse = kmeans(points, k, seed=seed, restarts=restarts)
+    centroids, labels, sse = kmeans(points, k, seed=seed)
     assignments = {h.home_id: int(lab) for h, lab in zip(homes, labels)}
     return Clustering(k=k, centroids=centroids, assignments=assignments,
                       sse=sse, feature_mean=mean, feature_std=std)
 
 
-def sse_curve(points, k_max, seed=0, restarts=DEFAULT_RESTARTS):
+def sse_curve(points, k_max, seed=0):
     """SSE of the best clustering for k = 1..k_max; non-increasing.
 
     Each k inherits the previous k's centroids (plus the farthest point) as
@@ -197,9 +197,10 @@ def sse_curve(points, k_max, seed=0, restarts=DEFAULT_RESTARTS):
             d2 = np.min(np.sum((points[:, None, :] - prev_centroids[None, :, :]) ** 2, axis=2), axis=1)
             extra = points[np.argmax(d2)]
             init = np.vstack([prev_centroids, extra])
-        centroids, _, sse = kmeans(points, k, seed=seed + k, restarts=restarts, init=init)
+        centroids, _, sse = kmeans(points, k, seed=seed + k, init=init)
         if sses and sse > sses[-1]:
-            centroids2, _, sse2 = kmeans(points, k, seed=seed + k, restarts=2 * restarts, init=init)
+            centroids2, _, sse2 = kmeans(points, k, seed=seed + k,
+                                         restarts=2 * DEFAULT_RESTARTS, init=init)
             if sse2 < sse:
                 centroids, sse = centroids2, sse2
         sses.append(sse)
@@ -284,6 +285,10 @@ class SeasonConfig:
     #: emulating season-dependent effective parameters.
     param_shift: float = 0.0
 
+    def __post_init__(self):
+        if self.days < 1:
+            raise ConfigError(f"season {self.name!r} needs days >= 1, got {self.days}")
+
     def to_dict(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
@@ -302,8 +307,12 @@ class FleetConfig:
     def __post_init__(self):
         if self.n_homes < 1:
             raise ConfigError("n_homes must be >= 1")
-        if not self.lift_range[0] < self.lift_range[1]:
-            raise ConfigError("lift_range must be increasing")
+        if not self.seasons:
+            raise ConfigError("a fleet needs at least one season")
+        for name in ("floor_area_range", "year_built_range", "lift_range"):
+            low, high = getattr(self, name)
+            if not low < high:
+                raise ConfigError(f"{name} must be increasing, got {[low, high]}")
         if self.lift_range[0] <= 0:
             raise ConfigError("steady-state lift must be positive")
 
@@ -378,18 +387,17 @@ def _setpoint_schedule(season, n_samples):
     return setheat, setcool
 
 
-def generate_trace(truth, season, home_id, start, rng, measurement_noise_std,
-                   return_controls=False):
+def generate_trace(truth, season, home_id, start, rng, measurement_noise_std):
     """Simulate one season of thermostat data from a true RC network.
 
     The thermostat is bang-bang with a +-0.5 degF hysteresis band around the
     scheduled setpoint, deciding each interval's duty from the previous
     sample's temperature.
 
-    With ``return_controls=True`` also returns the generator's exact duty
-    signals as a ControlSeries; the analysis pipeline reconstructs controls
-    from setpoints without the hysteresis band, so the reconstruction
-    deliberately disagrees with these inside the band.
+    Returns (trace, the generator's exact duty signals as a ControlSeries).
+    The analysis pipeline reconstructs controls from setpoints without the
+    hysteresis band, so the reconstruction deliberately disagrees with these
+    inside the band.
     """
     params = _season_truth(truth, season)
     ss = build_state_space(params)
@@ -464,9 +472,7 @@ def generate_trace(truth, season, home_id, start, rng, measurement_noise_std,
         humidity=humidity,
         long_gap=np.zeros(n_samples, dtype=bool),
     )
-    if return_controls:
-        return trace, ControlSeries(k_heat=kh.copy(), k_cool=kc.copy())
-    return trace
+    return trace, ControlSeries(k_heat=kh, k_cool=kc)
 
 
 def synth_fleet(config, seed=0):
@@ -475,9 +481,6 @@ def synth_fleet(config, seed=0):
     Returns (homes, traces): a list of SyntheticHome and a dict mapping
     (home_id, season_name) to the generated Trace.
     """
-    feasible_lift = config.lift_range[1] - config.lift_range[0]
-    if feasible_lift <= 0:
-        raise ConfigError("empty steady-state lift range")
     homes = []
     traces = {}
     for i in range(config.n_homes):
@@ -496,7 +499,7 @@ def synth_fleet(config, seed=0):
         homes.append(home)
         for s_idx, season in enumerate(config.seasons):
             trace_rng = _home_rng(seed, i, 1 + s_idx)
-            traces[(home_id, season.name)] = generate_trace(
+            traces[(home_id, season.name)], _ = generate_trace(
                 truth, season, home_id, config.start, trace_rng,
                 config.measurement_noise_std)
     return homes, traces

@@ -23,21 +23,20 @@ from .errors import ConfigError, DataError, InvalidParameterError
 MODEL_KINDS = ("bnn_rc", "onercone", "arimax", "persistence")
 SCENARIOS = ("none", "cross-home", "cross-season")
 RETRAIN_CHOICES = (0, 1, 7)
-CONFIG_SCHEMA_VERSION = 1
+CONFIG_SCHEMA_VERSION = 2
 #: Config keys read as they are; absent ones take the dataclass defaults.
 _PLAIN_FIELDS = ("manifest", "order", "train_days", "test_days", "scenario", "retrain_days",
                  "cluster_k", "source_season", "target_season", "seed")
 _FLEET_SCALARS = ("order", "measurement_noise_std")
 _FLEET_RANGES = ("floor_area_range", "year_built_range", "lift_range")
 #: The JSON types a config field may hold, by its annotation: an int is a
-#: float, a bool is not a number.
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+#: float, a bool is not a number (no field is a bool).
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str,
                "str | None": (str, type(None)), "object": dict, "array": list}
 
 
 def _check_type(label, value, annotation):
-    if not isinstance(value, _JSON_TYPES[annotation]) or (
-            isinstance(value, bool) and annotation != "bool"):
+    if not isinstance(value, _JSON_TYPES[annotation]) or isinstance(value, bool):
         raise ConfigError(f"{label} must be {annotation}, got {value!r}")
 
 
@@ -262,11 +261,11 @@ def _load_fleet(config):
 
 def _segment_hash(trace):
     """First 16 hex digits of the SHA-256 of a segment's raw data: ``start``
-    (microseconds from the epoch) and ``step`` as ``<i8``, then the seven
+    (microseconds from the epoch) and STEP_SECONDS as ``<i8``, then the seven
     fields in CSV_HEADER order as ``<f8`` (``hvac_mode`` as ``i1``), with
     every NaN in one bit pattern."""
     digest = hashlib.sha256(np.array(
-        [timeseries.epoch_us(trace.start), trace.step], dtype="<i8").tobytes())
+        [timeseries.epoch_us(trace.start), timeseries.STEP_SECONDS], dtype="<i8").tobytes())
     for name in timeseries.CSV_HEADER[1:]:
         values = getattr(trace, name)
         if name == "hvac_mode":
@@ -333,8 +332,11 @@ def run_experiment(config, out_dir=None):
         raise ConfigError("cross-season transfer needs two seasons")
     if scenario == "cross-home" and "bnn_rc" not in config.model_kinds:
         raise ConfigError("cross-home transfer requires the bnn_rc model kind")
-    src = config.source_season or seasons[0]
+    src = config.source_season or next(iter(seasons), None)
     dst = (config.target_season or seasons[1]) if scenario == "cross-season" else src
+    for season in (src, dst):
+        if season not in seasons:
+            raise ConfigError(f"the fleet has no season {season!r}")
     present = [m for m in metadata
                if (m.home_id, src) in traces and (m.home_id, dst) in traces]
     exclusions = sorted({m.home_id for m in metadata} - {m.home_id for m in present})

@@ -17,12 +17,14 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.signal import lfilter, lfiltic
 
-from .errors import InsufficientDataError, InvalidParameterError, ShapeError
+from .errors import InsufficientDataError, InvalidParameterError, ParseError, ShapeError
 
 #: Models beyond 5R5C are not supported.
 MAX_ORDER = 5
 
 SECONDS_PER_HOUR = 3600.0
+#: The keys of an RC parameter file besides its optional "order".
+_PARAM_KEYS = ("resistances", "capacitances", "q_heat", "q_cool")
 
 
 @dataclass(frozen=True)
@@ -42,10 +44,10 @@ class RcParams:
             raise InvalidParameterError("resistance and capacitance counts differ")
         if not 1 <= n <= MAX_ORDER:
             raise InvalidParameterError(f"order must be in [1, {MAX_ORDER}], got {n}")
-        if any(r <= 0 for r in self.resistances) or any(c <= 0 for c in self.capacitances):
-            raise InvalidParameterError("all R and C values must be strictly positive")
-        if self.q_heat < 0 or self.q_cool < 0:
-            raise InvalidParameterError("q_heat and q_cool must be nonnegative")
+        if not all(0 < v < np.inf for v in self.resistances + self.capacitances):
+            raise InvalidParameterError("all R and C values must be finite and strictly positive")
+        if not (0 <= self.q_heat < np.inf and 0 <= self.q_cool < np.inf):
+            raise InvalidParameterError("q_heat and q_cool must be finite and nonnegative")
 
     @property
     def order(self):
@@ -62,12 +64,39 @@ class RcParams:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(
-            resistances=data["resistances"],
-            capacitances=data["capacitances"],
-            q_heat=data["q_heat"],
-            q_cool=data["q_cool"],
-        )
+        """Parse parameters; a non-object, or a missing, unknown or mistyped
+        key raises ParseError (an impossible value, InvalidParameterError)."""
+        if not isinstance(data, dict):
+            raise ParseError(f"RC parameters must be a JSON object, got {type(data).__name__}")
+        unknown = sorted(set(data) - {"order", *_PARAM_KEYS})
+        missing = [k for k in _PARAM_KEYS if k not in data]
+        if unknown or missing:
+            raise ParseError(f"RC parameters: unknown keys {unknown}, missing keys {missing}")
+        for key in _PARAM_KEYS:
+            value = data[key]
+            if not (isinstance(value, list) and all(map(_is_number, value))
+                    if key in ("resistances", "capacitances") else _is_number(value)):
+                raise ParseError(f"RC parameter {key!r} has the wrong type: {value!r}")
+        try:
+            params = cls(resistances=data["resistances"], capacitances=data["capacitances"],
+                         q_heat=float(data["q_heat"]), q_cool=float(data["q_cool"]))
+        except OverflowError:
+            raise ParseError("an RC parameter is too large for a float") from None
+        if data.get("order", params.order) != params.order:
+            raise ParseError(f"RC parameter 'order' is {data['order']!r} for {params.order} lumps")
+        return params
+
+    @classmethod
+    def from_json(cls, text):
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ParseError(f"RC parameters are not valid JSON: {exc}") from None
+        return cls.from_dict(data)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -80,7 +109,6 @@ class StateSpace:
     a: np.ndarray
     b: np.ndarray
     cm: np.ndarray
-    d: np.ndarray
 
     @property
     def order(self):
@@ -89,9 +117,8 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class DiscretizedSystem:
-    """First-order-hold discretization at a fixed step (seconds)."""
+    """First-order-hold discretization at a fixed step."""
 
-    step: float
     phi: np.ndarray
     gamma1: np.ndarray
     gamma2: np.ndarray
@@ -143,7 +170,7 @@ class DiffCoeffs:
 
 
 def build_state_space(params):
-    """Assemble the tridiagonal A and sparse B, Cm, D for an nRnC network."""
+    """Assemble the tridiagonal A and sparse B and Cm for an nRnC network."""
     n = params.order
     r, c = params.resistances, params.capacitances
     a = np.zeros((n, n))
@@ -166,7 +193,7 @@ def build_state_space(params):
 
     cm = np.zeros((1, n))
     cm[0, n - 1] = 1.0
-    return StateSpace(a=a, b=b, cm=cm, d=np.zeros((1, 3)))
+    return StateSpace(a=a, b=b, cm=cm)
 
 
 def matrix_exponential(a, step_seconds):
@@ -193,7 +220,7 @@ def discretize(ss, step_seconds):
         raise InvalidParameterError("A matrix is singular") from None
     if not np.isfinite(gamma1).all() or not np.isfinite(gamma2).all():
         raise InvalidParameterError("A matrix is numerically singular")
-    return DiscretizedSystem(step=float(step_seconds), phi=phi, gamma1=gamma1, gamma2=gamma2)
+    return DiscretizedSystem(phi=phi, gamma1=gamma1, gamma2=gamma2)
 
 
 def difference_coefficients(ds, ss):

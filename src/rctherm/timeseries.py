@@ -67,7 +67,6 @@ class Trace:
     hvac_mode: np.ndarray
     motion: np.ndarray
     humidity: np.ndarray
-    step: int = STEP_SECONDS
     long_gap: np.ndarray | None = None
 
     def __post_init__(self):
@@ -77,8 +76,6 @@ class Trace:
         for name in ("t_out", "t_setheat", "t_setcool", "hvac_mode", "motion", "humidity"):
             if len(getattr(self, name)) != n:
                 raise ParseError(f"field {name} length differs from t_in")
-        if self.step != STEP_SECONDS:
-            raise ParseError(f"trace step must be {STEP_SECONDS} s, got {self.step}")
 
     def __len__(self):
         return len(self.t_in)
@@ -86,7 +83,7 @@ class Trace:
     def __eq__(self, other):
         if not isinstance(other, Trace):
             return NotImplemented
-        if (self.home_id, self.start, self.step) != (other.home_id, other.start, other.step):
+        if (self.home_id, self.start) != (other.home_id, other.start):
             return False
         for name in _CONTINUOUS_FIELDS + ("motion",):
             if not np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True):
@@ -425,7 +422,7 @@ def write_trace_csv(trace, sink):
     sink.write(",".join(CSV_HEADER) + "\n")
     start = trace.start.astimezone(timezone.utc)
     base = np.datetime64(start.replace(tzinfo=None, microsecond=0), "s")
-    step = np.timedelta64(trace.step, "s")
+    step = np.timedelta64(STEP_SECONDS, "s")
     for lo in range(0, len(trace), _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, len(trace))
         stamps = np.datetime_as_string(base + np.arange(lo, hi) * step, unit="s")
@@ -463,20 +460,15 @@ def _interp_field(values, name):
 
 def _long_gap_mask(missing):
     """Samples inside any missing run longer than MAX_GAP_STEPS."""
-    mask = np.zeros(len(missing), dtype=bool)
-    i = 0
-    n = len(missing)
-    while i < n:
-        if missing[i]:
-            j = i
-            while j < n and missing[j]:
-                j += 1
-            if j - i > MAX_GAP_STEPS:
-                mask[i:j] = True
-            i = j
-        else:
-            i += 1
-    return mask
+    edges = np.diff(np.concatenate([[0], np.asarray(missing, dtype=np.int8), [0]]))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    long = ends - starts > MAX_GAP_STEPS
+    # +1 where a long run starts, -1 just past its end: the running sum is
+    # 1 inside a long run and 0 elsewhere
+    marks = np.zeros(len(missing) + 1, dtype=np.int8)
+    marks[starts[long]] = 1
+    marks[ends[long]] = -1
+    return np.cumsum(marks[:-1]) > 0
 
 
 def impute(trace):
@@ -505,13 +497,10 @@ def impute(trace):
     if len(present) == 0:
         mode[:] = MODE_OFF  # no observation to carry; assume HVAC off
     else:
-        # LOCF; leading gap backfilled from the first observation.
-        carried = mode[present[0]]
-        for i in range(len(mode)):
-            if mode[i] == MODE_MISSING:
-                mode[i] = carried
-            else:
-                carried = mode[i]
+        # LOCF: each sample takes the latest observation at or before it;
+        # the leading gap is backfilled from the first observation.
+        latest = np.where(mode != MODE_MISSING, np.arange(len(mode)), present[0])
+        mode = mode[np.maximum.accumulate(latest)]
 
     return replace(
         trace,
@@ -600,7 +589,7 @@ def slice_trace(trace, lo, hi):
     gap = None if trace.long_gap is None else trace.long_gap[lo:hi].copy()
     return Trace(
         home_id=trace.home_id,
-        start=trace.start + timedelta(seconds=lo * trace.step),
+        start=trace.start + timedelta(seconds=lo * STEP_SECONDS),
         long_gap=gap,
         **fields,
     )

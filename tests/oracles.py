@@ -23,7 +23,15 @@ from rctherm.errors import (
     ShapeError,
     TrainingError,
 )
-from rctherm.estimators import Posterior, PriorConfig, TrainingConfig
+from rctherm.estimators import (
+    INIT_SCALE,
+    MEAN_LR,
+    PRIOR_PI,
+    PRIOR_SIGMA1,
+    PRIOR_SIGMA2,
+    Posterior,
+    TrainingConfig,
+)
 from rctherm.fleet import (
     HYSTERESIS_F,
     _outdoor_profile,
@@ -292,7 +300,7 @@ def write_trace_csv_rowwise(trace, sink):
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for i in range(len(trace)):
-        ts = trace.start.astimezone(timezone.utc) + timedelta(seconds=i * trace.step)
+        ts = trace.start.astimezone(timezone.utc) + timedelta(seconds=i * STEP_SECONDS)
         mode = trace.hvac_mode[i]
         motion = trace.motion[i]
         writer.writerow([
@@ -319,43 +327,43 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _mixture_logpdf_and_grad(w, prior):
-    log_n1 = -0.5 * math.log(2 * math.pi) - math.log(prior.sigma1) - w * w / (2 * prior.sigma1 ** 2)
-    log_n2 = -0.5 * math.log(2 * math.pi) - math.log(prior.sigma2) - w * w / (2 * prior.sigma2 ** 2)
-    la = math.log(prior.pi) + log_n1
-    lb = math.log(1 - prior.pi) + log_n2
+def _mixture_logpdf_and_grad(w):
+    s1, s2, pi = PRIOR_SIGMA1, PRIOR_SIGMA2, PRIOR_PI
+    log_n1 = -0.5 * math.log(2 * math.pi) - math.log(s1) - w * w / (2 * s1 ** 2)
+    log_n2 = -0.5 * math.log(2 * math.pi) - math.log(s2) - w * w / (2 * s2 ** 2)
+    la = math.log(pi) + log_n1
+    lb = math.log(1 - pi) + log_n2
     logp = np.logaddexp(la, lb)
     resp1 = np.exp(la - logp)
-    dlogp = -w * (resp1 / prior.sigma1 ** 2 + (1 - resp1) / prior.sigma2 ** 2)
+    dlogp = -w * (resp1 / s1 ** 2 + (1 - resp1) / s2 ** 2)
     return logp, dlogp
 
 
-def fit_bnn_loop(dataset, prior=None, hyper=None, seed=0, home_id="", init=None):
+def fit_bnn_loop(dataset, hyper=None, seed=0, home_id="", source=None):
     """``estimators.fit_bnn`` one Monte-Carlo sample at a time: a normal
     draw per sample, a matrix-vector pair per sample and Adam over both
     halves of the parameters (the package's fit before it drew each epoch's
     noise at once and treated the samples as one block)."""
     if len(dataset) == 0:
         raise InsufficientDataError("regression dataset is empty")
-    prior = prior or PriorConfig()
     hyper = hyper or TrainingConfig()
     n = dataset.order
     d = 4 * n + 4
-    if prior.has_override and len(prior.override_means) != d:
-        raise ShapeError(f"prior override length {len(prior.override_means)} != {d}")
+    if source is not None and source.order != n:
+        raise ShapeError(f"source posterior order {source.order} != dataset order {n}")
 
     x = np.column_stack([dataset.inputs, np.ones(len(dataset))])
     y = dataset.targets
     num_rows = len(y)
     noise_var = hyper.noise_std ** 2
 
-    if init is not None:
-        mu = init.means.copy()
-        rho = _softplus_inv(init.scales)
+    if source is not None:
+        mu = source.means.copy()
+        rho = _softplus_inv(source.scales)
     else:
         mu = np.zeros(d)
         mu[3 * (n + 1)] = 1.0  # persistence start on the y_{t-1} weight
-        rho = np.full(d, _softplus_inv(hyper.init_scale))
+        rho = np.full(d, _softplus_inv(INIT_SCALE))
 
     rng = np.random.default_rng(seed)
     adam_m = np.zeros(2 * d)
@@ -369,20 +377,18 @@ def fit_bnn_loop(dataset, prior=None, hyper=None, seed=0, home_id="", init=None)
     # preconditioned by the inverse Gaussian curvature of the objective,
     # computed once from the full design; the scales keep the diagonal
     # adaptive update.
-    precond = None
-    if hyper.precondition:
-        if prior.has_override:
-            prior_curv = 1.0 / prior.override_scales ** 2
-        else:
-            prior_curv = np.full(d, 1.0 / prior.sigma1 ** 2)
-        precond = np.linalg.inv(x.T @ x / noise_var + np.diag(prior_curv))
+    if source is not None:
+        prior_curv = 1.0 / source.scales ** 2
+    else:
+        prior_curv = np.full(d, 1.0 / PRIOR_SIGMA1 ** 2)
+    precond = np.linalg.inv(x.T @ x / noise_var + np.diag(prior_curv))
 
     batch = min(hyper.batch_size, num_rows)
     steps_per_epoch = max(1, num_rows // batch)
-    history = [] if hyper.record_loss else None
+    history = []
     step = 0
     lr = hyper.learning_rate
-    mean_lr = hyper.mean_lr
+    mean_lr = MEAN_LR
     avg_start = int(hyper.epochs * (1.0 - hyper.average_fraction))
     mu_sum = np.zeros(d)
     mu_count = 0
@@ -405,14 +411,14 @@ def fit_bnn_loop(dataset, prior=None, hyper=None, seed=0, home_id="", init=None)
                 g_w = scale_up * (xb.T @ r) / noise_var
                 nll = scale_up * 0.5 * np.dot(r, r) / noise_var + const_nll
 
-                if prior.has_override:
-                    m0, s0 = prior.override_means, prior.override_scales
+                if source is not None:
+                    m0, s0 = source.means, source.scales
                     kl = np.sum(np.log(s0 / sigma)
                                 + (sigma ** 2 + (mu - m0) ** 2) / (2 * s0 ** 2) - 0.5)
                     gm = g_w + (mu - m0) / s0 ** 2
                     gs = g_w * eps + sigma / s0 ** 2 - 1.0 / sigma
                 else:
-                    logp, dlogp = _mixture_logpdf_and_grad(w, prior)
+                    logp, dlogp = _mixture_logpdf_and_grad(w)
                     log_q = -0.5 * math.log(2 * math.pi) - np.log(sigma) - eps ** 2 / 2
                     kl = float(np.sum(log_q - logp))
                     gm = g_w - dlogp
@@ -434,13 +440,9 @@ def fit_bnn_loop(dataset, prior=None, hyper=None, seed=0, home_id="", init=None)
             m_hat = adam_m / (1 - beta1 ** step)
             v_hat = adam_v / (1 - beta2 ** step)
             update = lr * m_hat / (np.sqrt(v_hat) + adam_eps)
-            if precond is None:
-                mu = mu - update[:d]
-            else:
-                mu = mu - mean_lr * (precond @ g_mu)
+            mu = mu - mean_lr * (precond @ g_mu)
             rho = rho - update[d:]
-            if history is not None:
-                history.append(loss)
+            history.append(loss)
         lr *= hyper.lr_decay
         mean_lr *= hyper.lr_decay
         if epoch >= avg_start:
@@ -451,20 +453,22 @@ def fit_bnn_loop(dataset, prior=None, hyper=None, seed=0, home_id="", init=None)
     if mu_count:
         mu = mu_sum / mu_count
 
+    prior = {"sigma1": PRIOR_SIGMA1, "sigma2": PRIOR_SIGMA2, "pi": PRIOR_PI}
+    if source is not None:
+        prior.update(override_means=list(source.means), override_scales=list(source.scales))
     meta = {
         "home_id": home_id,
         "sample_count": int(num_rows),
         "seed": int(seed),
         "hyper": hyper.to_dict(),
-        "prior": prior.to_dict(),
+        "prior": prior,
     }
     return Posterior(order=n, means=mu, scales=_softplus(rho),
                      noise_std=hyper.noise_std, training_meta=meta,
-                     loss_history=None if history is None else np.array(history))
+                     loss_history=np.array(history))
 
 
-def generate_trace_loop(truth, season, home_id, start, rng, measurement_noise_std,
-                        return_controls=False):
+def generate_trace_loop(truth, season, home_id, start, rng, measurement_noise_std):
     """``fleet.generate_trace`` with the whole input vector rebuilt and
     multiplied at every step (the package's generator before it precomputed
     the open-loop outdoor drive)."""
@@ -525,6 +529,4 @@ def generate_trace_loop(truth, season, home_id, start, rng, measurement_noise_st
         humidity=humidity,
         long_gap=np.zeros(n_samples, dtype=bool),
     )
-    if return_controls:
-        return trace, ControlSeries(k_heat=kh.copy(), k_cool=kc.copy())
-    return trace
+    return trace, ControlSeries(k_heat=kh, k_cool=kc)

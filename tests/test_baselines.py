@@ -1,9 +1,12 @@
 """Unit tests for the ARIMAX baseline and series diagnostics."""
 
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rctherm import baselines as bl
 from rctherm import timeseries as ts
@@ -153,6 +156,44 @@ def test_predict_arimax_one_step():
     resid = preds - actual
     # one-step error approaches the innovation floor
     assert np.sqrt(np.mean(resid ** 2)) == pytest.approx(ESTD, rel=0.1)
+
+
+def _undifference_loop(pred_dz, y, d, warm):
+    preds = np.empty(len(y) - warm)
+    for t in range(warm, len(y)):
+        acc = pred_dz[t - d]
+        for k in range(1, d + 1):
+            acc -= ((-1) ** k) * comb(d, k) * y[t - k]
+        preds[t - warm] = acc
+    return preds
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2**32 - 1))
+def test_predict_arimax_undifferences_like_the_sample_loop(d, p, q, seed):
+    rng = np.random.default_rng(seed)
+    steps = int(rng.integers(max(p, q) + d + 2, 60))
+    trace = make_trace(steps, t_in=70.0 + np.cumsum(rng.normal(0, 0.3, steps)),
+                       t_out=rng.normal(30.0, 5.0, steps))
+    controls = ts.ControlSeries(k_heat=rng.integers(0, 2, steps).astype(np.int8),
+                                k_cool=np.zeros(steps, dtype=np.int8))
+    model = bl.ArimaxModel(order=bl.ArimaxOrder(p, d, q), ar=rng.uniform(-0.9, 0.9, p),
+                           ma=rng.uniform(-0.5, 0.5, q), exog=rng.normal(0, 0.1, 3),
+                           intercept=float(rng.normal(0, 0.01)), innovation_var=1.0)
+    # the package's differenced-scale forecast, recovered from d = 0, where
+    # undifferencing is the identity
+    flat = bl.ArimaxModel(order=bl.ArimaxOrder(p, 0, q), ar=model.ar, ma=model.ma,
+                          exog=model.exog, intercept=model.intercept, innovation_var=1.0)
+    z = bl.difference(trace.t_in, d)
+    x = np.diff(ts.exog(trace, controls), n=d, axis=0)
+    diffed = make_trace(len(z), t_in=z, t_out=x[:, 0])
+    diffed_controls = ts.ControlSeries(k_heat=x[:, 1], k_cool=x[:, 2])
+    pred_dz = np.concatenate([np.zeros(max(p, q)),
+                              bl.predict_arimax(flat, diffed, diffed_controls)])
+    want = _undifference_loop(pred_dz, trace.t_in, d, model.warmup)
+    got = bl.predict_arimax(model, trace, controls)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_predict_arimax_needs_warmup():

@@ -171,17 +171,6 @@ def test_posterior_validation():
                                  "means": [], "scales": [], "noise_std": 0.1})
 
 
-def test_prior_config_validation():
-    with pytest.raises(InvalidParameterError):
-        est.PriorConfig(sigma1=0.1, sigma2=1.0)
-    with pytest.raises(InvalidParameterError):
-        est.PriorConfig(pi=1.5)
-    with pytest.raises(InvalidParameterError):
-        est.PriorConfig(override_means=np.zeros(4))
-    with pytest.raises(InvalidParameterError):
-        est.PriorConfig(override_means=np.zeros(4), override_scales=np.zeros(4))
-
-
 def test_weights_coeffs_roundtrip():
     dc = rcnet.analytic_coefficients(FAST_2R2C, 300.0)
     w = est.coeffs_to_weights(dc)
@@ -247,7 +236,7 @@ def test_fit_bnn_elbo_moving_average_decreases():
     dc = rcnet.analytic_coefficients(FAST_2R2C, 300.0)
     ds = open_loop_dataset(dc, seed=6, noise_std=0.05, days=5)
     hyper = est.TrainingConfig(learning_rate=2e-2, epochs=300, noise_std=0.05,
-                               mc_samples=8, lr_decay=0.99, record_loss=True)
+                               mc_samples=8, lr_decay=0.99)
     post = est.fit_bnn(ds, hyper=hyper, seed=0)
     loss = post.loss_history
     assert loss is not None and len(loss) >= 200
@@ -263,8 +252,7 @@ def test_fit_bnn_elbo_moving_average_decreases():
 def test_fit_bnn_divergence_raises():
     ds = open_loop_dataset(rcnet.analytic_coefficients(FAST_2R2C, 300.0),
                            seed=7, days=2)
-    hyper = est.TrainingConfig(learning_rate=1e6, epochs=50,
-                               precondition=False)
+    hyper = est.TrainingConfig(learning_rate=1e6, epochs=50)
     with pytest.raises(TrainingError) as got:
         est.fit_bnn(ds, hyper=hyper, seed=0)
     # at the step where the one-sample-at-a-time loop diverges
@@ -278,30 +266,23 @@ def test_fit_bnn_divergence_raises():
     ("cold", 2, dict()),
     ("cold", 2, dict(mc_samples=2)),
     ("cold", 2, dict(mc_samples=8)),
-    ("cold", 2, dict(precondition=False, learning_rate=5e-3)),
-    ("cold", 2, dict(precondition=False, mc_samples=2)),
-    ("init", 2, dict()),
     ("transfer", 2, dict()),
     ("transfer", 2, dict(mc_samples=8)),
-    ("transfer", 2, dict(mc_samples=2, precondition=False)),
     ("cold", 2, dict(batch_size=1000)),  # fewer rows than one batch
     ("cold", 1, dict(batch_size=100)),  # rows not a multiple of the batch
 ])
 def test_fit_bnn_matches_the_step_loop_oracle(start, order, options):
-    # "init" starts from a source posterior under the mixture prior;
-    # "transfer" also takes it as the Gaussian override prior
+    # "transfer" starts from a source posterior that is also the Gaussian prior
     params = FAST_2R2C if order == 2 else rcnet.RcParams((1.0,), (0.2,), 15.0, 12.0)
     ds = open_loop_dataset(rcnet.analytic_coefficients(params, 300.0),
                            seed=2, noise_std=0.05, days=2)
-    hyper = est.TrainingConfig(epochs=6, noise_std=0.05, record_loss=True,
-                               lr_decay=0.9, average_fraction=0.5, **options)
-    init = prior = None
-    if start != "cold":
-        init = est.fit_bnn(ds, hyper=est.TrainingConfig(epochs=3, noise_std=0.05), seed=1)
+    hyper = est.TrainingConfig(epochs=6, noise_std=0.05, lr_decay=0.9,
+                               average_fraction=0.5, **options)
+    source = None
     if start == "transfer":
-        prior = est.PriorConfig(override_means=init.means, override_scales=init.scales)
-    got = est.fit_bnn(ds, prior=prior, hyper=hyper, seed=3, init=init)
-    want = fit_bnn_loop(ds, prior=prior, hyper=hyper, seed=3, init=init)
+        source = est.fit_bnn(ds, hyper=est.TrainingConfig(epochs=3, noise_std=0.05), seed=1)
+    got = est.fit_bnn(ds, hyper=hyper, seed=3, source=source)
+    want = fit_bnn_loop(ds, hyper=hyper, seed=3, source=source)
     np.testing.assert_allclose(got.means, want.means, rtol=0, atol=1e-9)
     np.testing.assert_allclose(got.scales, want.scales, rtol=1e-9)
     np.testing.assert_allclose(got.loss_history, want.loss_history, rtol=1e-9)
@@ -310,8 +291,8 @@ def test_fit_bnn_matches_the_step_loop_oracle(start, order, options):
 
 @pytest.mark.parametrize("field,value", [
     ("batch_size", 0), ("epochs", 0), ("mc_samples", -1),
-    ("noise_std", 0.0), ("learning_rate", -1e-3), ("init_scale", 0),
-    ("lr_decay", 0.0), ("mean_lr", float("nan")),
+    ("noise_std", 0.0), ("learning_rate", -1e-3), ("lr_decay", 0.0),
+    ("lr_decay", float("nan")),
     ("average_fraction", -0.1), ("average_fraction", 1.5),
 ])
 def test_training_config_rejects_impossible_values(field, value):
@@ -334,10 +315,9 @@ def test_fit_bnn_empty_dataset():
 def test_fit_bnn_override_length_check():
     ds = open_loop_dataset(rcnet.analytic_coefficients(FAST_2R2C, 300.0),
                            seed=8, days=1)
-    prior = est.PriorConfig(override_means=np.zeros(8),
-                            override_scales=np.ones(8))
+    source = est.Posterior(order=1, means=np.zeros(8), scales=np.ones(8), noise_std=0.1)
     with pytest.raises(ShapeError):
-        est.fit_bnn(ds, prior=prior)
+        est.fit_bnn(ds, source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +373,7 @@ def test_transfer_beats_cold_start_on_similar_home():
 
 
 # ---------------------------------------------------------------------------
-# Predictive sampling and metrics
-
-def test_sample_predictions_shape_and_determinism():
-    ds = open_loop_dataset(rcnet.analytic_coefficients(FAST_2R2C, 300.0),
-                           seed=12, days=1)
-    post = est.fit_bnn(ds, hyper=est.TrainingConfig(epochs=2))
-    draws = est.sample_predictions(post, ds, draws=7, seed=1)
-    assert draws.shape == (7, len(ds))
-    assert (draws == est.sample_predictions(post, ds, draws=7, seed=1)).all()
-    dc1 = rcnet.analytic_coefficients(rcnet.RcParams((1.0,), (0.2,), 10, 10),
-                                      300.0)
-    ds1 = open_loop_dataset(dc1, seed=12, days=1)
-    with pytest.raises(ShapeError):
-        est.sample_predictions(post, ds1, draws=3)
-
+# Metrics
 
 def test_rmse():
     assert est.rmse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(np.sqrt(12.5))

@@ -246,8 +246,7 @@ def test_generator_bang_bang_regulation():
                                 hvac_mode=ts.MODE_HEAT)
     rng = np.random.default_rng(2)
     trace, controls = fleet.generate_trace(
-        home, season, "h", START, rng, measurement_noise_std=0.0,
-        return_controls=True)
+        home, season, "h", START, rng, measurement_noise_std=0.0)
     skip = ts.SAMPLES_PER_DAY // 2  # settle-in
     dev = trace.t_in[skip:] - trace.t_setheat[skip:]
     # regulation stays near the schedule; the +-4 degF day/night setpoint
@@ -273,9 +272,9 @@ def test_generate_trace_matches_the_step_loop_oracle(mode, order, noise):
     params = random_slow_params(np.random.default_rng(order), order)
     season = replace(SHOULDER, hvac_mode=mode, days=4)
     got, got_controls = fleet.generate_trace(
-        params, season, "h", START, np.random.default_rng(5), noise, return_controls=True)
+        params, season, "h", START, np.random.default_rng(5), noise)
     want, want_controls = generate_trace_loop(
-        params, season, "h", START, np.random.default_rng(5), noise, return_controls=True)
+        params, season, "h", START, np.random.default_rng(5), noise)
     assert (got_controls.k_heat == want_controls.k_heat).all()
     assert (got_controls.k_cool == want_controls.k_cool).all()
     np.testing.assert_allclose(got.t_in, want.t_in, rtol=0, atol=1e-9)
@@ -298,8 +297,7 @@ def test_derive_controls_consistency_with_generator():
         rng = fleet._home_rng(0, i, 1)
         trace, controls = fleet.generate_trace(
             home.truth, config.seasons[0], home.metadata.home_id,
-            config.start, rng, config.measurement_noise_std,
-            return_controls=True)
+            config.start, rng, config.measurement_noise_std)
         derived = ts.derive_controls(ts.impute(trace))
         agree += int((derived.k_heat == controls.k_heat).sum())
         agree += int((derived.k_cool == controls.k_cool).sum())
@@ -310,8 +308,7 @@ def test_derive_controls_consistency_with_generator():
 def test_derive_controls_exact_outside_hysteresis_band():
     rng = np.random.default_rng(3)
     clean, clean_controls = fleet.generate_trace(
-        FAST_2R2C, SHOULDER, "h", START, rng, measurement_noise_std=0.0,
-        return_controls=True)
+        FAST_2R2C, SHOULDER, "h", START, rng, measurement_noise_std=0.0)
     d = ts.derive_controls(ts.impute(clean))
     # the generator decides each interval's duty from the previous sample,
     # so exact agreement is expected once two consecutive readings sit on
@@ -333,8 +330,7 @@ def test_end_to_end_recovery_noiseless_exact_controls():
     # regression rows returns the analytic coefficients to float precision
     rng = np.random.default_rng(4)
     trace, controls = fleet.generate_trace(
-        FAST_2R2C, SHOULDER, "h", START, rng, measurement_noise_std=0.0,
-        return_controls=True)
+        FAST_2R2C, SHOULDER, "h", START, rng, measurement_noise_std=0.0)
     ds = ts.build_regression(trace, controls, order=2)
     x = np.column_stack([ds.inputs, np.ones(len(ds))])
     w, *_ = np.linalg.lstsq(x, ds.targets, rcond=None)
@@ -349,8 +345,8 @@ def test_season_param_shift_changes_dynamics():
                                  hvac_mode=ts.MODE_HEAT, param_shift=0.2)
     base = fleet.SeasonConfig(name="base", days=2, outdoor_mean=20.0,
                               hvac_mode=ts.MODE_HEAT)
-    t_a = fleet.generate_trace(FAST_2R2C, base, "h", START,
-                               np.random.default_rng(0), 0.0)
-    t_b = fleet.generate_trace(FAST_2R2C, shifted, "h", START,
-                               np.random.default_rng(0), 0.0)
+    t_a, _ = fleet.generate_trace(FAST_2R2C, base, "h", START,
+                                  np.random.default_rng(0), 0.0)
+    t_b, _ = fleet.generate_trace(FAST_2R2C, shifted, "h", START,
+                                  np.random.default_rng(0), 0.0)
     assert np.abs(t_a.t_in - t_b.t_in).max() > 0.05

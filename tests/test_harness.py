@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rctherm import cli, estimators, fleet, harness
+from rctherm import cli, estimators, fleet, harness, rcnet
 from rctherm import timeseries as ts
 from rctherm.errors import ConfigError, DataError, RcthermError, ShapeError
 from test_fleet import SHOULDER
@@ -115,7 +115,11 @@ def _edited_config(edit):
     _edited_config(lambda d: d.update(source_season=3)),
     _edited_config(lambda d: d.update(scenario=None)),
     _edited_config(lambda d: d["hyper"].update(epochs="x")),
-    _edited_config(lambda d: d["hyper"].update(precondition=1)),
+    _edited_config(lambda d: d["hyper"].update(mc_samples=True)),
+    # keys of the version-1 schema, or a version-1 config
+    _edited_config(lambda d: d["hyper"].update(precondition=True)),
+    _edited_config(lambda d: d["hyper"].update(init_scale=0.05)),
+    _edited_config(lambda d: d.update(schema_version=1)),
     # impossible values, which would otherwise fail inside run_experiment
     _edited_config(lambda d: d["hyper"].update(batch_size=0)),
     _edited_config(lambda d: d["hyper"].update(mc_samples=0)),
@@ -127,6 +131,11 @@ def _edited_config(edit):
     _edited_config(lambda d: d["fleet"].update(lift_range=[20, 40, 60])),
     _edited_config(lambda d: d["fleet"]["seasons"][0].update(days="x")),
     _edited_config(lambda d: d["fleet"]["seasons"][0].update(name=None)),
+    _edited_config(lambda d: d["fleet"].update(seasons=[])),
+    _edited_config(lambda d: d["fleet"]["seasons"][0].update(days=0)),
+    _edited_config(lambda d: d["fleet"].update(floor_area_range=[5, 1])),
+    _edited_config(lambda d: d["fleet"].update(year_built_range=[2020, 1950])),
+    _edited_config(lambda d: d["fleet"].update(lift_range=[40, 40])),
 ])
 def test_experiment_config_malformed_json_is_a_config_error(text):
     with pytest.raises(ConfigError):
@@ -176,6 +185,9 @@ _MANIFEST = {"homes": [{
 _POSTERIOR = estimators.Posterior(order=1, means=np.arange(8.0), scales=np.ones(8),
                                   noise_std=0.1, training_meta={"seed": 1})
 
+_RC_PARAMS = {"resistances": [1.0, 2.0], "capacitances": [0.1, 0.2],
+              "q_heat": 15.0, "q_cool": 12.0}
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
@@ -183,6 +195,7 @@ def test_json_inputs_raise_only_package_errors(data):
     for parse, valid in ((harness.ExperimentConfig.from_json,
                           json.loads(small_config(cluster_k=2).to_json())),
                          (estimators.Posterior.from_json, json.loads(_POSTERIOR.to_json())),
+                         (rcnet.RcParams.from_json, json.loads(json.dumps(_RC_PARAMS))),
                          (lambda text: harness._manifest_homes(json.loads(text)),
                           json.loads(json.dumps(_MANIFEST)))):
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
@@ -292,6 +305,25 @@ def test_run_experiment_cross_season_needs_two_seasons():
         harness.run_experiment(config)
 
 
+@pytest.mark.parametrize("scenario,seasons", [
+    ("none", dict(source_season="summer")),
+    ("cross-home", dict(source_season="summer")),
+    ("cross-season", dict(source_season="summer", target_season="winter")),
+    ("cross-season", dict(source_season="winter", target_season="summer")),
+])
+def test_run_experiment_rejects_a_season_the_fleet_lacks(scenario, seasons):
+    config = small_config(scenario=scenario, cluster_k=1, **seasons)
+    with pytest.raises(ConfigError, match="summer"):
+        harness.run_experiment(config)
+
+
+def test_run_experiment_rejects_a_manifest_without_homes(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"homes": []}))
+    with pytest.raises(ConfigError):
+        harness.run_experiment(harness.ExperimentConfig(manifest=str(manifest)))
+
+
 # ---------------------------------------------------------------------------
 # Segment hash
 
@@ -359,9 +391,7 @@ def test_cli_synth_ingest_fit_coeffs_cluster(tmp_path):
     assert model["kind"] == "onercone"
 
     params = tmp_path / "params.json"
-    params.write_text(json.dumps({"resistances": [1.0, 2.0],
-                                  "capacitances": [0.1, 0.2],
-                                  "q_heat": 15.0, "q_cool": 12.0}))
+    params.write_text(json.dumps(_RC_PARAMS))
     assert cli.main(["coeffs", str(params)]) == 0
 
     clus_out = tmp_path / "clus"
@@ -387,9 +417,15 @@ def test_cli_exit_codes(tmp_path):
     # usage: a config with a mistyped field
     config.write_text(_edited_config(lambda d: d.update(train_days="x")))
     assert cli.main(["experiment", "--config", str(config), "--out", str(tmp_path)]) == 1
-    # usage: a config with an impossible hyper value
-    config.write_text(_edited_config(lambda d: d["hyper"].update(batch_size=0)))
-    assert cli.main(["experiment", "--config", str(config), "--out", str(tmp_path)]) == 1
+    # usage: a config with an impossible value
+    for edit in (lambda d: d["hyper"].update(batch_size=0),
+                 lambda d: d["fleet"].update(seasons=[]),
+                 lambda d: d["fleet"]["seasons"][0].update(days=0),
+                 lambda d: d["fleet"].update(floor_area_range=[5, 1]),
+                 lambda d: d["fleet"].update(year_built_range=[2020, 1950]),
+                 lambda d: d.update(source_season="summer")):
+        config.write_text(_edited_config(edit))
+        assert cli.main(["experiment", "--config", str(config), "--out", str(tmp_path)]) == 1
     # data: malformed CSV
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,trace\n1,2,3\n")
@@ -416,6 +452,18 @@ def test_cli_exit_codes(tmp_path):
     metadata = tmp_path / "metadata.csv"
     metadata.write_text("home_id,floor_area,year_built\nh1,1200,1990\nh2,abc,1990\n")
     assert cli.main(["cluster", str(metadata), "--out", str(tmp_path)]) == 2
+    # data: a malformed RC-parameter file
+    params = tmp_path / "params.json"
+    for text in ('{"resistances": [1.0]}', "{not json", "[1, 2]",
+                 json.dumps({**_RC_PARAMS, "q_heat": "15"}),
+                 json.dumps({**_RC_PARAMS, "resistances": [1.0, True]}),
+                 json.dumps({**_RC_PARAMS, "q_cool": 10 ** 400}),
+                 json.dumps({**_RC_PARAMS, "order": 3}),
+                 json.dumps({**_RC_PARAMS, "extra": 1}),
+                 json.dumps({**_RC_PARAMS, "resistances": [1.0, -2.0]})):
+        params.write_text(text)
+        for command in ("coeffs", "simulate"):
+            assert cli.main([command, str(params)]) == 2, (command, text)
 
 
 def test_cli_unreadable_files_end_in_one_error_line(tmp_path, capsys):

@@ -398,6 +398,56 @@ def test_impute_long_gap_mask():
     assert (out.long_gap == expected).all()
 
 
+def _long_gap_mask_loop(missing):
+    mask = np.zeros(len(missing), dtype=bool)
+    i = 0
+    while i < len(missing):
+        j = i
+        while j < len(missing) and missing[j]:
+            j += 1
+        if j - i > ts.MAX_GAP_STEPS:
+            mask[i:j] = True
+        i = max(j, i + 1)
+    return mask
+
+
+def _carry_mode_loop(mode):
+    out = mode.copy()
+    carried = mode[mode != ts.MODE_MISSING][0]
+    for i in range(len(out)):
+        if out[i] == ts.MODE_MISSING:
+            out[i] = carried
+        else:
+            carried = out[i]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), min_size=2, max_size=60),
+       st.lists(st.integers(min_value=0, max_value=2 * ts.MAX_GAP_STEPS), max_size=4),
+       st.data())
+def test_impute_matches_the_sample_loops(flags, runs, data):
+    # random masks plus planted runs around MAX_GAP_STEPS, at random places
+    missing = np.array(flags)
+    for length in runs:
+        lo = data.draw(st.integers(min_value=0, max_value=len(missing) - 1))
+        missing[lo:lo + length] = True
+    assert (ts._long_gap_mask(missing) == _long_gap_mask_loop(missing)).all()
+    # through impute, with one observed t_in and one observed mode at least
+    index = st.integers(min_value=0, max_value=len(missing) - 1)
+    missing[data.draw(index)] = False
+    t_in = np.where(missing, np.nan, 70.0)
+    mode = np.array(data.draw(st.lists(st.sampled_from([-1, 0, 1, 2, 3]),
+                                       min_size=len(missing), max_size=len(missing))),
+                    dtype=np.int8)
+    mode[data.draw(index)] = ts.MODE_HEAT
+    out = ts.impute(make_trace(len(mode), t_in=t_in, hvac_mode=mode))
+    assert out.hvac_mode.dtype == np.int8
+    assert (out.hvac_mode == _carry_mode_loop(mode)).all()
+    expected = _long_gap_mask_loop(np.isnan(t_in) | (mode == ts.MODE_MISSING))
+    assert (out.long_gap == expected).all()
+
+
 # ---------------------------------------------------------------------------
 # Control derivation
 
