@@ -21,8 +21,11 @@ from .errors import ConfigError, ConvergenceError, DataError, RcthermError
 
 
 def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
+
+
+def _add_seed(parser):
+    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
 
 
 def build_parser():
@@ -32,6 +35,7 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic fleet")
     _add_common(p)
+    _add_seed(p)
     p.add_argument("--homes", type=int, default=10)
     p.add_argument("--days", type=int, default=90)
 
@@ -59,6 +63,7 @@ def build_parser():
 
     p = sub.add_parser("cluster", help="cluster homes by metadata CSV")
     _add_common(p)
+    _add_seed(p)
     p.add_argument("metadata", type=Path)
     p.add_argument("-k", type=int, default=0, help="cluster count (0 = elbow rule)")
 
@@ -124,7 +129,7 @@ def _cmd_ingest(args):
 def _cmd_fit(args):
     trace = _load_trace(args.trace, args.home_id)
     model = harness.fit_model(args.kind, trace, timeseries.derive_controls(trace),
-                              args.order, seed=args.seed, home_id=args.home_id)
+                              args.order, home_id=args.home_id)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dest = out / f"{args.home_id}__{args.kind}.json"
@@ -169,7 +174,7 @@ def _cmd_transfer(args):
     trace = _load_trace(args.trace, args.home_id)
     controls = timeseries.derive_controls(trace)
     ds = timeseries.build_regression(trace, controls, args.order)
-    posterior = estimators.transfer(source, ds, seed=args.seed, home_id=args.home_id)
+    posterior = estimators.transfer(source, ds, home_id=args.home_id)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dest = out / f"{args.home_id}__transferred.json"

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: usage errors -> 1, data errors -> 2,
-convergence/training errors -> 3.
+convergence errors -> 3.
 """
 
 
@@ -58,13 +58,3 @@ class ConfigError(RcthermError):
 
 class ConvergenceError(RcthermError):
     """An iterative solver exceeded its iteration budget."""
-
-
-class TrainingError(ConvergenceError):
-    """Variational training diverged; carries the offending step index."""
-
-    def __init__(self, message, step=None):
-        if step is not None:
-            message = f"step {step}: {message}"
-        super().__init__(message)
-        self.step = step

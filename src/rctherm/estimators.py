@@ -2,11 +2,13 @@
 
 The nRnC estimator fits a single linear predictor over the lagged
 regression rows with a factorized Gaussian variational posterior over its
-4n+3 weights and 1 bias, trained by stochastic gradient on the negative
-evidence lower bound (curvature-preconditioned steps for the means, a
-diagonal adaptive update for the scales). The weights are the compound
-difference-equation coefficients directly (inputs are fed raw, never
-standardized).
+4n+3 weights and 1 bias. The likelihood is Gaussian and the predictor is
+linear in its weights, so under a Gaussian prior N(m0, diag(l0)^-1) the
+optimal factorized posterior has a closed form: means
+m0 + A^-1 X'(y - X m0)/sigma^2 and variances 1/diag(A), with
+A = X'X/sigma^2 + diag(l0) (Bishop, PRML 3.3 and 10.1). The weights are the
+compound difference-equation coefficients directly (inputs are fed raw,
+never standardized).
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import expit
+from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import minimize_scalar
 
 from .errors import (
     ConvergenceError,
+    DegenerateSeriesError,
     InsufficientDataError,
     InvalidParameterError,
     ShapeError,
-    TrainingError,
 )
 from .rcnet import DiffCoeffs
 
@@ -142,40 +145,30 @@ def predict_1r1c(fit, trace, controls):
 #: posterior: pi N(0, sigma1^2) + (1 - pi) N(0, sigma2^2) on every weight and
 #: the bias.
 PRIOR_SIGMA1, PRIOR_SIGMA2, PRIOR_PI = 1.0, 0.1, 0.2
-#: Starting posterior scale of every weight in a fit with no source.
-INIT_SCALE = 0.05
-#: Step size of the preconditioned mean update; it decays with lr_decay.
-MEAN_LR = 0.3
-
-
-#: TrainingConfig's numeric fields and the values each admits.
-_TRAINING_RANGES = (
-    (("batch_size", "epochs", "mc_samples"), "at least 1", lambda v: v >= 1),
-    (("noise_std", "learning_rate", "lr_decay"), "positive", lambda v: v > 0),
-    (("average_fraction",), "in [0, 1]", lambda v: 0 <= v <= 1),
-)
+#: EM on the mixture responsibilities stops once none moves by more than
+#: EM_TOL in a step; a fit that has not stopped after EM_MAX_STEPS raises
+#: ConvergenceError.
+EM_TOL = 1e-6
+EM_MAX_STEPS = 500
+#: A transfer tempers the source precision by alpha in [ALPHA_GRID[0],
+#: ALPHA_GRID[-1]]: the half-decade grid point of highest target evidence,
+#: refined between its grid neighbours.
+ALPHA_GRID = np.logspace(-12.0, 0.0, 25)
+_LOG_2PI = math.log(2 * math.pi)
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Hyperparameters for the variational fit; all recorded in training_meta."""
+    """The likelihood's noise scale; recorded in training_meta."""
 
-    learning_rate: float = 1e-3
-    batch_size: int = 256
-    epochs: int = 200
-    mc_samples: int = 1
     noise_std: float = 0.1
-    lr_decay: float = 1.0  # multiplicative per-epoch factor
-    average_fraction: float = 0.25
 
     def __post_init__(self):
-        for names, allowed, ok in _TRAINING_RANGES:
-            for name in names:
-                value = getattr(self, name)
-                # a value of another type is left to the config parser's check
-                if isinstance(value, (int, float)) and not isinstance(value, bool) \
-                        and not ok(value):
-                    raise InvalidParameterError(f"{name} must be {allowed}, got {value!r}")
+        value = self.noise_std
+        # a value of another type is left to the config parser's check
+        if isinstance(value, (int, float)) and not isinstance(value, bool) \
+                and not value > 0:
+            raise InvalidParameterError(f"noise_std must be positive, got {value!r}")
 
     def to_dict(self):
         return asdict(self)
@@ -194,7 +187,6 @@ class Posterior:
     scales: np.ndarray
     noise_std: float
     training_meta: dict = field(default_factory=dict)
-    loss_history: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         d = 4 * self.order + 4
@@ -246,195 +238,165 @@ class Posterior:
         return cls.from_dict(data)
 
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
+class _Design:
+    """The sufficient statistics of a regression dataset with a bias column
+    appended: its Gram matrix and moments. The design itself is never
+    built, so a fit holds no second copy of the inputs."""
+
+    def __init__(self, dataset):
+        inputs, y = dataset.inputs, dataset.targets
+        self.inputs, self.targets, self.rows = inputs, y, len(y)
+        d = inputs.shape[1] + 1
+        self.gram = np.empty((d, d))
+        self.gram[:-1, :-1] = inputs.T @ inputs
+        self.gram[-1, :-1] = self.gram[:-1, -1] = inputs.sum(axis=0)
+        self.gram[-1, -1] = self.rows
+
+    def residual(self, w):
+        """y - Xw for weights ``w`` (bias last)."""
+        return self.targets - (self.inputs @ w[:-1] + w[-1])
+
+    def moment(self, r):
+        """X'r."""
+        return np.append(self.inputs.T @ r, r.sum())
 
 
-def _softplus_inv(y):
-    return np.log(np.expm1(y))
+def _solve(design, b, noise_var, prior_prec):
+    """(A^-1 b, 1/sqrt(diag A), Cholesky factor of A) for
+    A = X'X/noise_var + diag(prior_prec).
+
+    Raises DegenerateSeriesError when A is not numerically positive
+    definite: collinear rows that a near-flat prior leaves undetermined.
+    """
+    a = design.gram / noise_var
+    a[np.diag_indices_from(a)] += prior_prec
+    try:
+        factor = cho_factor(a, lower=True)
+    except np.linalg.LinAlgError:
+        raise DegenerateSeriesError(
+            "the rows and the prior leave some weights undetermined") from None
+    return cho_solve(factor, b), 1.0 / np.sqrt(np.diag(a)), factor
 
 
-def fit_bnn(dataset, hyper=None, seed=0, home_id="", source=None):
-    """Train the variational linear predictor on a regression dataset.
+def _mixture_log_terms(ew2):
+    """Per-weight (log pi_k + E_q log N(w; 0, sigma_k^2)) of the two prior
+    components, given E_q[w^2]."""
+    def term(pi, sigma):
+        return math.log(pi) - 0.5 * _LOG_2PI - math.log(sigma) - ew2 / (2 * sigma ** 2)
+    return term(PRIOR_PI, PRIOR_SIGMA1), term(1 - PRIOR_PI, PRIOR_SIGMA2)
 
-    Deterministic given (dataset, hyper, seed, source). With no ``source``
-    every weight has the scale-mixture prior (PRIOR_SIGMA1, PRIOR_SIGMA2,
-    PRIOR_PI), and the fit starts from persistence (means zero except the
-    first y-lag weight) with scales at INIT_SCALE. A ``source`` Posterior of
-    the same order is both the per-weight Gaussian prior and the starting
-    point (posterior-as-prior transfer).
 
-    Each epoch draws its row permutation, then the normal draws of all its
-    steps in one call (the same stream as one draw per sample); a step
-    treats its ``mc_samples`` weight draws as one (samples, weights) block.
-    The per-step loss lands in the posterior's ``loss_history``.
+def _neg_elbo(design, noise_var, means, scales, expected_log_prior):
+    """Negative evidence lower bound of the factorized q (means, scales):
+    expected negative log likelihood, minus the entropy of q, minus
+    ``expected_log_prior``."""
+    r = design.residual(means)
+    nll = 0.5 * (design.rows * math.log(2 * math.pi * noise_var)
+                 + (r @ r + scales ** 2 @ np.diag(design.gram)) / noise_var)
+    entropy = float(np.sum(np.log(scales))) + 0.5 * len(means) * (_LOG_2PI + 1.0)
+    return float(nll - entropy - expected_log_prior)
+
+
+def _fit_mixture(design, noise_var):
+    """EM under the scale-mixture prior: each M step is the Gaussian solve
+    at per-weight precisions r/sigma1^2 + (1 - r)/sigma2^2; each E step sets
+    the responsibilities r of the wide component from E_q[w^2] = m^2 + s^2.
+    Returns (means, scales, steps, negative ELBO); the prior term of the
+    ELBO is its EM bound, sum_i log sum_k pi_k exp(E_q log N_k(w_i))."""
+    d = design.gram.shape[0]
+    b = design.moment(design.targets) / noise_var
+    resp = np.ones(d)  # every weight starts in the wide component
+    for step in range(1, EM_MAX_STEPS + 1):
+        prec = resp / PRIOR_SIGMA1 ** 2 + (1 - resp) / PRIOR_SIGMA2 ** 2
+        means, scales, _ = _solve(design, b, noise_var, prec)
+        wide, narrow = _mixture_log_terms(means ** 2 + scales ** 2)
+        log_prior = np.logaddexp(wide, narrow)
+        new = np.exp(wide - log_prior)
+        if np.abs(new - resp).max() <= EM_TOL:
+            return means, scales, step, _neg_elbo(design, noise_var, means, scales,
+                                                  log_prior.sum())
+        resp = new
+    raise ConvergenceError(f"mixture-prior EM did not converge in {EM_MAX_STEPS} steps")
+
+
+def _fit_power_prior(design, noise_var, source):
+    """The fit under the power prior N(m0, (alpha diag(l0))^-1), with m0 and
+    l0 = 1/s0^2 the source posterior's means and precisions. Returns
+    (means, scales, alpha, log p(y | alpha), negative ELBO).
+
+    alpha maximises log p(y | alpha), the rows' marginal likelihood: first
+    over ALPHA_GRID, then by a bounded scalar search between the best grid
+    point's neighbours. With r0 = y - X m0 and b = X'r0/sigma^2, it is
+    -(N log(2 pi sigma^2) + r0'r0/sigma^2 - b'A^-1 b + log|A| - log|alpha L0|)/2.
+    """
+    r0 = design.residual(source.means)
+    b = design.moment(r0) / noise_var
+    const = design.rows * math.log(2 * math.pi * noise_var) + (r0 @ r0) / noise_var
+    prec0 = 1.0 / source.scales ** 2
+
+    def log_evidence(log_alpha):
+        prior_prec = math.exp(log_alpha) * prec0
+        try:
+            delta, _, (chol, _) = _solve(design, b, noise_var, prior_prec)
+        except DegenerateSeriesError:
+            return -math.inf
+        return -0.5 * (const - b @ delta + 2 * np.log(np.diag(chol)).sum()
+                       - np.log(prior_prec).sum())
+
+    grid = np.log(ALPHA_GRID)
+    values = [log_evidence(x) for x in grid]
+    i = int(np.argmax(values))
+    found = minimize_scalar(lambda x: -log_evidence(x),
+                            bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
+                            method="bounded", options={"xatol": 1e-6})
+    if -found.fun > values[i]:
+        alpha, evidence = math.exp(found.x), float(-found.fun)
+    else:
+        alpha, evidence = float(ALPHA_GRID[i]), float(values[i])
+
+    prior_prec = alpha * prec0
+    delta, scales, _ = _solve(design, b, noise_var, prior_prec)
+    expected_log_prior = 0.5 * float(np.sum(
+        np.log(prior_prec) - _LOG_2PI - prior_prec * (scales ** 2 + delta ** 2)))
+    means = source.means + delta
+    return (means, scales, alpha, evidence,
+            _neg_elbo(design, noise_var, means, scales, expected_log_prior))
+
+
+def fit_bnn(dataset, hyper=None, home_id="", source=None):
+    """The optimal factorized Gaussian posterior of the linear predictor on a
+    regression dataset, in closed form.
+
+    With no ``source`` every weight has the scale-mixture prior
+    (PRIOR_SIGMA1, PRIOR_SIGMA2, PRIOR_PI), and EM on the per-weight
+    mixture responsibilities converges to the fit. A ``source`` Posterior
+    of the same order gives the power prior N(source means, source
+    scales^2 / alpha), with alpha the value on ALPHA_GRID's bracket that
+    maximises the dataset's marginal likelihood (posterior-as-prior
+    transfer). ``training_meta`` records the negative ELBO at the solution
+    (``neg_elbo``), and the EM step count (``em_steps``) or ``alpha`` with
+    its ``log_evidence``.
     """
     if len(dataset) == 0:
         raise InsufficientDataError("regression dataset is empty")
     hyper = hyper or TrainingConfig()
     n = dataset.order
-    d = 4 * n + 4
     if source is not None and source.order != n:
         raise ShapeError(f"source posterior order {source.order} != dataset order {n}")
-
-    inputs, y = dataset.inputs, dataset.targets
-    num_rows = len(y)
+    design = _Design(dataset)
     noise_var = hyper.noise_std ** 2
-    mc = hyper.mc_samples
-
-    if source is not None:
-        mu = source.means.copy()
-        rho = _softplus_inv(source.scales)
-    else:
-        mu = np.zeros(d)
-        mu[3 * (n + 1)] = 1.0  # persistence start on the y_{t-1} weight
-        rho = np.full(d, _softplus_inv(INIT_SCALE))
-
-    rng = np.random.default_rng(seed)
-    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
-    const_nll = num_rows * 0.5 * math.log(2 * math.pi * noise_var)
-
-    # Lagged temperature regressors are extremely collinear (condition
-    # numbers ~1e4 and up), which starves a diagonal adaptive update of
-    # progress along the sloppy directions. The mean update is therefore
-    # preconditioned by the inverse Gaussian curvature of the objective,
-    # computed once from the full design; the scales keep the diagonal
-    # adaptive update (Adam, whose moments are these).
-    if source is not None:
-        prior_curv = 1.0 / source.scales ** 2
-    else:
-        prior_curv = np.full(d, 1.0 / PRIOR_SIGMA1 ** 2)
-    gram = np.empty((d, d))  # of the design: the inputs, then the bias
-    gram[:-1, :-1] = inputs.T @ inputs
-    gram[-1, :-1] = gram[:-1, -1] = inputs.sum(axis=0)
-    gram[-1, -1] = num_rows
-    precond = np.linalg.inv(gram / noise_var + np.diag(prior_curv))
-    adam_m = np.zeros(d)
-    adam_v = np.zeros(d)
-
-    batch = min(hyper.batch_size, num_rows)
-    steps_per_epoch = max(1, num_rows // batch)
-    # Every batch is full, so the minibatch likelihood's scale-up is fixed;
-    # g_scale also averages the per-sample gradients over the samples.
-    scale_up = num_rows / batch
-    g_scale = scale_up / noise_var / mc
-    nll_scale = scale_up * 0.5 / noise_var
-    if source is not None:
-        m0 = source.means
-        inv_var0 = prior_curv
-        half_inv_var0 = 0.5 * inv_var0
-        kl_const = float(np.sum(np.log(source.scales))) - 0.5 * d
-    else:
-        # log(pi_k N(w; 0, sigma_k^2)) = c_k - a_k w^2 for the two components;
-        # the log density is the second term plus softplus(z), z their
-        # difference, and the first component's responsibility is expit(z)
-        half_log_2pi = 0.5 * math.log(2 * math.pi)
-        inv1, inv2 = 1.0 / PRIOR_SIGMA1 ** 2, 1.0 / PRIOR_SIGMA2 ** 2
-        c1 = math.log(PRIOR_PI) - half_log_2pi - math.log(PRIOR_SIGMA1)
-        c2 = math.log(1 - PRIOR_PI) - half_log_2pi - math.log(PRIOR_SIGMA2)
-        a1, a2 = 0.5 * inv1, 0.5 * inv2
-        z0, z1 = c1 - c2, a1 - a2
-        prior_g2, prior_g12 = inv2 / mc, (inv1 - inv2) / mc
-        # the constant parts of log q and of the second term, over a block
-        kl_const = (-half_log_2pi - c2) * d * mc
-
-    # Each step gathers its batch into these; xb's last column is the bias.
-    # The whole design with a bias column is never built, so the fit holds
-    # no second copy of the inputs.
-    inputs_b = np.empty((batch, d - 1))
-    xb = np.ones((batch, d))
-    yb = np.empty(batch)
-    yb_col = yb[:, None]
-
-    history = np.empty(hyper.epochs * steps_per_epoch)
-    step = 0
-    lr = hyper.learning_rate
-    mean_lr = MEAN_LR
-    avg_start = int(hyper.epochs * (1.0 - hyper.average_fraction))
-    mu_sum = np.zeros(d)
-    mu_count = 0
-
-    for epoch in range(hyper.epochs):
-        perm = rng.permutation(num_rows)
-        noise = rng.standard_normal((steps_per_epoch, mc, d))
-        half_noise_sq = (0.5 * np.einsum("smd,smd->s", noise, noise)).tolist()
-        mean_step = mean_lr * precond
-        for b in range(steps_per_epoch):
-            idx = perm[b * batch:(b + 1) * batch]
-            # indices from a permutation are in range, so "clip" clips none
-            np.take(inputs, idx, axis=0, out=inputs_b, mode="clip")
-            xb[:, :-1] = inputs_b
-            np.take(y, idx, out=yb, mode="clip")
-            eps = noise[b]
-            sigma = _softplus(rho)
-            log_sigma_sum = np.log(sigma).sum()
-            inv_sigma = 1.0 / sigma
-            w = sigma * eps
-            w += mu  # (mc, d): one weight draw per row
-            r = np.dot(xb, w.T)
-            r -= yb_col  # (batch, mc) residuals
-            loss = nll_scale * np.vdot(r, r) + mc * const_nll
-            r *= g_scale
-            g_w = np.dot(r.T, xb)  # (mc, d) likelihood gradients
-
-            if source is not None:
-                dev = mu - m0
-                loss += mc * (kl_const - log_sigma_sum
-                              + np.dot(sigma * sigma + dev * dev, half_inv_var0))
-                g_mu = g_w.sum(axis=0) + dev * inv_var0
-                g_sigma = (g_w * eps).sum(axis=0) + sigma * inv_var0 - inv_sigma
-            else:
-                w2 = w * w
-                z = z0 - z1 * w2
-                loss += (kl_const - mc * log_sigma_sum - half_noise_sq[b]
-                         + a2 * w2.sum() - np.logaddexp(0.0, z).sum())
-                # minus the gradient of the log prior density
-                g_w += w * (prior_g2 + expit(z) * prior_g12)
-                g_mu = g_w.sum(axis=0)
-                g_sigma = (g_w * eps).sum(axis=0) - inv_sigma
-
-            loss /= mc
-            if not math.isfinite(loss):
-                raise TrainingError("variational loss diverged", step=step)
-            history[step] = loss
-            g_rho = g_sigma * expit(rho)  # d softplus / d rho
-
-            step += 1
-            adam_m *= beta1
-            adam_m += (1 - beta1) * g_rho
-            adam_v *= beta2
-            adam_v += (1 - beta2) * g_rho * g_rho
-            # lr m_hat / (sqrt(v_hat) + eps), with both bias corrections
-            # folded into the scalars
-            root_bias2 = math.sqrt(1 - beta2 ** step)
-            update = (lr * root_bias2 / (1 - beta1 ** step)) * adam_m
-            update /= np.sqrt(adam_v) + adam_eps * root_bias2
-            mu -= mean_step @ g_mu
-            rho -= update
-        perm = None  # freed before the next epoch draws its permutation
-        lr *= hyper.lr_decay
-        mean_lr *= hyper.lr_decay
-        if epoch >= avg_start:
-            mu_sum += mu
-            mu_count += 1
-
-    # Tail-averaged means damp the Monte Carlo jitter of the final iterates.
-    if mu_count:
-        mu = mu_sum / mu_count
 
     prior = {"sigma1": PRIOR_SIGMA1, "sigma2": PRIOR_SIGMA2, "pi": PRIOR_PI}
-    if source is not None:
+    meta = {"home_id": home_id, "sample_count": design.rows, "hyper": hyper.to_dict(),
+            "prior": prior}
+    if source is None:
+        means, scales, meta["em_steps"], meta["neg_elbo"] = _fit_mixture(design, noise_var)
+    else:
         prior.update(override_means=list(source.means), override_scales=list(source.scales))
-    meta = {
-        "home_id": home_id,
-        "sample_count": int(num_rows),
-        "seed": int(seed),
-        "hyper": hyper.to_dict(),
-        "prior": prior,
-    }
-    return Posterior(order=n, means=mu, scales=_softplus(rho),
-                     noise_std=hyper.noise_std, training_meta=meta,
-                     loss_history=history)
+        means, scales, meta["alpha"], meta["log_evidence"], meta["neg_elbo"] = \
+            _fit_power_prior(design, noise_var, source)
+    return Posterior(order=n, means=means, scales=scales, noise_std=hyper.noise_std,
+                     training_meta=meta)
 
 
 def posterior_to_coeffs(posterior):
@@ -462,16 +424,17 @@ def predict_one_step(model, dataset):
     return dataset.inputs @ w[:-1] + w[-1]
 
 
-def transfer(source, target_train, hyper=None, seed=0, home_id=""):
+def transfer(source, target_train, hyper=None, home_id=""):
     """Posterior-as-prior transfer to a new home or season.
 
     With no target data the source posterior is returned unchanged (direct
-    transfer); otherwise the source posterior becomes a per-weight Gaussian
-    prior and the starting point for retraining on the target rows.
+    transfer); otherwise the source posterior, tempered by the evidence's
+    alpha, is the per-weight Gaussian prior for retraining on the target
+    rows.
     """
     if target_train is None or len(target_train) == 0:
         return source
-    return fit_bnn(target_train, hyper=hyper, seed=seed, home_id=home_id, source=source)
+    return fit_bnn(target_train, hyper=hyper, home_id=home_id, source=source)
 
 
 def rmse(predicted, actual):

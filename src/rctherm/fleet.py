@@ -38,6 +38,8 @@ HYSTERESIS_F = 0.5
 DEFAULT_RESTARTS = 10
 #: The elbow rule examines k = 1..ELBOW_K_MAX clusters (fewer on a small fleet).
 ELBOW_K_MAX = 10
+#: The construction years a home's metadata may hold.
+YEAR_BUILT_RANGE = (1800, 2100)
 _MAX_LLOYD_ITERS = 100
 
 
@@ -52,8 +54,9 @@ class HomeMetadata:
     def __post_init__(self):
         if not (np.isfinite(self.floor_area) and self.floor_area > 0):
             raise InvalidParameterError(f"floor_area must be positive, got {self.floor_area}")
-        if not 1800 <= self.year_built <= 2100:
-            raise InvalidParameterError(f"year_built {self.year_built} outside [1800, 2100]")
+        if not YEAR_BUILT_RANGE[0] <= self.year_built <= YEAR_BUILT_RANGE[1]:
+            raise InvalidParameterError(
+                f"year_built {self.year_built} outside {list(YEAR_BUILT_RANGE)}")
 
     @property
     def features(self):
@@ -288,6 +291,9 @@ class SeasonConfig:
     def __post_init__(self):
         if self.days < 1:
             raise ConfigError(f"season {self.name!r} needs days >= 1, got {self.days}")
+        if not self.weather_noise_std >= 0:
+            raise ConfigError(f"season {self.name!r} needs weather_noise_std >= 0, "
+                              f"got {self.weather_noise_std}")
 
     def to_dict(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -307,6 +313,11 @@ class FleetConfig:
     def __post_init__(self):
         if self.n_homes < 1:
             raise ConfigError("n_homes must be >= 1")
+        if self.order < 1:
+            raise ConfigError(f"order must be >= 1, got {self.order}")
+        if not self.measurement_noise_std >= 0:
+            raise ConfigError(f"measurement_noise_std must be >= 0, "
+                              f"got {self.measurement_noise_std}")
         if not self.seasons:
             raise ConfigError("a fleet needs at least one season")
         for name in ("floor_area_range", "year_built_range", "lift_range"):
@@ -315,6 +326,10 @@ class FleetConfig:
                 raise ConfigError(f"{name} must be increasing, got {[low, high]}")
         if self.lift_range[0] <= 0:
             raise ConfigError("steady-state lift must be positive")
+        low, high = self.year_built_range
+        if low < YEAR_BUILT_RANGE[0] or high > YEAR_BUILT_RANGE[1]:
+            raise ConfigError(f"year_built_range must lie within {list(YEAR_BUILT_RANGE)}, "
+                              f"got {[low, high]}")
 
 
 @dataclass(frozen=True)

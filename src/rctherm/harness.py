@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError, InvalidParameterError
 MODEL_KINDS = ("bnn_rc", "onercone", "arimax", "persistence")
 SCENARIOS = ("none", "cross-home", "cross-season")
 RETRAIN_CHOICES = (0, 1, 7)
-CONFIG_SCHEMA_VERSION = 2
+CONFIG_SCHEMA_VERSION = 3
 #: Config keys read as they are; absent ones take the dataclass defaults.
 _PLAIN_FIELDS = ("manifest", "order", "train_days", "test_days", "scenario", "retrain_days",
                  "cluster_k", "source_season", "target_season", "seed")
@@ -75,6 +75,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model kinds: {sorted(unknown)}")
         if self.fleet_config is None and self.manifest is None:
             raise ConfigError("config needs a synthetic fleet or a manifest")
+        for name in ("order", "train_days", "test_days"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
     def to_dict(self):
         out = {k: getattr(self, k) for k in _PLAIN_FIELDS if k != "manifest"}
@@ -145,14 +148,13 @@ class RmseReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["home_id", "model", "scenario", "rmse", "rmse_freerun",
-                         "n_train", "n_test", "seed", "model_file", "data_hash"])
+                         "n_train", "n_test", "model_file", "data_hash"])
         for rec in self.records:
             writer.writerow([
                 rec["home_id"], rec["model"], rec["scenario"],
                 repr(rec["rmse"]),
                 "" if rec["rmse_freerun"] is None else repr(rec["rmse_freerun"]),
-                rec["n_train"], rec["n_test"], rec["seed"],
-                rec["model_file"], rec["data_hash"],
+                rec["n_train"], rec["n_test"], rec["model_file"], rec["data_hash"],
             ])
         return buf.getvalue()
 
@@ -279,13 +281,13 @@ def _segment_hash(trace):
 # ---------------------------------------------------------------------------
 # The fit-and-evaluate pipeline
 
-def fit_model(kind, train, controls, order, hyper=None, seed=0, home_id=""):
+def fit_model(kind, train, controls, order, hyper=None, home_id=""):
     """Fit one model kind to a training segment: a Posterior (bnn_rc), a
     OneROneCFit (onercone) or an ArimaxModel (arimax, persistence). Each has
     ``to_json`` for its model file."""
     if kind == "bnn_rc":
         ds = timeseries.build_regression(train, controls, order)
-        return estimators.fit_bnn(ds, hyper=hyper, seed=seed, home_id=home_id)
+        return estimators.fit_bnn(ds, hyper=hyper, home_id=home_id)
     if kind == "onercone":
         return estimators.fit_1r1c(train, controls)
     if kind in ("arimax", "persistence"):
@@ -340,10 +342,6 @@ def run_experiment(config, out_dir=None):
     present = [m for m in metadata
                if (m.home_id, src) in traces and (m.home_id, dst) in traces]
     exclusions = sorted({m.home_id for m in metadata} - {m.home_id for m in present})
-    # a stable per-home fitting seed from the experiment seed and the home's
-    # list position: in `present` for cross-home, in `metadata` otherwise
-    ordered = present if scenario == "cross-home" else metadata
-    seeds = {m.home_id: config.seed + 7919 * (i + 1) for i, m in enumerate(ordered)}
 
     def segments(home_id):
         """(train, test, retrain head or None) of one home."""
@@ -363,7 +361,7 @@ def run_experiment(config, out_dir=None):
 
     def fit(kind, home_id, train, controls):
         return fit_model(kind, train, controls, config.order, hyper=config.hyper,
-                         seed=seeds[home_id], home_id=home_id)
+                         home_id=home_id)
 
     sources = {}  # cluster index -> representative's posterior
     if scenario == "cross-home":
@@ -396,7 +394,7 @@ def run_experiment(config, out_dir=None):
                 target_ds = None if head is None else timeseries.build_regression(
                     head, timeseries.derive_controls(head), config.order)
                 model = estimators.transfer(source, target_ds, hyper=config.hyper,
-                                            seed=seeds[home_id], home_id=home_id)
+                                            home_id=home_id)
             one_step, free = evaluate(model, test, test_controls)
             model_file = ""
             if out_path is not None:
@@ -410,7 +408,6 @@ def run_experiment(config, out_dir=None):
                 "rmse_freerun": free,
                 "n_train": len(train),
                 "n_test": len(test),
-                "seed": seeds[home_id],
                 "model_file": model_file,
                 "data_hash": data_hash,
             })

@@ -78,17 +78,16 @@ def fleet_rmse_table():
     config = fleet.FleetConfig(n_homes=20, seasons=(SHOULDER_90,),
                                measurement_noise_std=sigma)
     homes, traces = fleet.synth_fleet(config, seed=42)
-    hyper = est.TrainingConfig(learning_rate=1e-2, epochs=250,
-                               noise_std=sigma, lr_decay=0.99)
+    hyper = est.TrainingConfig(noise_std=sigma)
     table = {75: [], 7: [], 1: [], "arimax": [], "persistence": []}
-    for i, home in enumerate(homes):
+    for home in homes:
         trace = traces[(home.metadata.home_id, "shoulder")]
         train75, test = ts.split(trace, 75, 15)
         test_ds = ts.build_regression(test, ts.derive_controls(test), 2)
         for days in (75, 7, 1):
             sub = ts.slice_trace(train75, 0, days * ts.SAMPLES_PER_DAY)
             ds = ts.build_regression(sub, ts.derive_controls(sub), 2)
-            post = est.fit_bnn(ds, hyper=hyper, seed=1000 + i)
+            post = est.fit_bnn(ds, hyper=hyper)
             dc = est.posterior_to_coeffs(post)
             table[days].append(
                 est.rmse(est.predict_one_step(dc, test_ds), test_ds.targets))
@@ -200,9 +199,7 @@ def test_criterion_06_bnn_recovery_noiseless_and_noisy():
     # noiseless: 75 training days, 15 held-out days
     dataset = open_loop_dataset(dc, seed=101, days=90)
     train, test = split_by_day(dataset, 75)
-    hyper = est.TrainingConfig(learning_rate=5e-3, epochs=300,
-                               noise_std=0.005, lr_decay=0.985)
-    post = est.fit_bnn(train, hyper=hyper, seed=0)
+    post = est.fit_bnn(train, hyper=est.TrainingConfig(noise_std=0.005))
     assert post.num_weights == 11      # 2R2C: exactly 11 weights ...
     assert post.means.shape == (12,)   # ... plus 1 bias
     got = est.posterior_to_coeffs(post)
@@ -212,14 +209,13 @@ def test_criterion_06_bnn_recovery_noiseless_and_noisy():
     noiseless_rmse = est.rmse(est.predict_one_step(got, test), test.targets)
     assert noiseless_rmse <= 0.02
     # measurement noise 0.05 degF: held-out RMSE <= 0.1 averaged over 20 seeds
-    noisy_hyper = est.TrainingConfig(learning_rate=5e-3, epochs=80,
-                                     noise_std=0.05, lr_decay=0.985)
+    noisy_hyper = est.TrainingConfig(noise_std=0.05)
     noisy = []
     for seed in range(20):
         dataset = open_loop_dataset(dc, seed=200 + seed, noise_std=0.05,
                                     days=90)
         train, test = split_by_day(dataset, 75)
-        post = est.fit_bnn(train, hyper=noisy_hyper, seed=seed)
+        post = est.fit_bnn(train, hyper=noisy_hyper)
         got = est.posterior_to_coeffs(post)
         noisy.append(est.rmse(est.predict_one_step(got, test), test.targets))
     assert np.mean(noisy) <= 0.1
@@ -236,8 +232,7 @@ def test_criterion_07_data_volume_ordering(fleet_rmse_table):
 
 
 def test_criterion_08_cross_home_transfer():
-    hyper = est.TrainingConfig(learning_rate=5e-3, epochs=200,
-                               noise_std=0.05, lr_decay=0.985)
+    hyper = est.TrainingConfig(noise_std=0.05)
     base = dict(
         fleet_config=fleet.FleetConfig(n_homes=40, seasons=(SHOULDER_90,)),
         model_kinds=("bnn_rc",), train_days=75, test_days=15,
@@ -267,14 +262,7 @@ def test_criterion_09_cross_season_transfer():
             setcool_day=74.0, setcool_night=77.0, hvac_mode=ts.MODE_AUTO,
             param_shift=shift)
 
-    source_hyper = est.TrainingConfig(
-        learning_rate=5e-3, epochs=400, noise_std=sigma, lr_decay=0.995,
-        mc_samples=4, average_fraction=0.5)
-    # retraining sees a single day of data, so a heavier Monte Carlo budget
-    # is affordable and keeps the refit close to its analytic optimum
-    retrain_hyper = est.TrainingConfig(
-        learning_rate=5e-3, epochs=600, noise_std=sigma, lr_decay=0.995,
-        mc_samples=32, average_fraction=0.5, batch_size=512)
+    hyper = est.TrainingConfig(noise_std=sigma)
 
     day = ts.SAMPLES_PER_DAY
     direct_means, retrain_means = [], []
@@ -284,13 +272,12 @@ def test_criterion_09_cross_season_transfer():
             seasons=(season("spring"), season("autumn", shift=0.2)))
         homes, traces = fleet.synth_fleet(config, seed=seed)
         direct_rmses, retrain_rmses = [], []
-        for idx, home in enumerate(homes):
+        for home in homes:
             src = traces[(home.metadata.home_id, "spring")]
             dst = traces[(home.metadata.home_id, "autumn")]
             train, _ = ts.split(src, 10, 2)
             ds = ts.build_regression(train, ts.derive_controls(train), 2)
-            post = est.fit_bnn(ds, hyper=source_hyper,
-                               seed=seed + 7919 * (idx + 1))
+            post = est.fit_bnn(ds, hyper=hyper)
             head = ts.slice_trace(dst, 0, day)
             head_ds = ts.build_regression(head, ts.derive_controls(head), 2)
             test = ts.slice_trace(dst, len(dst) - 2 * day, len(dst))
@@ -298,8 +285,7 @@ def test_criterion_09_cross_season_transfer():
             dc_direct = est.posterior_to_coeffs(est.transfer(post, None))
             direct_rmses.append(est.rmse(
                 est.predict_one_step(dc_direct, test_ds), test_ds.targets))
-            refit = est.transfer(post, head_ds, hyper=retrain_hyper,
-                                 seed=seed + 7919 * (idx + 1))
+            refit = est.transfer(post, head_ds, hyper=hyper)
             dc_refit = est.posterior_to_coeffs(refit)
             retrain_rmses.append(est.rmse(
                 est.predict_one_step(dc_refit, test_ds), test_ds.targets))
@@ -349,7 +335,7 @@ def test_criterion_12_experiment_determinism(tmp_path):
             n_homes=2, seasons=(fleet.SeasonConfig(name="winter", days=4),)),
         model_kinds=("bnn_rc", "persistence"),
         train_days=3, test_days=1,
-        hyper=est.TrainingConfig(epochs=5), seed=3)
+        seed=3)
     harness.run_experiment(config, out_dir=tmp_path / "a")
     harness.run_experiment(config, out_dir=tmp_path / "b")
     for name in ("records.csv", "summary.json"):

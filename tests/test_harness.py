@@ -16,9 +16,6 @@ from rctherm.errors import ConfigError, DataError, RcthermError, ShapeError
 from test_fleet import SHOULDER
 from test_timeseries import make_trace
 
-FAST_HYPER = estimators.TrainingConfig(epochs=5)
-
-
 def small_config(**overrides):
     fields = dict(
         fleet_config=fleet.FleetConfig(
@@ -27,7 +24,6 @@ def small_config(**overrides):
         model_kinds=("bnn_rc",),
         train_days=3,
         test_days=1,
-        hyper=FAST_HYPER,
     )
     fields.update(overrides)
     return harness.ExperimentConfig(**fields)
@@ -53,7 +49,7 @@ def test_report_write(tmp_path):
     report = harness.RmseReport(
         records=[{"home_id": "h", "model": "bnn_rc", "scenario": "none",
                   "rmse": 0.1, "rmse_freerun": None, "n_train": 10,
-                  "n_test": 5, "seed": 1, "model_file": "", "data_hash": "x"}],
+                  "n_test": 5, "model_file": "", "data_hash": "x"}],
         summaries={"bnn_rc/none": {"mean": 0.1}},
         exclusions=[])
     report.write(tmp_path / "out")
@@ -114,17 +110,23 @@ def _edited_config(edit):
     _edited_config(lambda d: d.update(manifest=5)),
     _edited_config(lambda d: d.update(source_season=3)),
     _edited_config(lambda d: d.update(scenario=None)),
-    _edited_config(lambda d: d["hyper"].update(epochs="x")),
-    _edited_config(lambda d: d["hyper"].update(mc_samples=True)),
-    # keys of the version-1 schema, or a version-1 config
-    _edited_config(lambda d: d["hyper"].update(precondition=True)),
-    _edited_config(lambda d: d["hyper"].update(init_scale=0.05)),
-    _edited_config(lambda d: d.update(schema_version=1)),
+    _edited_config(lambda d: d["hyper"].update(noise_std="x")),
+    _edited_config(lambda d: d["hyper"].update(noise_std=True)),
+    # keys of the version-2 schema, or a version-2 config
+    _edited_config(lambda d: d["hyper"].update(learning_rate=1e-3)),
+    _edited_config(lambda d: d["hyper"].update(epochs=200)),
+    _edited_config(lambda d: d.update(schema_version=2)),
     # impossible values, which would otherwise fail inside run_experiment
-    _edited_config(lambda d: d["hyper"].update(batch_size=0)),
-    _edited_config(lambda d: d["hyper"].update(mc_samples=0)),
     _edited_config(lambda d: d["hyper"].update(noise_std=0)),
-    _edited_config(lambda d: d["hyper"].update(average_fraction=2)),
+    _edited_config(lambda d: d["hyper"].update(noise_std=-0.1)),
+    _edited_config(lambda d: d.update(order=0)),
+    _edited_config(lambda d: d.update(train_days=0)),
+    _edited_config(lambda d: d.update(test_days=0)),
+    _edited_config(lambda d: d["fleet"].update(order=0)),
+    _edited_config(lambda d: d["fleet"].update(measurement_noise_std=-1)),
+    _edited_config(lambda d: d["fleet"].update(year_built_range=[1000, 1200])),
+    _edited_config(lambda d: d["fleet"].update(year_built_range=[2000, 2200])),
+    _edited_config(lambda d: d["fleet"]["seasons"][0].update(weather_noise_std=-1)),
     _edited_config(lambda d: d["fleet"].update(n_homes=2.5)),
     _edited_config(lambda d: d["fleet"].update(measurement_noise_std="0.1")),
     _edited_config(lambda d: d["fleet"].update(floor_area_range=["a", 1])),
@@ -183,7 +185,7 @@ _MANIFEST = {"homes": [{
 }]}
 
 _POSTERIOR = estimators.Posterior(order=1, means=np.arange(8.0), scales=np.ones(8),
-                                  noise_std=0.1, training_meta={"seed": 1})
+                                  noise_std=0.1, training_meta={"home_id": "h0"})
 
 _RC_PARAMS = {"resistances": [1.0, 2.0], "capacitances": [0.1, 0.2],
               "q_heat": 15.0, "q_cool": 12.0}
@@ -409,6 +411,10 @@ def test_cli_exit_codes(tmp_path):
     # no library subcommand
     assert cli.main(["experiment"]) == 1
     assert cli.main(["fit", "x.csv", "--config", "c.json"]) == 1
+    # usage: --seed belongs to the commands that draw random numbers only
+    # (without it, these missing files are a data error)
+    assert cli.main(["fit", "x.csv", "--seed", "1"]) == 1
+    assert cli.main(["transfer", "m.json", "x.csv", "--seed", "1"]) == 1
     assert cli.main(["library", str(tmp_path)]) == 1
     # usage: a config that is not JSON
     config = tmp_path / "config.json"
@@ -418,7 +424,12 @@ def test_cli_exit_codes(tmp_path):
     config.write_text(_edited_config(lambda d: d.update(train_days="x")))
     assert cli.main(["experiment", "--config", str(config), "--out", str(tmp_path)]) == 1
     # usage: a config with an impossible value
-    for edit in (lambda d: d["hyper"].update(batch_size=0),
+    for edit in (lambda d: d["hyper"].update(noise_std=0),
+                 lambda d: d.update(order=0),
+                 lambda d: d.update(train_days=0),
+                 lambda d: d["fleet"].update(measurement_noise_std=-1),
+                 lambda d: d["fleet"].update(year_built_range=[1000, 1200]),
+                 lambda d: d["fleet"]["seasons"][0].update(weather_noise_std=-1),
                  lambda d: d["fleet"].update(seasons=[]),
                  lambda d: d["fleet"]["seasons"][0].update(days=0),
                  lambda d: d["fleet"].update(floor_area_range=[5, 1]),
@@ -502,8 +513,8 @@ def test_cli_experiment(tmp_path):
 @pytest.mark.parametrize("kind", harness.MODEL_KINDS)
 def test_cli_fit_writes_the_harness_model_bytes(tmp_path, kind):
     # the CLI and the harness share one fit path: fitting a home's training
-    # segment from CSV with that home's seed gives the harness's model file
-    config = small_config(model_kinds=(kind,), hyper=estimators.TrainingConfig(),
+    # segment from CSV gives the harness's model file
+    config = small_config(model_kinds=(kind,),
                           fleet_config=fleet.FleetConfig(n_homes=2, seasons=(SHOULDER,)),
                           train_days=4, test_days=1, seed=5)
     report = harness.run_experiment(config, out_dir=tmp_path / "run")
@@ -514,7 +525,7 @@ def test_cli_fit_writes_the_harness_model_bytes(tmp_path, kind):
                             config.test_days)
         ts.write_trace_csv(train, tmp_path / f"{home}.csv")
         assert cli.main(["fit", str(tmp_path / f"{home}.csv"), "--kind", kind,
-                         "--seed", str(record["seed"]), "--home-id", home,
+                         "--home-id", home,
                          "--out", str(tmp_path / "fit")]) == 0
         assert (tmp_path / "fit" / f"{home}__{kind}.json").read_bytes() == \
             (tmp_path / "run" / record["model_file"]).read_bytes()
