@@ -71,7 +71,6 @@ def build_parser():
     _add_common(p)
     p.add_argument("model", type=Path, help="source Posterior JSON")
     p.add_argument("trace", type=Path, help="target trace CSV (may be short)")
-    p.add_argument("--order", type=int, default=2)
     p.add_argument("--home-id", default="home")
 
     p = sub.add_parser("experiment", help="run a configured experiment")
@@ -160,12 +159,11 @@ def _cmd_coeffs(args):
 
 def _cmd_cluster(args):
     metadata = fleet.read_metadata_csv(args.metadata)
-    k = args.k or fleet.choose_k(metadata, args.seed)
-    clustering = fleet.cluster_homes(metadata, k, seed=args.seed)
+    clustering = fleet.cluster_homes(metadata, args.k, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "clustering.json").write_text(clustering.to_json())
-    print(f"k={k} sse={clustering.sse!r}")
+    print(f"k={clustering.k} sse={clustering.sse!r}")
     return 0
 
 
@@ -173,7 +171,7 @@ def _cmd_transfer(args):
     source = estimators.Posterior.from_json(args.model.read_text())
     trace = _load_trace(args.trace, args.home_id)
     controls = timeseries.derive_controls(trace)
-    ds = timeseries.build_regression(trace, controls, args.order)
+    ds = timeseries.build_regression(trace, controls, source.order)
     posterior = estimators.transfer(source, ds, home_id=args.home_id)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

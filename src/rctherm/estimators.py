@@ -96,46 +96,42 @@ class OneROneCFit:
     valid: bool
     residual_norm: float
 
+    @property
+    def coeffs(self):
+        """y_t = (1 - a) y_{t-1} + a t_out_{t-1} + b k_heat_{t-1} - c k_cool_{t-1}."""
+        return DiffCoeffs(order=1, s=[[0.0, 0.0, 0.0], [self.a, self.b, -self.c]],
+                          e=[self.a - 1.0])
+
     def to_json(self):
         return json.dumps({"kind": "onercone", **asdict(self)}, sort_keys=True)
 
 
-def fit_1r1c(train, controls):
-    """Fit the first-difference 1R1C equation by non-negative least squares.
+def fit_1r1c(dataset):
+    """Fit the first-difference 1R1C equation to an order-1 regression
+    dataset by non-negative least squares: y_t - y_{t-1} on
+    (t_out_{t-1} - y_{t-1}, k_heat_{t-1}, -k_cool_{t-1}).
 
     The fit is flagged invalid when the envelope coefficient vanishes, or
-    when heating (cooling) samples exist but the corresponding flux
+    when heating (cooling) rows exist but the corresponding flux
     coefficient vanishes.
     """
-    if train.has_missing:
-        raise InsufficientDataError("fit_1r1c requires an imputed trace")
-    y = np.diff(train.t_in)
-    design = np.column_stack([
-        (train.t_out - train.t_in)[:-1],
-        controls.k_heat[:-1].astype(float),
-        -controls.k_cool[:-1].astype(float),
-    ])
+    if dataset.order != 1:
+        raise ShapeError(f"fit_1r1c needs an order-1 dataset, got order {dataset.order}")
+    if len(dataset) == 0:
+        raise InsufficientDataError("regression dataset is empty")
+    t_out, k_heat, k_cool, y_prev = dataset.inputs[:, 3:].T  # the u_{t-1}, y_{t-1} columns
+    y = dataset.targets - y_prev
+    design = np.column_stack([t_out - y_prev, k_heat, -k_cool])
     x = nnls(design, y)
     a_hat, b_hat, c_hat = x
-    has_heat = bool(controls.k_heat[:-1].any())
-    has_cool = bool(controls.k_cool[:-1].any())
     valid = bool(a_hat > _VALID_EPS)
-    if has_heat and b_hat <= _VALID_EPS:
+    if k_heat.any() and b_hat <= _VALID_EPS:
         valid = False
-    if has_cool and c_hat <= _VALID_EPS:
+    if k_cool.any() and c_hat <= _VALID_EPS:
         valid = False
     residual = float(np.linalg.norm(design @ x - y))
     return OneROneCFit(a=float(a_hat), b=float(b_hat), c=float(c_hat),
                        valid=valid, residual_norm=residual)
-
-
-def predict_1r1c(fit, trace, controls):
-    """Teacher-forced one-step predictions for t in [1, len)."""
-    t_in = trace.t_in[:-1]
-    return (t_in
-            + fit.a * (trace.t_out[:-1] - t_in)
-            + fit.b * controls.k_heat[:-1]
-            - fit.c * controls.k_cool[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +185,8 @@ class Posterior:
     training_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.order, int) or isinstance(self.order, bool) or self.order < 1:
+            raise ShapeError(f"posterior order must be an int >= 1, got {self.order!r}")
         d = 4 * self.order + 4
         object.__setattr__(self, "means", np.asarray(self.means, dtype=float))
         object.__setattr__(self, "scales", np.asarray(self.scales, dtype=float))
@@ -200,6 +198,11 @@ class Posterior:
     @property
     def num_weights(self):
         return 4 * self.order + 3
+
+    @property
+    def coeffs(self):
+        """The difference equation of the posterior means."""
+        return posterior_to_coeffs(self)
 
     def to_dict(self):
         return {

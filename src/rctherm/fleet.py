@@ -35,7 +35,7 @@ from .timeseries import (
 )
 
 HYSTERESIS_F = 0.5
-DEFAULT_RESTARTS = 10
+KMEANS_RESTARTS = 10
 #: The elbow rule examines k = 1..ELBOW_K_MAX clusters (fewer on a small fleet).
 ELBOW_K_MAX = 10
 #: The construction years a home's metadata may hold.
@@ -140,11 +140,11 @@ def _lloyd(points, centroids):
     return centroids, labels, sse
 
 
-def kmeans(points, k, seed=0, restarts=DEFAULT_RESTARTS, init=None):
-    """Best-of-restarts Lloyd iterations from k-means++ seeding.
+def kmeans(points, k, seed=0, init=None):
+    """Best of KMEANS_RESTARTS Lloyd runs from k-means++ seeding.
 
     ``init`` optionally adds one extra restart from given starting centroids
-    (used by sse_curve to inherit the previous k's solution).
+    (used by the elbow curve to inherit the previous k's solution).
     Returns (centroids, labels, sse).
     """
     points = np.asarray(points, dtype=float)
@@ -154,7 +154,7 @@ def kmeans(points, k, seed=0, restarts=DEFAULT_RESTARTS, init=None):
         raise DataError(f"cannot form {k} clusters from {len(points)} points")
     rng = np.random.default_rng(seed)
     best = None
-    starts = [_kmeans_pp_init(points, k, rng) for _ in range(restarts)]
+    starts = [_kmeans_pp_init(points, k, rng) for _ in range(KMEANS_RESTARTS)]
     if init is not None:
         starts.append(np.asarray(init, dtype=float).copy())
     for start in starts:
@@ -175,40 +175,43 @@ def _standardize(metadata):
 
 
 def cluster_homes(metadata, k, seed=0):
-    """Standardize metadata features and cluster; returns a Clustering."""
+    """Standardize metadata features and cluster; returns a Clustering.
+
+    k = 0 picks k by the elbow rule over k = 1..min(ELBOW_K_MAX, number of
+    homes) and keeps the elbow curve's own clustering at that k.
+    """
     homes = list(metadata)
     points, mean, std = _standardize(homes)
-    centroids, labels, sse = kmeans(points, k, seed=seed)
+    if k:
+        centroids, labels, sse = kmeans(points, k, seed=seed)
+    else:
+        curve = _elbow_curve(points, min(ELBOW_K_MAX, len(points)), seed)
+        k = select_k(diminishing_return([result[2] for result in curve]))[0]
+        centroids, labels, sse = curve[k - 1]
     assignments = {h.home_id: int(lab) for h, lab in zip(homes, labels)}
     return Clustering(k=k, centroids=centroids, assignments=assignments,
                       sse=sse, feature_mean=mean, feature_std=std)
 
 
-def sse_curve(points, k_max, seed=0):
-    """SSE of the best clustering for k = 1..k_max; non-increasing.
-
-    Each k inherits the previous k's centroids (plus the farthest point) as
-    an extra restart. A residual increase is retried once with doubled
-    restarts.
-    """
-    points = np.asarray(points, dtype=float)
-    sses = []
-    prev_centroids = None
+def _elbow_curve(points, k_max, seed):
+    """kmeans' (centroids, labels, sse) for k = 1..k_max. Each k also
+    restarts from the previous k's centroids plus the point farthest from
+    them, so the SSE does not increase with k (up to rounding)."""
+    curve = []
     for k in range(1, k_max + 1):
         init = None
-        if prev_centroids is not None:
-            d2 = np.min(np.sum((points[:, None, :] - prev_centroids[None, :, :]) ** 2, axis=2), axis=1)
-            extra = points[np.argmax(d2)]
-            init = np.vstack([prev_centroids, extra])
-        centroids, _, sse = kmeans(points, k, seed=seed + k, init=init)
-        if sses and sse > sses[-1]:
-            centroids2, _, sse2 = kmeans(points, k, seed=seed + k,
-                                         restarts=2 * DEFAULT_RESTARTS, init=init)
-            if sse2 < sse:
-                centroids, sse = centroids2, sse2
-        sses.append(sse)
-        prev_centroids = centroids
-    return np.array(sses)
+        if curve:
+            prev = curve[-1][0]
+            d2 = np.min(np.sum((points[:, None, :] - prev[None, :, :]) ** 2, axis=2), axis=1)
+            init = np.vstack([prev, points[np.argmax(d2)]])
+        curve.append(kmeans(points, k, seed=seed + k, init=init))
+    return curve
+
+
+def sse_curve(points, k_max, seed=0):
+    """SSE of the best clustering for k = 1..k_max; non-increasing."""
+    curve = _elbow_curve(np.asarray(points, dtype=float), k_max, seed)
+    return np.array([sse for _, _, sse in curve])
 
 
 def diminishing_return(sse):
@@ -235,14 +238,6 @@ def select_k(d, flat_threshold_pct=5.0):
         if flat[i:].all():
             return i + 1, True
     return len(d) + 1, False
-
-
-def choose_k(metadata, seed):
-    """Cluster count by the elbow rule on the standardized metadata features,
-    examining k = 1..min(ELBOW_K_MAX, number of homes)."""
-    points, _, _ = _standardize(metadata)
-    sses = sse_curve(points, min(ELBOW_K_MAX, len(points)), seed=seed)
-    return select_k(diminishing_return(sses))[0]
 
 
 def representative(clustering, cluster_index, metadata):

@@ -289,7 +289,7 @@ def fit_model(kind, train, controls, order, hyper=None, home_id=""):
         ds = timeseries.build_regression(train, controls, order)
         return estimators.fit_bnn(ds, hyper=hyper, home_id=home_id)
     if kind == "onercone":
-        return estimators.fit_1r1c(train, controls)
+        return estimators.fit_1r1c(timeseries.build_regression(train, controls, 1))
     if kind in ("arimax", "persistence"):
         arima = baselines.ArimaxOrder() if kind == "arimax" else baselines.ArimaxOrder(0, 1, 0)
         return baselines.fit_arimax(train, controls, order=arima)
@@ -298,21 +298,15 @@ def fit_model(kind, train, controls, order, hyper=None, home_id=""):
 
 def evaluate(model, test, controls):
     """(one-step RMSE, free-running RMSE or None) of a fitted model on a test
-    segment. Coefficient models (bnn_rc, onercone) also run free from the
-    first measured lags; ARIMAX has no free-running column."""
+    segment. A coefficient model (bnn_rc, onercone) is scored on the test
+    segment's regression rows, then also runs free from the first measured
+    lags; ARIMAX has no free-running column."""
     if isinstance(model, baselines.ArimaxModel):
         pred = baselines.predict_arimax(model, test, controls)
         return estimators.rmse(pred, test.t_in[model.warmup:]), None
-    if isinstance(model, estimators.OneROneCFit):
-        pred = estimators.predict_1r1c(model, test, controls)
-        one_step = estimators.rmse(pred, test.t_in[1:])
-        dc = rcnet.DiffCoeffs(order=1, s=np.array([[0.0, 0.0, 0.0],
-                                                   [model.a, model.b, -model.c]]),
-                              e=np.array([model.a - 1.0]))
-    else:
-        dc = estimators.posterior_to_coeffs(model)
-        ds = timeseries.build_regression(test, controls, dc.order)
-        one_step = estimators.rmse(estimators.predict_one_step(dc, ds), ds.targets)
+    dc = model.coeffs
+    ds = timeseries.build_regression(test, controls, dc.order)
+    one_step = estimators.rmse(estimators.predict_one_step(dc, ds), ds.targets)
     n = dc.order
     free = rcnet.simulate_difference(dc, timeseries.exog(test, controls), test.t_in[:n])
     return one_step, estimators.rmse(free[n:], test.t_in[n:])
@@ -365,9 +359,8 @@ def run_experiment(config, out_dir=None):
 
     sources = {}  # cluster index -> representative's posterior
     if scenario == "cross-home":
-        k = config.cluster_k or fleet.choose_k(present, config.seed)
-        clustering = fleet.cluster_homes(present, k, seed=config.seed)
-        for cluster_index in range(k):
+        clustering = fleet.cluster_homes(present, config.cluster_k, seed=config.seed)
+        for cluster_index in range(clustering.k):
             rep_id = fleet.representative(clustering, cluster_index, present)
             train = segments(rep_id)[0]
             sources[cluster_index] = fit("bnn_rc", rep_id, train,

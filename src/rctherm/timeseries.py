@@ -541,12 +541,15 @@ def exog(trace, controls):
 def build_regression(trace, controls, order):
     """Assemble the lagged design matrix for an order-n model.
 
-    One row per time index t in [order, len); rows whose lag window
-    [t-order, t] overlaps a long imputation gap are dropped.
+    Requires an imputed trace. One row per time index t in [order, len);
+    rows whose lag window [t-order, t] overlaps a long imputation gap are
+    dropped.
     """
     n = int(order)
     if n < 1:
         raise ParseError("order must be >= 1")
+    if trace.has_missing:
+        raise UnimputableError("build_regression requires an imputed trace")
     if len(trace) <= n + 1:
         raise InsufficientDataError(f"trace length {len(trace)} too short for order {n}")
     if len(controls) != len(trace):

@@ -187,7 +187,7 @@ def test_criterion_05_nnls_kkt_oracle_and_recovery():
             assert np.abs(x - projected_gradient_nnls(a, y)).max() < 1e-6
     # noiseless 1R1C recovery
     trace, controls = _oner_trace(0.05, 0.4, 0.3, 2000, seed=3)
-    fit = est.fit_1r1c(trace, controls)
+    fit = est.fit_1r1c(ts.build_regression(trace, controls, 1))
     assert fit.valid
     assert fit.a == pytest.approx(0.05, rel=1e-6)
     assert fit.b == pytest.approx(0.4, rel=1e-6)

@@ -91,9 +91,12 @@ def _oner_trace(a, b, c, steps, seed, noise_std=0.0):
     return ts.impute(trace), ts.ControlSeries(k_heat=kh, k_cool=kc)
 
 
+def _oner_rows(trace, controls):
+    return ts.build_regression(trace, controls, 1)
+
+
 def test_fit_1r1c_noiseless_recovery():
-    trace, controls = _oner_trace(0.05, 0.4, 0.3, 2000, seed=3)
-    fit = est.fit_1r1c(trace, controls)
+    fit = est.fit_1r1c(_oner_rows(*_oner_trace(0.05, 0.4, 0.3, 2000, seed=3)))
     assert fit.valid
     assert fit.a == pytest.approx(0.05, rel=1e-9)
     assert fit.b == pytest.approx(0.4, rel=1e-9)
@@ -106,7 +109,7 @@ def test_fit_1r1c_noisy_recovery_averaged():
     for seed in range(20):
         trace, controls = _oner_trace(0.05, 0.4, 0.3, 4000, seed=seed,
                                       noise_std=0.05)
-        fit = est.fit_1r1c(trace, controls)
+        fit = est.fit_1r1c(_oner_rows(trace, controls))
         errs.append([fit.a, fit.b, fit.c])
     mean = np.mean(errs, axis=0)
     assert mean == pytest.approx([0.05, 0.4, 0.3], rel=0.05)
@@ -120,7 +123,7 @@ def test_fit_1r1c_invalid_when_envelope_vanishes():
     trace = ts.impute(make_trace(n, t_in=t.copy(), t_out=t.copy()))
     controls = ts.ControlSeries(k_heat=np.zeros(n, dtype=np.int8),
                                 k_cool=np.zeros(n, dtype=np.int8))
-    fit = est.fit_1r1c(trace, controls)
+    fit = est.fit_1r1c(_oner_rows(trace, controls))
     assert not fit.valid
 
 
@@ -132,22 +135,27 @@ def test_fit_1r1c_invalid_when_flux_vanishes():
     controls = ts.ControlSeries(
         k_heat=(rng.random(n) < 0.3).astype(np.int8),
         k_cool=np.zeros(n, dtype=np.int8))
-    fit = est.fit_1r1c(trace, controls)
+    fit = est.fit_1r1c(_oner_rows(trace, controls))
     assert not fit.valid
 
 
-def test_fit_1r1c_requires_imputed():
-    trace = make_trace(10, t_in=np.r_[np.nan, np.linspace(70, 71, 9)])
-    controls = ts.ControlSeries(k_heat=np.zeros(10), k_cool=np.zeros(10))
+def test_fit_1r1c_takes_order_1_rows_only():
+    trace, controls = _oner_trace(0.05, 0.4, 0.3, 50, seed=4)
+    with pytest.raises(ShapeError):
+        est.fit_1r1c(ts.build_regression(trace, controls, 2))
+    empty = ts.RegressionDataset(order=1, inputs=np.zeros((0, 7)),
+                                 targets=np.zeros(0), indices=np.zeros(0, dtype=int))
     with pytest.raises(InsufficientDataError):
-        est.fit_1r1c(trace, controls)
+        est.fit_1r1c(empty)
 
 
-def test_predict_1r1c_exact_on_generated_data():
-    trace, controls = _oner_trace(0.05, 0.4, 0.3, 500, seed=5)
-    fit = est.fit_1r1c(trace, controls)
-    preds = est.predict_1r1c(fit, trace, controls)
-    assert preds == pytest.approx(trace.t_in[1:], abs=1e-8)
+def test_1r1c_coeffs_predict_exactly_on_generated_data():
+    ds = _oner_rows(*_oner_trace(0.05, 0.4, 0.3, 500, seed=5))
+    fit = est.fit_1r1c(ds)
+    dc = fit.coeffs
+    assert dc.s.tolist() == [[0.0, 0.0, 0.0], [fit.a, fit.b, -fit.c]]
+    assert dc.e.tolist() == [fit.a - 1.0] and dc.offset == 0.0
+    assert est.predict_one_step(dc, ds) == pytest.approx(ds.targets, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

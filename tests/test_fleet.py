@@ -124,24 +124,45 @@ def test_assign_new_home_to_nearest_centroid():
     assert fleet.assign(fleet.HomeMetadata("f", 2600.0, 1995), clustering) == 1  # (1.2, 0.5)
 
 
-def test_choose_k_matches_the_elbow_rule(rng):
+def test_elbow_clustering_matches_the_elbow_rule(rng):
     metadata, _ = planted_blobs(rng)
     points, _, _ = fleet._standardize(metadata)
     sses = fleet.sse_curve(points, min(fleet.ELBOW_K_MAX, len(points)), seed=4)
     expected, _ = fleet.select_k(fleet.diminishing_return(sses))
-    assert fleet.choose_k(metadata, seed=4) == expected
+    assert fleet.cluster_homes(metadata, 0, seed=4).k == expected
 
 
-def test_choose_k_handles_a_constant_feature():
+def uniform_metadata(seed, n):
+    """n homes with uniform floor areas and construction years: no planted
+    clusters, so k-means restarts from other seeds end in other optima."""
+    rng = np.random.default_rng(seed)
+    return [fleet.HomeMetadata(f"h{i:02d}", float(rng.uniform(800, 4000)),
+                               int(rng.integers(1950, 2021))) for i in range(n)]
+
+
+def test_elbow_clustering_is_the_curves_own():
+    # the clustering at the elbow's k is the one whose SSE the curve reports,
+    # not a second k-means run from other seeds
+    metadata = uniform_metadata(0, 20)
+    clustering = fleet.cluster_homes(metadata, 0, seed=0)
+    points, _, _ = fleet._standardize(metadata)
+    sses = fleet.sse_curve(points, min(fleet.ELBOW_K_MAX, len(points)), seed=0)
+    assert clustering.sse == sses[clustering.k - 1]
+    labels = np.array([clustering.assignments[m.home_id] for m in metadata])
+    assert np.sum((points - clustering.centroids[labels]) ** 2) == \
+        pytest.approx(clustering.sse, rel=1e-12)
+
+
+def test_elbow_clustering_handles_a_constant_feature():
     # every home built the same year: that feature has std 0 and keeps unit
     # scale, so it adds nothing and its value does not matter
     areas = [1000.0, 1040.0, 1080.0, 3000.0, 3040.0, 3080.0, 3120.0]
     homes = lambda year: [fleet.HomeMetadata(f"h{i}", a, year) for i, a in enumerate(areas)]
     points, mean, std = fleet._standardize(homes(1990))
     assert std[1] == 1.0 and np.all(points[:, 1] == 0.0)
-    k = fleet.choose_k(homes(1990), seed=0)
+    k = fleet.cluster_homes(homes(1990), 0, seed=0).k
     assert 1 <= k <= len(areas)
-    assert fleet.choose_k(homes(2010), seed=0) == k
+    assert fleet.cluster_homes(homes(2010), 0, seed=0).k == k
     area_only = fleet.sse_curve(points[:, :1], len(areas), seed=0)
     assert k == fleet.select_k(fleet.diminishing_return(area_only))[0]
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from rctherm import cli, estimators, fleet, harness, rcnet
 from rctherm import timeseries as ts
-from rctherm.errors import ConfigError, DataError, RcthermError, ShapeError
-from test_fleet import SHOULDER
+from rctherm.errors import ConfigError, DataError, RcthermError, ShapeError, UnimputableError
+from test_fleet import SHOULDER, uniform_metadata
 from test_timeseries import make_trace
 
 def small_config(**overrides):
@@ -187,6 +187,10 @@ _MANIFEST = {"homes": [{
 _POSTERIOR = estimators.Posterior(order=1, means=np.arange(8.0), scales=np.ones(8),
                                   noise_std=0.1, training_meta={"home_id": "h0"})
 
+#: (order, matching means length) pairs of posteriors whose order is not an
+#: int >= 1
+_BAD_ORDERS = ((True, 8), (2.5, 14), (0, 4), (-1, 0))
+
 _RC_PARAMS = {"resistances": [1.0, 2.0], "capacitances": [0.1, 0.2],
               "q_heat": 15.0, "q_cool": 12.0}
 
@@ -214,6 +218,8 @@ def test_json_inputs_raise_only_package_errors(data):
     json.dumps({k: v for k, v in _POSTERIOR.to_dict().items() if k != "order"}),
     json.dumps({**_POSTERIOR.to_dict(), "means": "abc"}),
     json.dumps({**_POSTERIOR.to_dict(), "scales": [10 ** 400] * 8}),
+    *(json.dumps({**_POSTERIOR.to_dict(), "order": order, "means": [0.0] * size,
+                  "scales": [1.0] * size}) for order, size in _BAD_ORDERS),
 ])
 def test_posterior_malformed_json_is_a_shape_error(text):
     with pytest.raises(ShapeError):
@@ -324,6 +330,37 @@ def test_run_experiment_rejects_a_manifest_without_homes(tmp_path):
     manifest.write_text(json.dumps({"homes": []}))
     with pytest.raises(ConfigError):
         harness.run_experiment(harness.ExperimentConfig(manifest=str(manifest)))
+
+
+@pytest.mark.parametrize("kind", ["bnn_rc", "onercone"])
+def test_values_inside_a_long_gap_do_not_reach_a_coefficient_model(kind):
+    # both coefficient models fit and score the regression rows, which drop
+    # every lag window touching a long imputed gap
+    config = fleet.FleetConfig(n_homes=1, seasons=(replace(SHOULDER, days=4),))
+    _, traces = fleet.synth_fleet(config, seed=3)
+    raw = traces[("home0000", SHOULDER.name)]
+    t_in = raw.t_in.copy()
+    for lo in (200, 3 * ts.SAMPLES_PER_DAY + 100):  # one gap in train, one in test
+        t_in[lo: lo + 3 * ts.MAX_GAP_STEPS] = np.nan
+    imputed = ts.impute(replace(raw, t_in=t_in))
+    moved = imputed.t_in.copy()
+    moved[imputed.long_gap] += 3.0
+
+    def fit_and_score(trace):
+        train, test = ts.split(trace, 3, 1)
+        model = harness.fit_model(kind, train, ts.derive_controls(train), 2)
+        return model.to_json(), harness.evaluate(model, test, ts.derive_controls(test))[0]
+
+    assert fit_and_score(replace(imputed, t_in=moved)) == fit_and_score(imputed)
+
+
+@pytest.mark.parametrize("kind", ["bnn_rc", "onercone"])
+def test_coefficient_models_need_an_imputed_trace(kind):
+    trace = make_trace(40, t_in=np.r_[np.nan, np.linspace(70, 71, 39)])
+    controls = ts.ControlSeries(k_heat=np.zeros(40, dtype=np.int8),
+                                k_cool=np.zeros(40, dtype=np.int8))
+    with pytest.raises(UnimputableError):
+        harness.fit_model(kind, trace, controls, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +535,36 @@ def test_cli_unreadable_files_end_in_one_error_line(tmp_path, capsys):
                                                model_kinds=("persistence",)).to_json())
     assert cli.main(["experiment", "--config", str(config), "--out", str(tmp_path)]) == 2
     assert "h0__winter.csv" in capsys.readouterr().err
+
+
+def test_cli_transfer_takes_the_order_from_the_posterior(tmp_path):
+    config = fleet.FleetConfig(n_homes=1, seasons=(replace(SHOULDER, days=2),))
+    _, traces = fleet.synth_fleet(config, seed=0)
+    trace = traces[("home0000", SHOULDER.name)]
+    day1 = tmp_path / "day1.csv"
+    ts.write_trace_csv(ts.slice_trace(trace, 0, ts.SAMPLES_PER_DAY), day1)
+    source = estimators.fit_bnn(ts.build_regression(trace, ts.derive_controls(trace), 1))
+    posterior = tmp_path / "posterior.json"
+    posterior.write_text(source.to_json())
+    argv = ["transfer", str(posterior), str(day1), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    transferred = (tmp_path / "home__transferred.json").read_text()
+    assert estimators.Posterior.from_json(transferred).order == 1
+    assert cli.main(argv + ["--order", "1"]) == 1
+    for order, size in _BAD_ORDERS:
+        posterior.write_text(json.dumps({**source.to_dict(), "order": order,
+                                         "means": [0.0] * size, "scales": [1.0] * size}))
+        assert cli.main(argv) == 2, order
+
+
+def test_cli_cluster_elbow_writes_the_curves_clustering(tmp_path):
+    metadata = tmp_path / "metadata.csv"
+    fleet.write_metadata_csv(uniform_metadata(0, 20), metadata)
+    assert cli.main(["cluster", str(metadata), "-k", "0", "--out", str(tmp_path)]) == 0
+    written = fleet.Clustering.from_json((tmp_path / "clustering.json").read_text())
+    points, _, _ = fleet._standardize(fleet.read_metadata_csv(metadata))
+    sses = fleet.sse_curve(points, min(fleet.ELBOW_K_MAX, len(points)), seed=0)
+    assert written.sse == sses[written.k - 1]
 
 
 def test_cli_experiment(tmp_path):

@@ -525,6 +525,13 @@ def test_build_regression_validation():
         ts.build_regression(trace, short, 2)
 
 
+def test_build_regression_requires_imputed():
+    trace = make_trace(10, t_in=np.r_[np.nan, np.linspace(70, 71, 9)])
+    controls = ts.ControlSeries(k_heat=np.zeros(10), k_cool=np.zeros(10))
+    with pytest.raises(UnimputableError):
+        ts.build_regression(trace, controls, 1)
+
+
 def test_regression_dataset_validation():
     with pytest.raises(ParseError):
         ts.RegressionDataset(order=1, inputs=np.zeros((4, 6)),
