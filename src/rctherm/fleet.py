@@ -23,7 +23,14 @@ from .errors import (
     InvalidParameterError,
     ParseError,
 )
-from .rcnet import RcParams, build_state_space, discretize, initial_state
+from .rcnet import (
+    RcParams,
+    build_state_space,
+    discretize,
+    filter_modes,
+    initial_state,
+    modal_form,
+)
 from .timeseries import (
     MODE_AUTO,
     MODE_COOL,
@@ -38,6 +45,9 @@ HYSTERESIS_F = 0.5
 KMEANS_RESTARTS = 10
 #: The elbow rule examines k = 1..ELBOW_K_MAX clusters (fewer on a small fleet).
 ELBOW_K_MAX = 10
+#: Samples of indoor temperature the generator computes ahead of its
+#: hysteresis loop; a duty switch discards the rest of the window.
+LOOKAHEAD = 48
 #: The construction years a home's metadata may hold.
 YEAR_BUILT_RANGE = (1800, 2100)
 _MAX_LLOYD_ITERS = 100
@@ -178,7 +188,10 @@ def cluster_homes(metadata, k, seed=0):
     """Standardize metadata features and cluster; returns a Clustering.
 
     k = 0 picks k by the elbow rule over k = 1..min(ELBOW_K_MAX, number of
-    homes) and keeps the elbow curve's own clustering at that k.
+    homes) and keeps the elbow curve's own clustering at that k. The curve
+    ends at its first zero SSE, since more clusters cannot fit better; a
+    curve left with one point (one home, or homes with equal metadata)
+    gives k = 1.
     """
     homes = list(metadata)
     points, mean, std = _standardize(homes)
@@ -186,7 +199,10 @@ def cluster_homes(metadata, k, seed=0):
         centroids, labels, sse = kmeans(points, k, seed=seed)
     else:
         curve = _elbow_curve(points, min(ELBOW_K_MAX, len(points)), seed)
-        k = select_k(diminishing_return([result[2] for result in curve]))[0]
+        sse = [result[2] for result in curve]
+        if 0.0 in sse:
+            sse = sse[:sse.index(0.0) + 1]
+        k = select_k(diminishing_return(sse))[0] if len(sse) > 1 else 1
         centroids, labels, sse = curve[k - 1]
     assignments = {h.home_id: int(lab) for h, lab in zip(homes, labels)}
     return Clustering(k=k, centroids=centroids, assignments=assignments,
@@ -404,6 +420,13 @@ def generate_trace(truth, season, home_id, start, rng, measurement_noise_std):
     scheduled setpoint, deciding each interval's duty from the previous
     sample's temperature.
 
+    The indoor temperature is a superposition. Its open-loop part (initial
+    state and outdoor drive) is filtered per mode of Phi. Its duty part is
+    closed form within each run of constant duty, so the per-sample loop
+    only applies the hysteresis rule, reading the temperature from a
+    LOOKAHEAD-sample window that is recomputed at each switch or when it
+    runs out.
+
     Returns (trace, the generator's exact duty signals as a ControlSeries).
     The analysis pipeline reconstructs controls from setpoints without the
     hysteresis band, so the reconstruction deliberately disagrees with these
@@ -416,55 +439,69 @@ def generate_trace(truth, season, home_id, start, rng, measurement_noise_std):
 
     t_out = _outdoor_profile(season, n_samples, rng)
     setheat, setcool = _setpoint_schedule(season, n_samples)
-    heating_enabled = season.hvac_mode in (MODE_HEAT, MODE_AUTO)
-    cooling_enabled = season.hvac_mode in (MODE_COOL, MODE_AUTO)
+    # a disabled channel's band is infinite, so the rule never switches it on
+    heat_band = HYSTERESIS_F if season.hvac_mode in (MODE_HEAT, MODE_AUTO) else np.inf
+    cool_band = HYSTERESIS_F if season.hvac_mode in (MODE_COOL, MODE_AUTO) else np.inf
 
-    x = initial_state(params, 0.5 * (setheat[0] + setcool[0]), t_out[0])
-    out_row = ss.cm[0]
+    modes = lam, v, v_inv = modal_form(ds)
     hold = ds.gamma1 - ds.gamma2
-    # Interval t's input term is hold @ u_t + gamma2 @ u_{t+1}. Its outdoor
-    # part is known before the loop. Its duty part is kicks[a, b] for duty a
-    # at the start and b at the end, a duty being the column of u it sets
-    # (0 off, 1 heat, 2 cool).
-    drive = np.multiply.outer(t_out[:-1], hold[:, 0])
-    drive += np.multiply.outer(t_out[1:], ds.gamma2[:, 0])
-    kicks = np.zeros((3, 3, len(x)))
+    x0 = initial_state(params, 0.5 * (setheat[0] + setcool[0]), t_out[0])
+    y = filter_modes(modes, ss.cm[0], x0, t_out[:, None], hold[:, :1], ds.gamma2[:, :1])
+
+    # The duty part of the modal state starts at 0 and steps
+    # w <- lam w + kappa[a, b] over an interval with duty a at its start and
+    # b at its end, a duty being the column of u it sets (0 off, 1 heat,
+    # 2 cool). m samples into a run of duty d, w = w_star[d] + lam^m dev,
+    # where dev is the run's deviation from the fixed point at its start.
+    kicks = np.zeros((3, 3, len(lam)))
     for col in (1, 2):
         kicks[col, :] += hold[:, col]
         kicks[:, col] += ds.gamma2[:, col]
+    kappa = kicks @ v_inv.T
+    w_star = kappa[[0, 1, 2], [0, 1, 2]] / (1.0 - lam)
+    # a switch from a to b m samples into the run: dev <- lam^(m+1) dev + jump[a, b]
+    jump = lam * w_star[:, None, :] + kappa - w_star[None, :, :]
+    out = ss.cm[0] @ v
+    level = w_star @ out
+    powers = lam ** np.arange(LOOKAHEAD)[:, None]
 
-    y = np.empty(n_samples)
-    kh = np.zeros(n_samples, dtype=np.int8)
-    kc = np.zeros(n_samples, dtype=np.int8)
+    duties = np.zeros(n_samples, dtype=np.int8)
     heat_on = False
     cool_on = False
-    duty = 0
-    nxt = np.empty_like(x)
-    for t in range(n_samples - 1):
-        yt = out_row @ x
-        y[t] = yt
-        # thermostat decision for the next interval, from the current reading
-        if heating_enabled:
-            if yt < setheat[t] - HYSTERESIS_F:
-                heat_on = True
-            elif yt > setheat[t] + HYSTERESIS_F:
-                heat_on = False
-        if cooling_enabled:
-            if yt > setcool[t] + HYSTERESIS_F:
-                cool_on = True
-            elif yt < setcool[t] - HYSTERESIS_F:
-                cool_on = False
-        new_duty = 1 if heat_on else 2 if cool_on else 0
-        kh[t + 1] = new_duty == 1
-        kc[t + 1] = new_duty == 2
-        np.dot(ds.phi, x, out=nxt)
-        nxt += drive[t]
-        if duty or new_duty:
-            nxt += kicks[duty, new_duty]
-        x, nxt = nxt, x
-        duty = new_duty
-    y[-1] = out_row @ x
-    del drive  # trace-sized; freed before the trace's own arrays are built
+    duty, run_start, dev = 0, 0, np.zeros(len(lam))
+    # thermostat decisions for the next interval, from each reading but the last
+    for day_start in range(0, n_samples - 1, SAMPLES_PER_DAY):
+        day = slice(day_start, min(day_start + SAMPLES_PER_DAY, n_samples - 1))
+        heat_lo, heat_hi = (setheat[day] - heat_band).tolist(), (setheat[day] + heat_band).tolist()
+        cool_lo, cool_hi = (setcool[day] - cool_band).tolist(), (setcool[day] + cool_band).tolist()
+        t = day.start
+        while t < day.stop:
+            end = min(t + LOOKAHEAD, day.stop)
+            duty_part = level[duty] + powers[:end - t] @ (out * lam ** (t - run_start) * dev)
+            window = y[t:end] + duty_part
+            for j, yt in enumerate(window.tolist(), t - day_start):
+                if yt < heat_lo[j]:
+                    heat_on = True
+                elif yt > heat_hi[j]:
+                    heat_on = False
+                if yt > cool_hi[j]:
+                    cool_on = True
+                elif yt < cool_lo[j]:
+                    cool_on = False
+                new_duty = 1 if heat_on else 2 if cool_on else 0
+                if new_duty != duty:
+                    end = day_start + j + 1
+                    break
+            y[t:end] = window[:end - t]
+            if new_duty != duty:
+                duties[run_start:end] = duty
+                dev = lam ** (end - run_start) * dev + jump[duty, new_duty]
+                duty, run_start = new_duty, end
+            t = end
+    y[-1] += level[duty] + out @ (lam ** (n_samples - 1 - run_start) * dev)
+    duties[run_start:] = duty
+    kh = (duties == 1).view(np.int8)
+    kc = (duties == 2).view(np.int8)
 
     t_in = y + rng.normal(0, measurement_noise_std, size=n_samples) \
         if measurement_noise_std > 0 else y.copy()

@@ -262,10 +262,52 @@ def analytic_coefficients(params, step_seconds):
     return difference_coefficients(discretize(ss, step_seconds), ss)
 
 
+def modal_form(ds):
+    """(lam, v, v_inv) with Phi = v diag(lam) v_inv.
+
+    An RC network's A is C^-1 K with K symmetric, so Phi = e^{A dt} has
+    real, distinct eigenvalues in (0, 1); any other spectrum raises
+    InvalidParameterError.
+    """
+    lam, v = np.linalg.eig(ds.phi)
+    if np.iscomplexobj(lam) or not ((lam > 0) & (lam < 1)).all() \
+            or len(np.unique(lam)) < len(lam):
+        raise InvalidParameterError(f"Phi's eigenvalues are not real, distinct and "
+                                    f"in (0, 1): {lam}")
+    try:
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        raise InvalidParameterError("Phi's eigenvectors are singular") from None
+    return lam, v, v_inv
+
+
+def filter_modes(modes, out_row, x0, u, b_now, b_next):
+    """y_t = out_row . x_t for x_{t+1} = Phi x_t + b_now u_t + b_next u_{t+1}
+    from x_0 = x0, with Phi's ``modes`` from modal_form.
+
+    Each mode z = v_inv x is one first-order IIR filter, so the roll-out is
+    one ``lfilter`` per mode; u is (steps, k) against (n, k) input matrices.
+    """
+    lam, v, v_inv = modes
+    z0 = v_inv @ x0
+    out = out_row @ v
+    now, nxt = v_inv @ b_now, v_inv @ b_next
+    y = np.zeros(len(u))
+    y[:1] = out @ z0
+    for i in range(len(lam)):
+        drive = u[1:] @ nxt[i]
+        drive += u[:-1] @ now[i]
+        z, _ = lfilter([1.0], [1.0, -lam[i]], drive, zi=[lam[i] * z0[i]])
+        z *= out[i]
+        y[1:] += z
+    return y
+
+
 def simulate_state_space(ds, ss, u, x0):
     """Roll the discrete state recursion forward; one output per input row.
 
-    x_{t+1} = Phi x_t + (Gamma1 - Gamma2) u_t + Gamma2 u_{t+1}; y_t = Cm x_t.
+    x_{t+1} = Phi x_t + (Gamma1 - Gamma2) u_t + Gamma2 u_{t+1}; y_t = Cm x_t,
+    filtered per mode of Phi (filter_modes).
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[1] != 3:
@@ -273,16 +315,7 @@ def simulate_state_space(ds, ss, u, x0):
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != ds.order:
         raise ShapeError(f"x0 must have {ds.order} entries, got {x.shape[0]}")
-
-    steps = len(u)
-    y = np.empty(steps)
-    hold = ds.gamma1 - ds.gamma2
-    out = ss.cm[0]
-    for t in range(steps):
-        y[t] = out @ x
-        if t + 1 < steps:
-            x = ds.phi @ x + hold @ u[t] + ds.gamma2 @ u[t + 1]
-    return y
+    return filter_modes(modal_form(ds), ss.cm[0], x, u, ds.gamma1 - ds.gamma2, ds.gamma2)
 
 
 def simulate_difference(dc, u, y_init):

@@ -8,8 +8,9 @@ instead of the active-set method, row-by-row CSV reading and writing
 instead of the column-at-a-time trace I/O, the stochastic-gradient
 variational fit of the paper instead of the closed-form solve, the ELBO
 from the explicit design instead of its Gram matrix, the evidence by Bayes'
-rule at the posterior mean instead of the Cholesky form, and a
-one-step-at-a-time loop for the thermostat simulation.
+rule at the posterior mean instead of the Cholesky form, and
+one-step-at-a-time state recursions instead of per-mode filtering for the
+state-space roll-out and the thermostat simulation.
 """
 
 import csv
@@ -149,6 +150,19 @@ def euler_foh_oracle(a, b, cm, u, x0, dt, substeps):
         y[t] = out @ x
         if t + 1 < len(u):
             x = phi_e @ x + g_const @ u[t] + g_ramp @ (u[t + 1] - u[t])
+    return y
+
+
+def simulate_state_space_loop(ds, ss, u, x0):
+    """The discrete state recursion rolled forward one step at a time, in
+    state coordinates instead of per mode."""
+    x = np.asarray(x0, dtype=float)
+    y = np.empty(len(u))
+    hold = ds.gamma1 - ds.gamma2
+    for t in range(len(u)):
+        y[t] = ss.cm[0] @ x
+        if t + 1 < len(u):
+            x = ds.phi @ x + hold @ u[t] + ds.gamma2 @ u[t + 1]
     return y
 
 
@@ -516,9 +530,9 @@ def log_evidence_candidate(dataset, noise_std, source, alpha):
 
 
 def generate_trace_loop(truth, season, home_id, start, rng, measurement_noise_std):
-    """``fleet.generate_trace`` with the whole input vector rebuilt and
-    multiplied at every step (the package's generator before it precomputed
-    the open-loop outdoor drive)."""
+    """``fleet.generate_trace`` as one state recursion, with the whole input
+    vector rebuilt and multiplied at every step, instead of the open-loop
+    response filtered per mode plus closed-form duty runs."""
     params = _season_truth(truth, season)
     ss = build_state_space(params)
     ds = discretize(ss, STEP_SECONDS)

@@ -7,7 +7,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from conftest import FAST_2R2C, random_slow_params
+from conftest import FAST_2R2C, random_params, random_slow_params
 from oracles import generate_trace_loop
 from rctherm import fleet, rcnet
 from rctherm import timeseries as ts
@@ -167,6 +167,26 @@ def test_elbow_clustering_handles_a_constant_feature():
     assert k == fleet.select_k(fleet.diminishing_return(area_only))[0]
 
 
+@pytest.mark.parametrize("areas", [[1000.0], [1000.0, 1000.0]], ids=["one-home", "equal-homes"])
+def test_elbow_clustering_of_a_fleet_with_one_distinct_home(areas):
+    # the curve is one point, or its k = 1 SSE is 0: the elbow keeps k = 1
+    metadata = [fleet.HomeMetadata(f"h{i}", a, 1990) for i, a in enumerate(areas)]
+    clustering = fleet.cluster_homes(metadata, 0, seed=0)
+    assert clustering.k == 1 and clustering.sse == 0.0
+    assert set(clustering.assignments.values()) == {0}
+
+
+def test_elbow_curve_ends_at_its_first_zero_sse():
+    # two distinct homes, one of them twice: k = 2 fits exactly, and the
+    # k = 3 point, whose percent change would divide by 0, is not examined
+    areas = [1000.0, 1000.0, 3000.0]
+    metadata = [fleet.HomeMetadata(f"h{i}", a, 1990) for i, a in enumerate(areas)]
+    clustering = fleet.cluster_homes(metadata, 0, seed=0)
+    assert clustering.k == 2 and clustering.sse == 0.0
+    labels = clustering.assignments
+    assert labels["h0"] == labels["h1"] != labels["h2"]
+
+
 def test_representative_closest_and_tie_break():
     clustering = fleet.Clustering(
         k=1, centroids=np.array([[0.0, 0.0]]),
@@ -286,12 +306,7 @@ def test_generator_bang_bang_regulation():
     assert (trace.t_in[turn_off] > trace.t_setheat[turn_off] + fleet.HYSTERESIS_F).all()
 
 
-@pytest.mark.parametrize("mode", [ts.MODE_HEAT, ts.MODE_COOL, ts.MODE_AUTO, ts.MODE_OFF])
-@pytest.mark.parametrize("order", [1, 2, 3])
-@pytest.mark.parametrize("noise", [0.0, 0.05])
-def test_generate_trace_matches_the_step_loop_oracle(mode, order, noise):
-    params = random_slow_params(np.random.default_rng(order), order)
-    season = replace(SHOULDER, hvac_mode=mode, days=4)
+def assert_matches_the_step_loop_oracle(params, season, noise):
     got, got_controls = fleet.generate_trace(
         params, season, "h", START, np.random.default_rng(5), noise)
     want, want_controls = generate_trace_loop(
@@ -301,10 +316,45 @@ def test_generate_trace_matches_the_step_loop_oracle(mode, order, noise):
     np.testing.assert_allclose(got.t_in, want.t_in, rtol=0, atol=1e-9)
     for name in ("t_out", "t_setheat", "t_setcool", "hvac_mode", "motion", "humidity"):
         assert (getattr(got, name) == getattr(want, name)).all(), name
+    return got_controls
+
+
+MODES = [ts.MODE_HEAT, ts.MODE_COOL, ts.MODE_AUTO, ts.MODE_OFF]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_generate_trace_matches_the_step_loop_oracle(mode, order, noise):
+    # domestic-scale networks of order 4 and 5 settle too slowly to cool
+    # within 4 days; faster ones switch every duty on
+    make_params = random_slow_params if order <= 3 else random_params
+    params = make_params(np.random.default_rng(order), order)
+    controls = assert_matches_the_step_loop_oracle(
+        params, replace(SHOULDER, hvac_mode=mode, days=4), noise)
     if mode in (ts.MODE_HEAT, ts.MODE_AUTO):
-        assert got_controls.k_heat.any()
+        assert controls.k_heat.any()
     if mode in (ts.MODE_COOL, ts.MODE_AUTO):
-        assert got_controls.k_cool.any()
+        assert controls.k_cool.any()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_generate_trace_matches_the_step_loop_oracle_under_a_param_shift(mode):
+    params = random_slow_params(np.random.default_rng(2), 2)
+    assert_matches_the_step_loop_oracle(
+        params, replace(SHOULDER, hvac_mode=mode, days=4, param_shift=0.2), 0.05)
+
+
+def test_generate_trace_matches_the_step_loop_oracle_over_90_shoulder_days():
+    # the benchmark's season and fleet: duty runs longer than the look-ahead
+    # window, and hundreds of switches, each starting a new window mid-way
+    season = replace(SHOULDER, days=90)
+    homes, _ = fleet.synth_fleet(fleet.FleetConfig(n_homes=1, seasons=(season,)), seed=0)
+    controls = assert_matches_the_step_loop_oracle(homes[0].truth, season, 0.05)
+    duty = controls.k_heat + 2 * controls.k_cool
+    switches = np.flatnonzero(np.diff(duty)) + 1
+    assert len(switches) > 700
+    assert np.diff(np.r_[0, switches, len(duty)]).max() > fleet.LOOKAHEAD
 
 
 def test_derive_controls_consistency_with_generator():

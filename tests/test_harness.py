@@ -514,6 +514,18 @@ def test_cli_exit_codes(tmp_path):
             assert cli.main([command, str(params)]) == 2, (command, text)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e8], ids=["phi-underflows", "phi-rounds-to-1"])
+def test_cli_simulate_rejects_time_constants_the_step_cannot_resolve(tmp_path, capsys, scale):
+    # R C of 1e-6 h or 1e16 h: Phi's eigenvalues round to 0 or 1, so the
+    # network has no modes in (0, 1) to filter
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({**_RC_PARAMS, "resistances": [scale, scale],
+                                  "capacitances": [scale, scale]}))
+    assert cli.main(["simulate", str(params)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_cli_unreadable_files_end_in_one_error_line(tmp_path, capsys):
     missing = str(tmp_path / "missing")
     # an input trace, posterior, metadata or parameter file: a data error
@@ -565,6 +577,13 @@ def test_cli_cluster_elbow_writes_the_curves_clustering(tmp_path):
     points, _, _ = fleet._standardize(fleet.read_metadata_csv(metadata))
     sses = fleet.sse_curve(points, min(fleet.ELBOW_K_MAX, len(points)), seed=0)
     assert written.sse == sses[written.k - 1]
+
+
+def test_cli_cluster_elbow_on_one_home_exits_0(tmp_path):
+    metadata = tmp_path / "metadata.csv"
+    fleet.write_metadata_csv([fleet.HomeMetadata("only", 1500.0, 1980)], metadata)
+    assert cli.main(["cluster", str(metadata), "-k", "0", "--out", str(tmp_path)]) == 0
+    assert fleet.Clustering.from_json((tmp_path / "clustering.json").read_text()).k == 1
 
 
 def test_cli_experiment(tmp_path):

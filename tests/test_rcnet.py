@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FAST_2R2C,
@@ -17,6 +19,7 @@ from oracles import (
     gamma_series_oracle,
     s_interpolation_oracle,
     simulate_difference_loop,
+    simulate_state_space_loop,
 )
 from rctherm import rcnet
 from rctherm.errors import InsufficientDataError, InvalidParameterError, ShapeError
@@ -158,6 +161,17 @@ def test_simulators_agree(rng):
     assert y_dc == pytest.approx(y_ss, abs=1e-9)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_simulate_state_space_matches_step_loop(rng, order):
+    ss = rcnet.build_state_space(random_params(rng, order))
+    ds = rcnet.discretize(ss, 300.0)
+    u = random_inputs(rng, 2000)
+    x0 = rng.uniform(40.0, 80.0, size=order)
+    expected = simulate_state_space_loop(ds, ss, u, x0)
+    # per-mode filtering sums in another order: 1e-9 degF over 2000 steps
+    assert np.abs(rcnet.simulate_state_space(ds, ss, u, x0) - expected).max() < 1e-9
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_simulate_difference_matches_step_loop(rng, order):
     p = random_params(rng, order)
@@ -169,6 +183,35 @@ def test_simulate_difference_matches_step_loop(rng, order):
     expected = simulate_difference_loop(dc, u, y_init)
     # filtering sums in another order: agreement to 1e-9 degF over 2000 steps
     assert np.abs(rcnet.simulate_difference(dc, u, y_init) - expected).max() < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([random_params, random_slow_params, random_fast_params]),
+       st.integers(min_value=1, max_value=rcnet.MAX_ORDER),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_rc_networks_have_real_distinct_modes_in_the_unit_interval(make_params, order, seed):
+    ds = rcnet.discretize(rcnet.build_state_space(
+        make_params(np.random.default_rng(seed), order)), 300.0)
+    eigenvalues = np.linalg.eigvals(ds.phi)
+    assert np.isrealobj(eigenvalues)
+    assert ((eigenvalues > 0) & (eigenvalues < 1)).all()
+    assert len(np.unique(eigenvalues)) == order
+    lam, v, v_inv = rcnet.modal_form(ds)
+    assert np.isrealobj(lam) and np.isrealobj(v) and np.isrealobj(v_inv)
+    assert v @ np.diag(lam) @ v_inv == pytest.approx(ds.phi, abs=1e-12)
+
+
+@pytest.mark.parametrize("phi", [
+    [[0.9, -0.2], [0.2, 0.9]],  # a rotation: complex modes
+    [[0.5, 0.0], [0.0, 0.5]],  # a repeated mode
+    [[1.2, 0.0], [0.0, 0.5]],  # an unstable mode
+    [[-0.3, 0.0], [0.0, 0.5]],  # an oscillating mode
+])
+def test_modal_form_rejects_a_non_rc_spectrum(phi):
+    ds = rcnet.DiscretizedSystem(phi=np.array(phi), gamma1=np.zeros((2, 3)),
+                                 gamma2=np.zeros((2, 3)))
+    with pytest.raises(InvalidParameterError):
+        rcnet.modal_form(ds)
 
 
 def test_simulate_against_fine_euler(rng):
