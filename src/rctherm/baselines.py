@@ -3,9 +3,9 @@ persistence floor, plus ACF/PACF diagnostics.
 
 ARIMAX(p, d, q) is estimated as a regression with ARMA errors on the
 d-times-differenced series, by minimizing the conditional sum of squares
-(initial innovations zero). The degenerate order (0, 1, 0) is the
-persistence predictor y_t = y_{t-1} + intercept and carries no exogenous
-terms.
+(initial innovations zero), with the exact gradient. The degenerate order
+(0, 1, 0) is the persistence predictor y_t = y_{t-1} + intercept, fitted in
+closed form; it carries no exogenous terms.
 """
 
 from __future__ import annotations
@@ -137,18 +137,14 @@ def _design(trace, controls, d):
     return difference(trace.t_in, d), np.diff(timeseries.exog(trace, controls), n=d, axis=0)
 
 
-def _innovations(params, z, exog, p, q, use_exog):
+def _innovations(params, z, exog, p, q):
     """Innovations of dz_t = c + sum phi_i dz_{t-i} + beta.dX_t + ARMA errors,
     with initial innovations zero (CSS convention)."""
     ar = params[:p]
     ma = params[p:p + q]
-    if use_exog:
-        beta = params[p + q:p + q + _EXOG_DIM]
-        c = params[p + q + _EXOG_DIM]
-        r = z - c - exog @ beta
-    else:
-        c = params[p + q]
-        r = z - c
+    beta = params[p + q:p + q + _EXOG_DIM]
+    c = params[p + q + _EXOG_DIM]
+    r = z - c - exog @ beta
     for i, phi in enumerate(ar, start=1):
         r[i:] -= phi * z[:-i]
     if q:
@@ -156,19 +152,43 @@ def _innovations(params, z, exog, p, q, use_exog):
     return r
 
 
-def _css(params, z, exog, p, q, use_exog):
+def _css(params, z, exog, p, q):
+    """Conditional sum of squares (as a mean over the scored innovations)
+    and its exact gradient.
+
+    The innovations are e = r / theta(B), linear in r, so the reverse-mode
+    gradient runs the same MA filter backwards in time over the scored
+    innovations: g = -(2/m) theta(B^-1)^-1 e~ is -dCSS/dr, and each
+    parameter's derivative is g against the series it multiplies in r, or,
+    for theta_j, against the innovations lagged j steps.
+    """
     skip = max(p, q)
+    m = max(len(z) - skip, 1)
     # a non-invertible MA trial point overflows the filtered innovations;
     # that non-finite objective maps to the 1e12 cliff below, so numpy's
     # overflow warnings on the way carry nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        e = _innovations(params, z, exog, p, q, use_exog)
-        # mean (not sum) keeps the objective well-scaled for the optimizer's
-        # finite-difference gradients regardless of series length
-        css = np.dot(e[skip:], e[skip:]) / max(len(e) - skip, 1)
-    if not np.isfinite(css):
-        return 1e12
-    return float(css)
+        e = _innovations(params, z, exog, p, q)
+        # mean, not sum: L-BFGS-B's relative-reduction stop divides by
+        # max(|f|, 1), so the objective's scale decides where the fit stops.
+        # einsum, not a BLAS dot, which splits its sum across threads: the
+        # fitted coefficients do not depend on the BLAS thread count
+        css = np.einsum("i,i", e[skip:], e[skip:]) / m
+        scored = e.copy()
+        scored[:skip] = 0.0
+        g = scored[::-1]
+        if q:
+            g = lfilter([1.0], np.concatenate([[1.0], params[p:p + q]]), g)
+        g = (-2.0 / m) * g[::-1]
+        grad = np.concatenate([
+            [np.einsum("i,i", z[:-i], g[i:]) for i in range(1, p + 1)],
+            [np.einsum("i,i", e[:-j], g[j:]) for j in range(1, q + 1)],
+            exog.T @ g,
+            [g.sum()],
+        ])
+    if not (np.isfinite(css) and np.all(np.isfinite(grad))):
+        return 1e12, np.zeros(len(params))
+    return float(css), grad
 
 
 def fit_arimax(train, controls, order=None):
@@ -177,7 +197,10 @@ def fit_arimax(train, controls, order=None):
     Initialization: AR and MA coefficients at zero, exogenous coefficients
     and intercept by ordinary least squares on the differenced series.
     AR coefficients are box-bounded inside the unit interval and the fitted
-    AR polynomial is verified stationary.
+    AR polynomial is verified stationary. L-BFGS-B minimises the CSS with
+    its exact gradient (see ``_css``). Persistence (p = q = 0) is the closed
+    form: its CSS minimiser is the mean of the differenced series, with no
+    exogenous terms.
     """
     order = order or ArimaxOrder()
     p, d, q = order.p, order.d, order.q
@@ -185,27 +208,26 @@ def fit_arimax(train, controls, order=None):
         raise InsufficientDataError(
             f"need at least {10 * (p + q + 4)} samples to fit ARIMAX({p},{d},{q})")
     z, exog = _design(train, controls, d)
-    use_exog = not (p == 0 and q == 0)
 
-    if use_exog:
+    if p or q:
         design = np.column_stack([exog, np.ones(len(z))])
         ols, *_ = np.linalg.lstsq(design, z, rcond=None)
         x0 = np.concatenate([np.zeros(p + q), ols])
         bounds = ([(-_AR_BOUND, _AR_BOUND)] * p + [(None, None)] * q
                   + [(None, None)] * (_EXOG_DIM + 1))
+        result = minimize(_css, x0, args=(z, exog, p, q), jac=True,
+                          method="L-BFGS-B", bounds=bounds,
+                          options={"maxiter": 500})
+        if not result.success and result.status != 1:  # status 1 = maxiter
+            raise ConvergenceError(f"ARIMAX optimizer failed: {result.message}")
+        if result.status == 1:
+            raise ConvergenceError("ARIMAX optimizer hit the iteration cap")
+        params = result.x
+        n_free = len(params)
     else:
-        x0 = np.array([z.mean()])
-        bounds = [(None, None)]
+        params = np.concatenate([np.zeros(_EXOG_DIM), [z.mean()]])
+        n_free = 1  # the intercept
 
-    result = minimize(_css, x0, args=(z, exog, p, q, use_exog),
-                      method="L-BFGS-B", bounds=bounds,
-                      options={"maxiter": 500})
-    if not result.success and result.status != 1:  # status 1 = maxiter
-        raise ConvergenceError(f"ARIMAX optimizer failed: {result.message}")
-    if result.status == 1:
-        raise ConvergenceError("ARIMAX optimizer hit the iteration cap")
-
-    params = result.x
     ar = params[:p]
     if p:
         # stationarity: roots of 1 - phi_1 z - ... - phi_p z^p outside unit circle
@@ -213,16 +235,12 @@ def fit_arimax(train, controls, order=None):
         if len(roots) and np.any(np.abs(roots) <= 1.0):
             raise ConvergenceError("fitted AR polynomial is not stationary")
     ma = params[p:p + q]
-    if use_exog:
-        beta = params[p + q:p + q + _EXOG_DIM]
-        intercept = float(params[p + q + _EXOG_DIM])
-    else:
-        beta = np.zeros(_EXOG_DIM)
-        intercept = float(params[p + q])
+    beta = params[p + q:p + q + _EXOG_DIM]
+    intercept = float(params[p + q + _EXOG_DIM])
 
-    e = _innovations(params, z, exog, p, q, use_exog)
+    e = _innovations(params, z, exog, p, q)
     skip = max(p, q)
-    dof = max(len(e) - skip - len(params), 1)
+    dof = max(len(e) - skip - n_free, 1)
     var = float(np.dot(e[skip:], e[skip:]) / dof)
     return ArimaxModel(order=order, ar=ar, ma=ma, exog=beta,
                        intercept=intercept, innovation_var=max(var, 1e-300))
@@ -239,11 +257,8 @@ def predict_arimax(model, test, controls):
     if len(test) <= warm:
         raise InsufficientDataError(f"need more than {warm} samples of warm-up history")
     z, exog = _design(test, controls, d)
-    use_exog = not (p == 0 and q == 0)
 
-    mean = np.full(len(z), model.intercept)
-    if use_exog:
-        mean += exog @ model.exog
+    mean = model.intercept + exog @ model.exog
     for i, phi in enumerate(model.ar, start=1):
         mean[i:] += phi * z[:-i]
     # innovations from measured history, same CSS recursion as the fit

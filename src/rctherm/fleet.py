@@ -180,7 +180,8 @@ def _standardize(metadata):
     features = np.array([h.features for h in metadata])
     mean = features.mean(axis=0)
     std = features.std(axis=0)
-    std[std == 0] = 1.0
+    # equal values whose float mean rounds have a std of rounding size, not 0
+    std[np.ptp(features, axis=0) == 0] = 1.0
     return (features - mean) / std, mean, std
 
 

@@ -10,7 +10,9 @@ variational fit of the paper instead of the closed-form solve, the ELBO
 from the explicit design instead of its Gram matrix, the evidence by Bayes'
 rule at the posterior mean instead of the Cholesky form, and
 one-step-at-a-time state recursions instead of per-mode filtering for the
-state-space roll-out and the thermostat simulation.
+state-space roll-out and the thermostat simulation, and the ARIMAX fit by
+L-BFGS-B's finite-difference gradient (with the persistence intercept
+found by the optimiser) instead of the exact reverse-filter gradient.
 """
 
 import csv
@@ -18,8 +20,12 @@ import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
+from scipy.optimize import minimize
+from scipy.signal import lfilter
 
+from rctherm.baselines import ArimaxModel, difference
 from rctherm.errors import (
+    ConvergenceError,
     DuplicateTimestampError,
     InsufficientDataError,
     OrderingError,
@@ -44,6 +50,7 @@ from rctherm.timeseries import (
     STEP_SECONDS,
     ControlSeries,
     Trace,
+    exog,
 )
 
 _MODE_NAMES = {"off": 0, "heat": 1, "cool": 2, "auto": 3}
@@ -591,3 +598,57 @@ def generate_trace_loop(truth, season, home_id, start, rng, measurement_noise_st
         long_gap=np.zeros(n_samples, dtype=bool),
     )
     return trace, ControlSeries(k_heat=kh, k_cool=kc)
+
+
+def _arimax_innovations(params, z, exog_diff, p, q, use_exog):
+    ar = params[:p]
+    ma = params[p:p + q]
+    if use_exog:
+        r = z - params[p + q + 3] - exog_diff @ params[p + q:p + q + 3]
+    else:
+        r = z - params[p + q]
+    for i, phi in enumerate(ar, start=1):
+        r[i:] -= phi * z[:-i]
+    return lfilter([1.0], np.concatenate([[1.0], ma]), r) if q else r
+
+
+def css_value(params, z, exog_diff, p, q, use_exog=True):
+    """Mean conditional sum of squares of ARIMAX(p, ., q) on the differenced
+    series z, with initial innovations zero; 1e12 where it is not finite.
+    Parameters are (ar, ma, exog coefficients, intercept), or (ar, ma,
+    intercept) without exogenous terms."""
+    skip = max(p, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _arimax_innovations(params, z, exog_diff, p, q, use_exog)
+        css = np.dot(e[skip:], e[skip:]) / max(len(e) - skip, 1)
+    return float(css) if np.isfinite(css) else 1e12
+
+
+def fit_arimax_fd(train, controls, order):
+    """ARIMAX by L-BFGS-B on the CSS with finite-difference gradients, from
+    zero AR/MA coefficients and the OLS exogenous coefficients; persistence
+    (p = q = 0) drops the exogenous terms and starts at the mean."""
+    p, d, q = order.p, order.d, order.q
+    if len(train) < 10 * (p + q + 4):
+        raise InsufficientDataError("too few samples for this order")
+    z = difference(train.t_in, d)
+    x = np.diff(exog(train, controls), n=d, axis=0)
+    use_exog = bool(p or q)
+    if use_exog:
+        ols, *_ = np.linalg.lstsq(np.column_stack([x, np.ones(len(z))]), z, rcond=None)
+        x0 = np.concatenate([np.zeros(p + q), ols])
+        bounds = [(-0.999, 0.999)] * p + [(None, None)] * (q + 4)
+    else:
+        x0 = np.array([z.mean()])
+        bounds = [(None, None)]
+    result = minimize(css_value, x0, args=(z, x, p, q, use_exog), method="L-BFGS-B",
+                      bounds=bounds, options={"maxiter": 500})
+    if not result.success:
+        raise ConvergenceError(f"ARIMAX optimizer failed: {result.message}")
+    params = result.x
+    e = _arimax_innovations(params, z, x, p, q, use_exog)
+    skip = max(p, q)
+    var = float(np.dot(e[skip:], e[skip:]) / max(len(e) - skip - len(params), 1))
+    return ArimaxModel(order=order, ar=params[:p], ma=params[p:p + q],
+                       exog=params[p + q:p + q + 3] if use_exog else np.zeros(3),
+                       intercept=float(params[-1]), innovation_var=max(var, 1e-300))

@@ -167,6 +167,20 @@ def test_elbow_clustering_handles_a_constant_feature():
     assert k == fleet.select_k(fleet.diminishing_return(area_only))[0]
 
 
+def test_constant_feature_with_a_rounding_std_keeps_unit_scale():
+    # seven equal areas whose float mean rounds: their std is ~2e-13, and
+    # scaling by it would make a new home's area swamp its construction year
+    area = 1828.9780305621302
+    years = [1950, 1955, 1960, 2000, 2005, 2010, 2013]
+    metadata = [fleet.HomeMetadata(f"h{i}", area, y) for i, y in enumerate(years)]
+    assert 0 < np.std([area] * 7)
+    clustering = fleet.cluster_homes(metadata, 2, seed=0)
+    old = clustering.assignments["h0"]
+    assert {clustering.assignments[f"h{i}"] for i in range(3)} == {old}
+    assert fleet.assign(fleet.HomeMetadata("new", 1900.0, 1950), clustering) == old
+    assert clustering.feature_std[0] == 1.0
+
+
 @pytest.mark.parametrize("areas", [[1000.0], [1000.0, 1000.0]], ids=["one-home", "equal-homes"])
 def test_elbow_clustering_of_a_fleet_with_one_distinct_home(areas):
     # the curve is one point, or its k = 1 SSE is 0: the elbow keeps k = 1
