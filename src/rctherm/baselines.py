@@ -241,7 +241,7 @@ def fit_arimax(train, controls, order=None):
     e = _innovations(params, z, exog, p, q)
     skip = max(p, q)
     dof = max(len(e) - skip - n_free, 1)
-    var = float(np.dot(e[skip:], e[skip:]) / dof)
+    var = float(np.einsum("i,i", e[skip:], e[skip:]) / dof)  # as in _css: no BLAS dot
     return ArimaxModel(order=order, ar=ar, ma=ma, exog=beta,
                        intercept=intercept, innovation_var=max(var, 1e-300))
 

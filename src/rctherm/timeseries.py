@@ -257,9 +257,10 @@ def _parse_column(cells, parse, fast=None):
 
 
 #: The canonical timestamp cell, as written by write_trace_csv: "0" marks a
-#: digit, the rest must match exactly.
-_CANONICAL_DTYPE = np.dtype("<U20")
-_CANONICAL = np.array(["0000-00-00T00:00:00Z"], dtype=_CANONICAL_DTYPE).view(np.uint32)
+#: digit, the rest must match exactly. Cells are read one character wider, so
+#: the trailing NUL of the template rejects a longer cell.
+_STAMP_DTYPE = np.dtype("<U21")
+_CANONICAL = np.array(["0000-00-00T00:00:00Z"], dtype=_STAMP_DTYPE).view(np.uint32)
 _DIGITS = _CANONICAL == ord("0")
 
 
@@ -267,10 +268,8 @@ def _canonical_stamps(cells):
     """Epoch microseconds of timestamp cells that are all canonical
     ``YYYY-MM-DDTHH:MM:SSZ`` with a valid date and time, computed from the
     digits; None when any cell takes another form (or is blank)."""
-    text = np.array(cells)
-    if text.dtype != _CANONICAL_DTYPE:  # some cell is longer, or none is a string
-        return None
-    codes = text.view(np.uint32).reshape(len(text), len(_CANONICAL))
+    codes = np.ascontiguousarray(cells, dtype=_STAMP_DTYPE).view(np.uint32)
+    codes = codes.reshape(-1, len(_CANONICAL))
     digits = codes - np.uint32(ord("0"))
     if not ((digits[:, _DIGITS] <= 9).all()
             and (codes[:, ~_DIGITS] == _CANONICAL[~_DIGITS]).all()):
@@ -291,43 +290,120 @@ def _canonical_stamps(cells):
     return seconds * 1_000_000
 
 
-def _read_block(reader, first_line, last_us):
-    """Parse up to _BLOCK_ROWS data rows a column at a time.
+def _steps(us, last_us):
+    """Steps to each of ``us`` from the timestamp before it."""
+    return np.diff(np.r_[us[:1] - 1 if last_us is None else [last_us], us])
 
-    Returns None at the end of the stream, else (rows read, line numbers,
-    timestamps in microseconds, {field: values} of the non-blank rows). A block
-    that holds a fault raises the one a row-by-row reading meets first: the
-    lowest line, then the first check in the row's order (field count,
-    timestamp, hvac_mode, motion, the floats in CSV_HEADER order, then
-    duplicate and ordering against the previous row). Each check only scans
-    rows before the earliest fault found so far.
+
+#: The characters of a canonical block: digits, the float signs, point and
+#: exponents, the stamp separators and the letters of the hvac_mode names.
+#: With no "n" or "i", no cell reads as nan or inf; with no quote, space, "#",
+#: "\r" or non-ASCII character, numpy's reader splits the cells of each line
+#: exactly as csv.reader does.
+_CANONICAL_BYTES = b"0123456789+-.eE,\n:TZ" + "".join(_MODE_NAMES).encode()
+_COMMA, _NEWLINE = ord(","), ord("\n")
+#: Each string column is one character wider than its longest valid cell, so
+#: a cell that numpy truncates to that width is never valid.
+_CANONICAL_ROW = np.dtype([(name, {"timestamp": _STAMP_DTYPE, "hvac_mode": "<U5",
+                                   "motion": "<U4"}.get(name, float))
+                           for name in CSV_HEADER])
+#: (name, dtype, {cell: value}) of the hvac_mode and motion columns of a
+#: canonical block, where a blank cell reads "nan"
+_CANONICAL_CELLS = (
+    ("hvac_mode", np.int8, {"nan": MODE_MISSING, **_MODE_NAMES}),
+    ("motion", float, {"nan": np.nan, "0": 0.0, "1": 1.0}),
+)
+
+
+def _lookup(cells, table, dtype):
+    """Values of an array of cells that are all keys of ``table``, else None."""
+    values = np.empty(len(cells), dtype=dtype)
+    found = 0
+    for cell, value in table.items():
+        hit = cells == cell
+        values[hit] = value
+        found += np.count_nonzero(hit)
+    return values if found == len(cells) else None
+
+
+def _read_canonical(lines, first_line, last_us):
+    """Parse a block of lines in the canonical form write_trace_csv emits with
+    numpy's C reader: canonical timestamps, no quote, space, blank line or
+    "\r" other than in a "\r\n" line end, and blank cells allowed.
+
+    Returns what _read_rows returns for the same lines, or None when any line
+    takes another form or holds a fault, for _read_rows to decide.
     """
-    rows = list(itertools.islice(reader, _BLOCK_ROWS))
-    n_read = len(rows)
-    if not rows:
+    # the first line refuses a file in another form cheaply
+    if lines[0][19:21] != "Z," or lines[0].encode().translate(None, _CANONICAL_BYTES + b"\r"):
         return None
+    text = "".join(lines)
+    if "\r" in text:  # "\r\n" ends a row for csv.reader as "\n" does
+        text = text.replace("\r\n", "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    data = text.encode()
+    if data.translate(None, _CANONICAL_BYTES):
+        return None
+    # numpy reads an empty float cell as an error: write "nan" into each blank
+    # cell (the alphabet holds no "n", so each "nan" read back was a blank)
+    codes = np.frombuffer(data, dtype=np.uint8)
+    comma = codes == _COMMA
+    blank = np.flatnonzero(comma[:-1] & (comma[1:] | (codes[1:] == _NEWLINE))) + 1
+    cuts = [0, *blank.tolist(), len(data)]
+    data = b"nan".join([data[a:b] for a, b in zip(cuts, cuts[1:])])
+    try:
+        table = np.loadtxt(io.BytesIO(data), dtype=_CANONICAL_ROW, delimiter=",",
+                           comments=None, ndmin=1, encoding="ascii")
+    except ValueError:
+        return None
+    if len(table) != len(lines):  # numpy skips blank lines
+        return None
+    us = _canonical_stamps(table["timestamp"])
+    if us is None or (_steps(us, last_us) <= 0).any():
+        return None
+    fields = {name: table[name].copy() for name in _CONTINUOUS_FIELDS}
+    humidity = fields["humidity"]
+    if (any(np.isinf(values).any() for values in fields.values())
+            or (humidity < 0).any() or (humidity > 1).any()):
+        return None
+    for name, dtype, cells in _CANONICAL_CELLS:
+        fields[name] = _lookup(table[name], cells, dtype)
+        if fields[name] is None:
+            return None
+    return len(lines), first_line + np.arange(len(lines)), us, fields
+
+
+def _read_rows(rows, first_line, last_us):
+    """Parse csv rows a column at a time, each cell exactly.
+
+    Returns (rows read, line numbers, timestamps in microseconds, {field:
+    values}) of the non-blank rows. A block that holds a fault raises the one
+    a row-by-row reading meets first: the lowest line, then the first check in
+    the row's order (field count, timestamp, hvac_mode, motion, the floats in
+    CSV_HEADER order, then duplicate and ordering against the previous row).
+    Each check only scans rows before the earliest fault found so far.
+    """
+    n_read = len(rows)
     width = len(CSV_HEADER)
-    lines = first_line + np.arange(n_read)
-    fault, limit = None, n_read
-    # Full rows with canonical timestamps hold no blank row and no field-count
-    # fault; any other block is filtered and checked row by row first.
-    columns = list(zip(*rows)) if set(map(len, rows)) == {width} else None
-    stamps = None if columns is None else _canonical_stamps(columns[0])
+    # a row is blank when every cell is; the first cell decides most rows
+    keep = [i for i, row in enumerate(rows)
+            if row and (row[0].strip() or any(map(str.strip, row)))]
+    rows, lines = [rows[i] for i in keep], first_line + np.asarray(keep, dtype=np.int64)
+    fault, limit = None, len(rows)
+    short = next((i for i, row in enumerate(rows) if len(row) != width), None)
+    if short is not None:
+        fault = ParseError(f"expected {width} fields, got {len(rows[short])}",
+                           int(lines[short]))
+        limit = short
+    columns = list(zip(*rows[:limit])) or [()] * width
+    del rows
+    stamps = _canonical_stamps(columns[0])
     if stamps is None:
-        keep = [i for i, row in enumerate(rows) if any(map(str.strip, row))]
-        rows, lines = [rows[i] for i in keep], lines[keep]
-        limit = len(rows)
-        short = next((i for i, row in enumerate(rows) if len(row) != width), None)
-        if short is not None:
-            fault = ParseError(f"expected {width} fields, got {len(rows[short])}",
-                               int(lines[short]))
-            limit = short
-        columns = list(zip(*rows[:limit])) or [()] * width
         stamps, exc = _parse_column(columns[0], _parse_timestamp)
         if exc is not None:
             limit = len(stamps)
             fault = ParseError(str(exc), int(lines[limit]))
-    del rows
 
     fields = {}
     for col, name, dtype, field in _FIELDS:
@@ -339,8 +415,7 @@ def _read_block(reader, first_line, last_us):
         fields[name] = np.array(values, dtype=dtype)
 
     us = np.array(stamps[:limit], dtype=np.int64)
-    before = us[:1] - 1 if last_us is None else [last_us]
-    step = np.diff(np.r_[before, us])
+    step = _steps(us, last_us)
     back = np.flatnonzero(step <= 0)
     if len(back):
         i = back[0]
@@ -354,6 +429,19 @@ def _read_block(reader, first_line, last_us):
     return n_read, lines, us, fields
 
 
+def _blocks(stream):
+    """The data records of a stream, up to _BLOCK_ROWS at a time: (lines,
+    None) while no line holds a quote, then (None, csv rows) to the end, since
+    a quoted field can span lines and only csv.reader can tell."""
+    while lines := list(itertools.islice(stream, _BLOCK_ROWS)):
+        if '"' in "".join(lines):
+            reader = csv.reader(itertools.chain(lines, stream))
+            while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+                yield None, rows
+            return
+        yield lines, None
+
+
 def ingest_trace(source, home_id):
     """Read a trace CSV (see CSV_HEADER) onto the uniform 300 s grid.
 
@@ -361,21 +449,28 @@ def ingest_trace(source, home_id):
     grid are inserted as marked-missing samples. Raises ParseError,
     OrderingError, or DuplicateTimestampError on malformed input, naming the
     line the fault is on.
+
+    A block of rows in the canonical form write_trace_csv emits is parsed by
+    numpy's C reader; any other block, and every fault, by the exact
+    cell-by-cell reader, which yields the same Trace for a canonical block.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
             return ingest_trace(fh, home_id)
 
-    reader = csv.reader(source)
+    stream = iter(source)
     try:
-        header = next(reader)
+        header = next(csv.reader(stream))
     except StopIteration:
         raise ParseError("empty CSV stream", 1) from None
     if [h.strip() for h in header] != CSV_HEADER:
         raise ParseError(f"unexpected header {header!r}", 1)
 
     blocks, first_line, last_us = [], 2, None
-    while (block := _read_block(reader, first_line, last_us)) is not None:
+    for lines, rows in _blocks(stream):
+        block = None if lines is None else _read_canonical(lines, first_line, last_us)
+        if block is None:
+            block = _read_rows(rows or list(csv.reader(lines)), first_line, last_us)
         n_read, _, us, _ = block
         blocks.append(block)
         first_line += n_read

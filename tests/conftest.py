@@ -1,5 +1,14 @@
 """Shared synthetic-data builders for the test suite."""
 
+import os
+
+# One BLAS thread, as perfbench pins: on short vectors, waking the other
+# threads costs more than the sum they share. Set before numpy is imported;
+# test_arimax_model_file_does_not_depend_on_the_blas_thread_count runs fits
+# with two threads in subprocesses.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 import pytest
 

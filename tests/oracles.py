@@ -648,7 +648,7 @@ def fit_arimax_fd(train, controls, order):
     params = result.x
     e = _arimax_innovations(params, z, x, p, q, use_exog)
     skip = max(p, q)
-    var = float(np.dot(e[skip:], e[skip:]) / max(len(e) - skip - len(params), 1))
+    var = float(np.einsum("i,i", e[skip:], e[skip:]) / max(len(e) - skip - len(params), 1))
     return ArimaxModel(order=order, ar=params[:p], ma=params[p:p + q],
                        exog=params[p + q:p + q + 3] if use_exog else np.zeros(3),
                        intercept=float(params[-1]), innovation_var=max(var, 1e-300))

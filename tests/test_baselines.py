@@ -1,5 +1,8 @@
 """Unit tests for the ARIMAX baseline and series diagnostics."""
 
+import os
+import subprocess
+import sys
 import warnings
 from math import comb
 
@@ -126,6 +129,30 @@ def test_fit_arimax_recovers_parameters():
     assert model.ma == pytest.approx(MA, rel=0.1)
     assert model.exog == pytest.approx(EXOG, rel=0.1)
     assert model.innovation_var == pytest.approx(ESTD ** 2, rel=0.1)
+
+
+#: Fits the seed-0 series at two orders and prints both model files.
+_FIT_MODEL_FILES = """
+from rctherm import baselines as bl
+from test_baselines import _arimax_trace
+trace, controls = _arimax_trace(20_000, 0)
+for order in ((1, 1, 2), (0, 1, 1)):
+    print(bl.fit_arimax(trace, controls, bl.ArimaxOrder(*order)).to_json())
+"""
+
+
+def test_arimax_model_file_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a long dot product across its threads, which changes the
+    # order of the sum; the fit's sums are einsums, so the file is the same
+    files = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path)),
+               **{name: threads for name in
+                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+        files.append(subprocess.run([sys.executable, "-c", _FIT_MODEL_FILES], env=env,
+                                    capture_output=True, text=True, check=True,
+                                    timeout=300).stdout)
+    assert files[0] == files[1] and files[0].count("innovation_var") == 2
 
 
 def test_css_maps_overflow_to_cliff_without_warnings():

@@ -204,7 +204,9 @@ def test_csv_roundtrip_property(n, data):
     fractional = random_trace(data, n, start)
     with mock.patch.object(ts, "_BLOCK_ROWS", data.draw(blocks)):
         text = ts.trace_to_csv_text(trace)
-        assert ts.ingest_trace(io.StringIO(text), "hp") == trace
+        # every block the writer emits is canonical: numpy's reader takes it
+        with mock.patch.object(ts, "_read_rows", side_effect=AssertionError("exact path")):
+            assert ts.ingest_trace(io.StringIO(text), "hp") == trace
         for t in (trace, fractional):
             oracle = io.StringIO()
             write_trace_csv_rowwise(t, oracle)
@@ -244,16 +246,30 @@ _FAULTS = ["cell"] * 4 + ["cells", "duplicate", "backwards", "offgrid", "short",
                         "blank", "blank-commas"]
 
 
+#: Cells as write_trace_csv emits them, blank often enough that runs of blank
+#: cells and a blank last cell are common.
+_WRITER_CELLS = {
+    "float": st.one_of(st.just(""), finite.map(repr)),
+    "humidity": st.one_of(st.just(""), st.floats(0.0, 1.0).map(repr)),
+    "mode": st.sampled_from(["", "off", "heat", "cool", "auto"]),
+    "motion": st.sampled_from(["", "0", "1"]),
+}
+
+
 def _generated_csv(data):
     """A gapped trace CSV with blank fields and rows, and zero or more
-    injected faults."""
+    injected faults. Half the files are shaped as write_trace_csv writes them
+    (canonical stamps, repr floats), some with CRLF line ends or no final
+    newline, so that numpy's reader takes the blocks before a fault."""
     n = data.draw(st.integers(min_value=0, max_value=24))
     gaps = data.draw(st.lists(st.sampled_from([1, 1, 1, 2, 5]), min_size=n, max_size=n))
+    writer = data.draw(st.booleans())
+    forms, cells = (_STAMP_FORMS[:1], _WRITER_CELLS) if writer else (_STAMP_FORMS, _CELLS)
     rows = []
     for step in np.cumsum(gaps).tolist():
         t = START + timedelta(seconds=step * ts.STEP_SECONDS)
-        stamp = data.draw(st.sampled_from(_STAMP_FORMS))(t)
-        rows.append([stamp] + [data.draw(_CELLS[kind]) for kind in _KINDS])
+        stamp = data.draw(st.sampled_from(forms))(t)
+        rows.append([stamp] + [data.draw(cells[kind]) for kind in _KINDS])
     for _ in range(data.draw(st.integers(min_value=0, max_value=5))):
         if not rows:
             break
@@ -283,7 +299,9 @@ def _generated_csv(data):
     header = ",".join(ts.CSV_HEADER)
     if data.draw(st.sampled_from([False] * 20 + [True])):
         header = header.replace("humidity", "rh")
-    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    end = data.draw(st.sampled_from(["\n", "\n", "\r\n"])) if writer else "\n"
+    text = header + end + "".join(",".join(row) + end for row in rows)
+    return text.removesuffix(end) if writer and data.draw(st.booleans()) else text
 
 
 #: (edge values, valid range) of year, month, day, hour, minute and second
@@ -331,9 +349,9 @@ def test_canonical_timestamp_edges(cell):
     _check_canonical([cell])
 
 
-def _outcome(read, text):
+def _outcome(read, text, newline="\n"):
     try:
-        return read(io.StringIO(text), "h"), None
+        return read(io.StringIO(text, newline=newline), "h"), None
     except RcthermError as exc:
         return None, (type(exc), str(exc), getattr(exc, "line", None))
 
@@ -349,6 +367,105 @@ def test_ingest_matches_rowwise_oracle(data):
     assert error == expected_error
     if expected is not None:
         assert got == expected and got.start == expected.start
+
+
+def _canonical_lines(edits=(), n=7):
+    """Data lines as write_trace_csv emits them, with {(row, column): cell}
+    ``edits``."""
+    rows = [[stamp(i), repr(70.0 + i / 7), "30.25", "", "75.0", "auto", "1", "0.4"]
+            for i in range(n)]
+    for (row, col), cell in dict(edits).items():
+        rows[row][col] = cell
+    return [",".join(row) for row in rows]
+
+
+def _csv(lines, end="\n"):
+    return end.join([",".join(ts.CSV_HEADER), *lines]) + end
+
+
+#: Each input numpy's reader must refuse or read as csv.reader and the exact
+#: cell parsers do. With blocks of 2 rows, the blocks before row 3 take
+#: numpy's reader.
+_PITFALLS = {
+    "stamp suffix": _csv(_canonical_lines({(3, 0): stamp(3) + "x"})),
+    "stamp truncated": _csv(_canonical_lines({(3, 0): stamp(3) + "Zx"})),
+    "nan": _csv(_canonical_lines({(3, 1): "nan"})),
+    "inf": _csv(_canonical_lines({(3, 2): "inf"})),
+    "1e400": _csv(_canonical_lines({(3, 4): "1e400"})),
+    "-1e400": _csv(_canonical_lines({(3, 4): "-1e400"})),
+    "humidity 1.5": _csv(_canonical_lines({(3, 7): "1.5"})),
+    "motion 1.0": _csv(_canonical_lines({(3, 6): "1.0"})),
+    "motion +1": _csv(_canonical_lines({(3, 6): "+1"})),
+    "motion 1e0": _csv(_canonical_lines({(3, 6): "1e0"})),
+    "mode with a space": _csv(_canonical_lines({(3, 5): "auto "})),
+    "mode truncated": _csv(_canonical_lines({(3, 5): "autoheat"})),
+    "CRLF": _csv(_canonical_lines(), end="\r\n"),
+    "CRLF with a fault": _csv(_canonical_lines({(5, 1): "x"}), end="\r\n"),
+    "lone CR": _csv(_canonical_lines()).replace("\n", "\r", 3),
+    "comment": _csv(_canonical_lines({(3, 0): "#" + stamp(3)})),
+    "quoted cell": _csv(_canonical_lines({(1, 5): '"auto"'})),
+    "quoted newline": _csv(_canonical_lines({(1, 1): '"70\n.5"', (5, 5): "fan"})),
+    "blank line": _csv(_canonical_lines()[:3] + [""] + _canonical_lines()[3:]),
+    "blank line then a fault": _csv(
+        _canonical_lines({(5, 0): stamp(4)})[:3] + [""] + _canonical_lines({(5, 0): stamp(4)})[3:]),
+    "blank line on a block boundary": _csv(
+        _canonical_lines({(5, 1): "x"})[:4] + [""] + _canonical_lines({(5, 1): "x"})[4:]),
+    "blank line then off grid": _csv(
+        _canonical_lines()[:3] + [""]
+        + _canonical_lines({(5, 0): stamp(5).replace(":00Z", ":30Z")})[3:]),
+    "one row and a blank line": _csv(_canonical_lines()[:1] + [""]),
+    "blank cells row": _csv(_canonical_lines()[:3] + [",,,,,,,"] + _canonical_lines()[3:]),
+    "no final newline": _csv(_canonical_lines({(6, 7): ""}))[:-1],
+    "short row": _csv(_canonical_lines()[:3] + [stamp(9) + ",70"]),
+    "duplicate": _csv(_canonical_lines({(3, 0): stamp(2)})),
+    "backwards": _csv(_canonical_lines({(3, 0): stamp(1)})),
+    "backwards across blocks": _csv(_canonical_lines({(2, 0): stamp(1)})),
+    "off grid": _csv(_canonical_lines({(3, 0): stamp(3).replace(":00Z", ":30Z")})),
+    "non-ASCII": _csv(_canonical_lines({(3, 5): "aut\u00f6"})),
+}
+
+
+@pytest.mark.parametrize("block", [2, 3, ts._BLOCK_ROWS])
+@pytest.mark.parametrize("name", _PITFALLS)
+def test_canonical_reader_pitfalls_match_rowwise_oracle(name, block):
+    # read as ingest_trace reads a path: "\r", "\n" and "\r\n" end lines
+    text = _PITFALLS[name]
+    expected, expected_error = _outcome(ingest_trace_rowwise, text, newline="")
+    with mock.patch.object(ts, "_BLOCK_ROWS", block):
+        got, error = _outcome(ts.ingest_trace, text, newline="")
+    assert error == expected_error
+    if expected is not None:
+        assert got == expected and got.start == expected.start
+
+
+_FLOAT_CHARS = "0123456789+-.eE"
+_float_cells = st.one_of(
+    st.sampled_from(["5e-324", "1e-400", "-0.0", "1e308", "1e309", "0.1e1", "+.5", "5.",
+                     "1e5e5", "--1", "1_0", "0x10", "e5", "."]),
+    st.text(alphabet=_FLOAT_CHARS, max_size=30),
+    st.floats(allow_nan=False).map(repr),
+    st.floats(width=32).map(lambda v: f"{v:.9e}"),
+    st.tuples(st.integers(-10**20, 10**20), st.integers(-400, 400)).map(
+        lambda p: f"{p[0]}e{p[1]}"),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_float_cells)
+def test_float_cells_read_as_float_reads_them(cell):
+    # numpy's reader gives the bits float() gives, or refuses the block
+    line = _canonical_lines({(0, 1): cell}, n=1)[0]
+    block = ts._read_canonical([line + "\n"], 2, None)
+    try:
+        value = float(cell) if cell else np.nan  # a blank cell is missing
+    except ValueError:
+        value = None
+    if block is not None:
+        got = block[3]["t_in"][0]
+        assert value is not None and not np.isinf(value)
+        assert np.array([got]).tobytes() == np.array([value]).tobytes()
+    elif value is not None and not np.isinf(value) and set(cell) <= set(_FLOAT_CHARS):
+        pytest.fail(f"finite cell {cell!r} refused")
 
 
 # ---------------------------------------------------------------------------
