@@ -1,5 +1,5 @@
 """Black-box comparison models: ARIMAX with exogenous inputs and a
-persistence floor, plus ACF/PACF diagnostics.
+persistence floor.
 
 ARIMAX(p, d, q) is estimated as a regression with ARMA errors on the
 d-times-differenced series, by minimizing the conditional sum of squares
@@ -16,16 +16,15 @@ from math import comb
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from . import timeseries
 from .errors import (
     ConvergenceError,
-    DegenerateSeriesError,
     InsufficientDataError,
     InvalidParameterError,
     ShapeError,
 )
+from .rcnet import all_pole, all_pole_band
 
 _EXOG_DIM = 3  # (t_out, k_heat, k_cool)
 _AR_BOUND = 0.999
@@ -100,75 +99,48 @@ def difference(series, d):
     return series
 
 
-def acf(series, max_lag):
-    """Sample autocorrelations for lags 0..max_lag (biased normalization)."""
-    series = np.asarray(series, dtype=float)
-    n = len(series)
-    if n <= max_lag:
-        raise InsufficientDataError(f"series of length {n} too short for lag {max_lag}")
-    centered = series - series.mean()
-    c0 = np.dot(centered, centered) / n
-    if c0 <= 0:
-        raise DegenerateSeriesError("series has zero variance")
-    out = np.empty(max_lag + 1)
-    out[0] = 1.0
-    for k in range(1, max_lag + 1):
-        out[k] = np.dot(centered[:-k], centered[k:]) / n / c0
-    return out
-
-
-def pacf(series, max_lag):
-    """Partial autocorrelations for lags 1..max_lag via Durbin-Levinson."""
-    rho = acf(series, max_lag)
-    out = np.empty(max_lag)
-    phi = np.zeros((max_lag + 1, max_lag + 1))
-    phi[1, 1] = rho[1]
-    out[0] = rho[1]
-    for k in range(2, max_lag + 1):
-        num = rho[k] - np.dot(phi[k - 1, 1:k], rho[k - 1:0:-1])
-        den = 1.0 - np.dot(phi[k - 1, 1:k], rho[1:k])
-        phi[k, k] = num / den
-        phi[k, 1:k] = phi[k - 1, 1:k] - phi[k, k] * phi[k - 1, k - 1:0:-1]
-        out[k - 1] = phi[k, k]
-    return out
-
-
 def _design(trace, controls, d):
     return difference(trace.t_in, d), np.diff(timeseries.exog(trace, controls), n=d, axis=0)
 
 
-def _innovations(params, z, exog, p, q):
+def _theta(ma, n):
+    """The MA polynomial theta(B) = 1 + theta_1 B + ... over n steps, as an
+    all_pole band."""
+    return all_pole_band(np.concatenate([[1.0], ma]), n)
+
+
+def _innovations(params, z, exog, p, theta):
     """Innovations of dz_t = c + sum phi_i dz_{t-i} + beta.dX_t + ARMA errors,
-    with initial innovations zero (CSS convention)."""
+    with initial innovations zero (CSS convention); ``theta`` is _theta of
+    the MA coefficients over len(z) steps."""
     ar = params[:p]
-    ma = params[p:p + q]
-    beta = params[p + q:p + q + _EXOG_DIM]
-    c = params[p + q + _EXOG_DIM]
+    beta = params[-1 - _EXOG_DIM:-1]
+    c = params[-1]
     r = z - c - exog @ beta
     for i, phi in enumerate(ar, start=1):
         r[i:] -= phi * z[:-i]
-    if q:
-        return lfilter([1.0], np.concatenate([[1.0], ma]), r)
-    return r
+    return all_pole(theta, r)
 
 
 def _css(params, z, exog, p, q):
     """Conditional sum of squares (as a mean over the scored innovations)
     and its exact gradient.
 
-    The innovations are e = r / theta(B), linear in r, so the reverse-mode
-    gradient runs the same MA filter backwards in time over the scored
-    innovations: g = -(2/m) theta(B^-1)^-1 e~ is -dCSS/dr, and each
-    parameter's derivative is g against the series it multiplies in r, or,
-    for theta_j, against the innovations lagged j steps.
+    The innovations are e = theta(B)^-1 r, linear in r, so the reverse-mode
+    gradient is the adjoint solve over the scored innovations:
+    -(2/m) g, with g = theta(B)^-T e~, is -dCSS/dr, and each parameter's
+    derivative is -(2/m) g against the series it multiplies in r, or, for
+    theta_j, against the innovations lagged j steps. Both solves share one
+    band.
     """
     skip = max(p, q)
     m = max(len(z) - skip, 1)
+    theta = _theta(params[p:p + q], len(z))
     # a non-invertible MA trial point overflows the filtered innovations;
     # that non-finite objective maps to the 1e12 cliff below, so numpy's
     # overflow warnings on the way carry nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        e = _innovations(params, z, exog, p, q)
+        e = _innovations(params, z, exog, p, theta)
         # mean, not sum: L-BFGS-B's relative-reduction stop divides by
         # max(|f|, 1), so the objective's scale decides where the fit stops.
         # einsum, not a BLAS dot, which splits its sum across threads: the
@@ -176,11 +148,8 @@ def _css(params, z, exog, p, q):
         css = np.einsum("i,i", e[skip:], e[skip:]) / m
         scored = e.copy()
         scored[:skip] = 0.0
-        g = scored[::-1]
-        if q:
-            g = lfilter([1.0], np.concatenate([[1.0], params[p:p + q]]), g)
-        g = (-2.0 / m) * g[::-1]
-        grad = np.concatenate([
+        g = all_pole(theta, scored, adjoint=True)
+        grad = (-2.0 / m) * np.concatenate([
             [np.einsum("i,i", z[:-i], g[i:]) for i in range(1, p + 1)],
             [np.einsum("i,i", e[:-j], g[j:]) for j in range(1, q + 1)],
             exog.T @ g,
@@ -238,7 +207,7 @@ def fit_arimax(train, controls, order=None):
     beta = params[p + q:p + q + _EXOG_DIM]
     intercept = float(params[p + q + _EXOG_DIM])
 
-    e = _innovations(params, z, exog, p, q)
+    e = _innovations(params, z, exog, p, _theta(ma, len(z)))
     skip = max(p, q)
     dof = max(len(e) - skip - n_free, 1)
     var = float(np.einsum("i,i", e[skip:], e[skip:]) / dof)  # as in _css: no BLAS dot
@@ -263,10 +232,7 @@ def predict_arimax(model, test, controls):
         mean[i:] += phi * z[:-i]
     # innovations from measured history, same CSS recursion as the fit
     r = z - mean
-    if q:
-        e = lfilter([1.0], np.concatenate([[1.0], model.ma]), r)
-    else:
-        e = r
+    e = all_pole(_theta(model.ma, len(r)), r)
     pred_dz = mean.copy()
     for j, theta in enumerate(model.ma, start=1):
         pred_dz[j:] += theta * e[:-j]

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize_scalar, nnls as _lawson_hanson
 
 from .errors import (
     ConvergenceError,
@@ -38,7 +38,8 @@ POSTERIOR_LAYOUT = "u-lags-then-y-lags-bias-last/1"
 # Non-negative least squares
 
 def nnls(a, y):
-    """Lawson-Hanson active-set solution of min ||Ax - y|| s.t. x >= 0.
+    """min ||Ax - y|| s.t. x >= 0 by Lawson and Hanson's active-set method
+    (scipy.optimize.nnls).
 
     Raises ConvergenceError if more than 3k active-set iterations are needed
     (k = number of columns).
@@ -51,35 +52,11 @@ def nnls(a, y):
         raise ShapeError(f"A has {a.shape[0]} rows but y has {y.shape[0]} entries")
     if not (np.isfinite(a).all() and np.isfinite(y).all()):
         raise InvalidParameterError("nnls inputs must be finite")
-
-    m, k = a.shape
-    x = np.zeros(k)
-    passive = np.zeros(k, dtype=bool)
-    w = a.T @ y  # gradient of the objective at x = 0 (negated)
-    tol = 1e-12 * max(np.abs(w).max(), 1.0)
-
-    for _ in range(3 * k):
-        w = a.T @ (y - a @ x)
-        candidates = ~passive
-        if not candidates.any() or w[candidates].max() <= tol:
-            return x
-        j = int(np.flatnonzero(candidates)[np.argmax(w[candidates])])
-        passive[j] = True
-
-        while True:
-            cols = np.flatnonzero(passive)
-            z = np.zeros(k)
-            sol, *_ = np.linalg.lstsq(a[:, cols], y, rcond=None)
-            z[cols] = sol
-            if (z[cols] > tol).all():
-                x = z
-                break
-            blocking = cols[z[cols] <= tol]
-            alpha = np.min(x[blocking] / (x[blocking] - z[blocking]))
-            x = x + alpha * (z - x)
-            passive[np.abs(x) <= tol] = False
-            x[~passive] = 0.0
-    raise ConvergenceError(f"nnls exceeded {3 * k} active-set iterations")
+    try:
+        x, _ = _lawson_hanson(a, y, maxiter=3 * a.shape[1])
+    except RuntimeError:  # scipy's only failure: the iteration cap
+        raise ConvergenceError(f"nnls exceeded {3 * a.shape[1]} active-set iterations") from None
+    return x
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.signal import lfilter, lfiltic
+from scipy.linalg.blas import dtbsv
 
 from .errors import InsufficientDataError, InvalidParameterError, ParseError, ShapeError
 
@@ -281,12 +281,44 @@ def modal_form(ds):
     return lam, v, v_inv
 
 
+def all_pole_band(a, n):
+    """a(B) = 1 + a_1 B + ... + a_k B^k over n steps, for all_pole.
+
+    ``a`` is [1, a_1..a_k]. a(B) is the n-by-n unit lower-triangular banded
+    Toeplitz matrix L with a_i on its i-th subdiagonal. The band is L's
+    transpose in BLAS upper band storage, (k+1, n): every column is a
+    reversed, with the unit diagonal last. dtbsv never reads that diagonal,
+    so it is left unset.
+    """
+    band = np.empty((n, len(a)))
+    # a column at a time: a broadcast band[:] = a runs an inner loop of only
+    # k+1 entries per row, and takes several times as long
+    for i in range(len(a) - 1):
+        band[:, i] = a[-1 - i]
+    return band.T
+
+
+def all_pole(band, x, adjoint=False):
+    """x / a(B) from rest, for ``band`` = all_pole_band(a, len(x)).
+
+    The forward solve L y = x is the recursion
+    y_t = x_t - a_1 y_{t-1} - ... - a_k y_{t-k}; ``adjoint`` solves L^T y = x,
+    the same recursion run backwards in time. As L^T is the stored matrix,
+    the forward solve is dtbsv's transposed form, whose step is a k-term dot
+    product (the adjoint's step is an axpy, which is slower).
+    """
+    if not len(x):  # dtbsv refuses an empty vector
+        return np.zeros(0)
+    return dtbsv(band.shape[0] - 1, band, x, trans=int(not adjoint), diag=1)
+
+
 def filter_modes(modes, out_row, x0, u, b_now, b_next):
     """y_t = out_row . x_t for x_{t+1} = Phi x_t + b_now u_t + b_next u_{t+1}
     from x_0 = x0, with Phi's ``modes`` from modal_form.
 
-    Each mode z = v_inv x is one first-order IIR filter, so the roll-out is
-    one ``lfilter`` per mode; u is (steps, k) against (n, k) input matrices.
+    Each mode z = v_inv x is one first-order all-pole filter, with its initial
+    state lam z_0 added to the first drive; u is (steps, k) against (n, k)
+    input matrices.
     """
     lam, v, v_inv = modes
     z0 = v_inv @ x0
@@ -297,7 +329,8 @@ def filter_modes(modes, out_row, x0, u, b_now, b_next):
     for i in range(len(lam)):
         drive = u[1:] @ nxt[i]
         drive += u[:-1] @ now[i]
-        z, _ = lfilter([1.0], [1.0, -lam[i]], drive, zi=[lam[i] * z0[i]])
+        drive[:1] += lam[i] * z0[i]
+        z = all_pole(all_pole_band([1.0, -lam[i]], len(drive)), drive)
         z *= out[i]
         y[1:] += z
     return y
@@ -334,20 +367,18 @@ def simulate_difference(dc, u, y_init):
     if len(y_init) != n:
         raise InsufficientDataError(f"need exactly {n} initial outputs, got {len(y_init)}")
 
-    # the three input FIR filters summed, then one IIR over [1, e_1..e_n]
-    # seeded with y_init as the past outputs
-    drive = sum(lfilter(dc.s[:, j], [1.0], u[:, j]) for j in range(3))[n:] + dc.offset
-    a = np.concatenate([[1.0], dc.e])
-    y = np.empty(len(u))
+    # y_t + e_1 y_{t-1} + ... + e_n y_{t-n} = s_0 . u_t + ... + s_n . u_{t-n}
+    # + offset for t >= n; the lags of its first n rows that fall in y_init
+    # move to the right-hand side
+    m = len(u)
+    rhs = sum(u[n - i:m - i] @ dc.s[i] for i in range(n + 1)) + dc.offset
+    past = y_init[::-1]
+    for j in range(min(n, len(rhs))):
+        rhs[j] -= dc.e[j:] @ past[:n - j]
+    y = np.empty(m)
     y[:n] = y_init
-    y[n:], _ = lfilter([1.0], a, drive, zi=lfiltic([1.0], a, y_init[::-1]))
+    y[n:] = all_pole(all_pole_band(np.concatenate([[1.0], dc.e]), len(rhs)), rhs)
     return y
-
-
-def steady_state(params, t_out, k_heat, k_cool):
-    """Equilibrium indoor temperature under constant inputs."""
-    lift = (k_heat * params.q_heat - k_cool * params.q_cool) * sum(params.resistances)
-    return t_out + lift
 
 
 def initial_state(params, t_in0, t_out0):

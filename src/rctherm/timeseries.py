@@ -429,17 +429,31 @@ def _read_rows(rows, first_line, last_us):
     return n_read, lines, us, fields
 
 
+def _csv_rows(lines, line):
+    """csv.reader over ``lines``, whose first row is on ``line``; a row the
+    reader refuses (a lone "\r" inside a line of a stream split only at
+    "\n") is a ParseError on that row's line."""
+    try:
+        for row in csv.reader(lines):
+            yield row
+            line += 1
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV row: {exc}", line) from None
+
+
 def _blocks(stream):
     """The data records of a stream, up to _BLOCK_ROWS at a time: (lines,
     None) while no line holds a quote, then (None, csv rows) to the end, since
     a quoted field can span lines and only csv.reader can tell."""
+    line = 2
     while lines := list(itertools.islice(stream, _BLOCK_ROWS)):
         if '"' in "".join(lines):
-            reader = csv.reader(itertools.chain(lines, stream))
+            reader = _csv_rows(itertools.chain(lines, stream), line)
             while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
                 yield None, rows
             return
         yield lines, None
+        line += len(lines)
 
 
 def ingest_trace(source, home_id):
@@ -460,7 +474,7 @@ def ingest_trace(source, home_id):
 
     stream = iter(source)
     try:
-        header = next(csv.reader(stream))
+        header = next(_csv_rows(stream, 1))
     except StopIteration:
         raise ParseError("empty CSV stream", 1) from None
     if [h.strip() for h in header] != CSV_HEADER:
@@ -470,7 +484,7 @@ def ingest_trace(source, home_id):
     for lines, rows in _blocks(stream):
         block = None if lines is None else _read_canonical(lines, first_line, last_us)
         if block is None:
-            block = _read_rows(rows or list(csv.reader(lines)), first_line, last_us)
+            block = _read_rows(rows or list(_csv_rows(lines, first_line)), first_line, last_us)
         n_read, _, us, _ = block
         blocks.append(block)
         first_line += n_read

@@ -10,9 +10,11 @@ variational fit of the paper instead of the closed-form solve, the ELBO
 from the explicit design instead of its Gram matrix, the evidence by Bayes'
 rule at the posterior mean instead of the Cholesky form, and
 one-step-at-a-time state recursions instead of per-mode filtering for the
-state-space roll-out and the thermostat simulation, and the ARIMAX fit by
+state-space roll-out and the thermostat simulation, scipy.signal's
+direct-form IIR filter seeded by lfiltic instead of the banded triangular
+solve for the difference-equation roll-out, and the ARIMAX fit by
 L-BFGS-B's finite-difference gradient (with the persistence intercept
-found by the optimiser) instead of the exact reverse-filter gradient.
+found by the optimiser) instead of the exact adjoint gradient.
 """
 
 import csv
@@ -21,7 +23,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.signal import lfilter
+from scipy.signal import lfilter, lfiltic
 
 from rctherm.baselines import ArimaxModel, difference
 from rctherm.errors import (
@@ -185,6 +187,19 @@ def simulate_difference_loop(dc, u, y_init):
         for i in range(1, n + 1):
             acc -= dc.e[i - 1] * y[t - i]
         y[t] = acc
+    return y
+
+
+def simulate_difference_lfilter(dc, u, y_init):
+    """Free-running roll-out of the difference equation as scipy.signal
+    filters: the three input FIR filters summed, then one IIR over
+    [1, e_1..e_n] seeded by lfiltic with y_init as the past outputs."""
+    n = dc.order
+    drive = sum(lfilter(dc.s[:, j], [1.0], u[:, j]) for j in range(3))[n:] + dc.offset
+    a = np.concatenate([[1.0], dc.e])
+    y = np.empty(len(u))
+    y[:n] = y_init
+    y[n:], _ = lfilter([1.0], a, drive, zi=lfiltic([1.0], a, np.asarray(y_init)[::-1]))
     return y
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for the ARIMAX baseline and series diagnostics."""
+"""Unit tests for the ARIMAX baseline and series differencing."""
 
 import os
 import subprocess
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from rctherm import baselines as bl
 from rctherm import timeseries as ts
 from rctherm.errors import (
-    DegenerateSeriesError,
     InsufficientDataError,
     InvalidParameterError,
     ShapeError,
@@ -24,45 +23,13 @@ from test_timeseries import make_trace
 
 
 # ---------------------------------------------------------------------------
-# Diagnostics
+# Differencing
 
 def test_difference():
     assert bl.difference([1.0, 4.0, 9.0], 1) == pytest.approx([3.0, 5.0])
     assert bl.difference([1.0, 4.0, 9.0], 2) == pytest.approx([2.0])
     with pytest.raises(InsufficientDataError):
         bl.difference([1.0, 2.0], 2)
-
-
-def test_acf_ar1():
-    rng = np.random.default_rng(0)
-    phi = 0.7
-    e = rng.normal(0, 1, 200_000)
-    x = np.empty(len(e))
-    x[0] = e[0]
-    for t in range(1, len(e)):
-        x[t] = phi * x[t - 1] + e[t]
-    rho = bl.acf(x, 5)
-    assert rho[0] == 1.0
-    assert rho[1:] == pytest.approx(phi ** np.arange(1, 6), abs=0.02)
-
-
-def test_acf_errors():
-    with pytest.raises(InsufficientDataError):
-        bl.acf([1.0, 2.0], 5)
-    with pytest.raises(DegenerateSeriesError):
-        bl.acf(np.ones(100), 3)
-
-
-def test_pacf_ar2_cutoff():
-    rng = np.random.default_rng(1)
-    e = rng.normal(0, 1, 200_000)
-    x = np.zeros(len(e))
-    for t in range(2, len(e)):
-        x[t] = 0.5 * x[t - 1] - 0.3 * x[t - 2] + e[t]
-    p = bl.pacf(x, 6)
-    assert p[0] == pytest.approx(bl.acf(x, 1)[1])
-    assert p[1] == pytest.approx(-0.3, abs=0.02)  # lag-2 partial = phi_2
-    assert np.abs(p[2:]).max() < 0.02  # cutoff beyond the AR order
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +98,33 @@ def test_fit_arimax_recovers_parameters():
     assert model.innovation_var == pytest.approx(ESTD ** 2, rel=0.1)
 
 
-#: Fits the seed-0 series at two orders and prints both model files.
+#: Fits the seed-0 series at two orders and prints both model files, then
+#: the digests of a free run and of a synthetic trace's t_in, both of which
+#: filter with a BLAS banded solve.
 _FIT_MODEL_FILES = """
-from rctherm import baselines as bl
+import hashlib
+from datetime import datetime, timezone
+import numpy as np
+from conftest import FAST_2R2C, random_inputs
+from rctherm import baselines as bl, fleet, rcnet
 from test_baselines import _arimax_trace
+from test_fleet import SHOULDER
 trace, controls = _arimax_trace(20_000, 0)
 for order in ((1, 1, 2), (0, 1, 1)):
     print(bl.fit_arimax(trace, controls, bl.ArimaxOrder(*order)).to_json())
+dc = rcnet.analytic_coefficients(FAST_2R2C, 300.0)
+free = rcnet.simulate_difference(dc, random_inputs(np.random.default_rng(0), 20_000), [70.0, 70.0])
+synth, _ = fleet.generate_trace(FAST_2R2C, SHOULDER, "h", datetime(2019, 1, 1, tzinfo=timezone.utc),
+                                np.random.default_rng(0), 0.05)
+for values in (free, synth.t_in):
+    print(hashlib.sha256(values.tobytes()).hexdigest())
 """
 
 
 def test_arimax_model_file_does_not_depend_on_the_blas_thread_count():
     # OpenBLAS splits a long dot product across its threads, which changes the
-    # order of the sum; the fit's sums are einsums, so the file is the same
+    # order of the sum; the fit's sums are einsums, so the file is the same,
+    # and so are the filtered series
     files = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path)),
@@ -153,6 +134,7 @@ def test_arimax_model_file_does_not_depend_on_the_blas_thread_count():
                                     capture_output=True, text=True, check=True,
                                     timeout=300).stdout)
     assert files[0] == files[1] and files[0].count("innovation_var") == 2
+    assert len(files[0].splitlines()) == 4
 
 
 def test_css_maps_overflow_to_cliff_without_warnings():

@@ -1,5 +1,7 @@
 """Unit tests for NNLS, the 1R1C fit, and the variational estimator."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,14 @@ def test_nnls_validation():
         est.nnls(np.zeros((3, 2)), np.zeros(4))
     with pytest.raises(InvalidParameterError):
         est.nnls(np.array([[np.nan]]), np.array([1.0]))
+
+
+def test_nnls_maps_the_iteration_cap_to_convergence_error():
+    a = np.eye(2)
+    with mock.patch.object(est, "_lawson_hanson",
+                           side_effect=RuntimeError("Maximum number of iterations reached.")):
+        with pytest.raises(ConvergenceError, match="6 active-set iterations"):
+            est.nnls(a, np.ones(2))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import timedelta
 
@@ -409,6 +412,17 @@ def test_segment_hash_sees_shifted_start():
 
 # ---------------------------------------------------------------------------
 # CLI
+
+def test_cli_import_loads_neither_scipy_signal_nor_scipy_stats():
+    # each run of the command pays its imports; scipy.signal alone (which
+    # loads scipy.stats) took about half of the package's import time
+    code = ("import sys, rctherm.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120).stdout
+    assert loaded == "[]\n"
+
 
 def test_cli_synth_ingest_fit_coeffs_cluster(tmp_path):
     out = tmp_path / "fleet"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter, lfiltic
 
 from conftest import (
     FAST_2R2C,
@@ -18,6 +19,7 @@ from oracles import (
     expm_series_oracle,
     gamma_series_oracle,
     s_interpolation_oracle,
+    simulate_difference_lfilter,
     simulate_difference_loop,
     simulate_state_space_loop,
 )
@@ -147,6 +149,30 @@ def test_difference_coefficients_order_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# The all-pole filter against scipy.signal.lfilter
+
+@pytest.mark.parametrize("length", [0, 1, "k", 700])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_all_pole_matches_lfilter(rng, k, length):
+    n = k if length == "k" else length
+    a = np.poly(rng.uniform(-0.95, 0.95, k))  # [1, a_1..a_k], a stable filter
+    x = rng.normal(size=n)
+    band = rcnet.all_pole_band(a, n)
+    forward = rcnet.all_pole(band, x)
+    np.testing.assert_allclose(forward, lfilter([1.0], a, x), rtol=1e-12, atol=1e-12)
+    # the adjoint runs the recursion backwards in time
+    np.testing.assert_allclose(rcnet.all_pole(band, x, adjoint=True),
+                               lfilter([1.0], a, x[::-1])[::-1], rtol=1e-12, atol=1e-12)
+    assert forward.shape == (n,)
+    # an initial state: lfiltic's past-output terms added to the first k entries
+    zi = lfiltic([1.0], a, rng.normal(size=k))
+    seeded = x.copy()
+    seeded[:k] += zi[:n]
+    np.testing.assert_allclose(rcnet.all_pole(band, seeded), lfilter([1.0], a, x, zi=zi)[0],
+                               rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # Simulation
 
 def test_simulators_agree(rng):
@@ -182,6 +208,18 @@ def test_simulate_difference_matches_step_loop(rng, order):
     y_init = rng.uniform(60.0, 80.0, size=order)
     expected = simulate_difference_loop(dc, u, y_init)
     # filtering sums in another order: agreement to 1e-9 degF over 2000 steps
+    assert np.abs(rcnet.simulate_difference(dc, u, y_init) - expected).max() < 1e-9
+
+
+@pytest.mark.parametrize("steps", [2000, "n+1", "n+2"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_simulate_difference_matches_lfilter(rng, order, steps):
+    steps = {"n+1": order + 1, "n+2": order + 2}.get(steps, steps)
+    dc = rcnet.analytic_coefficients(random_fast_params(rng, order), 300.0)
+    dc = rcnet.DiffCoeffs(order=dc.order, s=dc.s, e=dc.e, offset=-0.5)
+    u = random_inputs(rng, steps)
+    y_init = rng.uniform(60.0, 80.0, size=order)
+    expected = simulate_difference_lfilter(dc, u, y_init)
     assert np.abs(rcnet.simulate_difference(dc, u, y_init) - expected).max() < 1e-9
 
 
@@ -239,18 +277,11 @@ def test_simulate_input_validation():
         rcnet.simulate_difference(dc, np.zeros((5, 3)), np.zeros(1))
 
 
-def test_steady_state():
-    p = rcnet.RcParams((2.0, 1.0), (1.0, 1.0), 10.0, 8.0)
-    assert rcnet.steady_state(p, 30.0, 1, 0) == pytest.approx(60.0)
-    assert rcnet.steady_state(p, 90.0, 0, 1) == pytest.approx(66.0)
-    assert rcnet.steady_state(p, 50.0, 0, 0) == pytest.approx(50.0)
-
-
 def test_equilibrium_is_fixed_point():
     p = FAST_2R2C
     ss = rcnet.build_state_space(p)
     ds = rcnet.discretize(ss, 300.0)
-    t_eq = rcnet.steady_state(p, 30.0, 1, 0)
+    t_eq = 30.0 + p.q_heat * sum(p.resistances)  # the heat flux across every R
     # with heating on, every lump settles between T_out and T_in
     u = np.tile([30.0, 1.0, 0.0], (2000, 1))
     y = rcnet.simulate_state_space(ds, ss, u, rcnet.initial_state(p, 70.0, 30.0))

@@ -142,6 +142,26 @@ def test_timestamp_outside_utc_datetime_range_is_a_parse_error():
             ts.ingest_trace(io.StringIO(text), "h0")
 
 
+_ROW = ",70.5,30,68,75,auto,0,0.4\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    (",".join(ts.CSV_HEADER) + "\n2024-01-01T00:00:00Z,70\r5,30,68,75,auto,0,0.4\n", 2),
+    ("timestamp,t_in\r," + ",".join(ts.CSV_HEADER[2:]) + "\n", 1),
+    (csv_lines([stamp(0) + _ROW[:-1], stamp(1) + _ROW[:-1],
+                stamp(2) + _ROW[:-1].replace(",", ",\r", 1)]), 4),
+    # after a quoted cell, csv.reader reads every later block
+    (csv_lines([stamp(0) + _ROW[:-1].replace("auto", '"auto"'), stamp(1) + _ROW[:-1],
+                stamp(2) + _ROW[:-1], stamp(3) + "\r" + _ROW[:-1]]), 5),
+], ids=["first row", "header", "second block", "quoted blocks"])
+def test_lone_cr_in_a_newline_split_stream_is_a_parse_error(text, line):
+    # a StringIO splits lines only at "\n", so csv.reader meets the "\r"
+    # inside a line and raises csv.Error
+    with mock.patch.object(ts, "_BLOCK_ROWS", 2):
+        with pytest.raises(ParseError, match=f"^line {line}: malformed CSV row"):
+            ts.ingest_trace(io.StringIO(text), "h")
+
+
 # ---------------------------------------------------------------------------
 # Serialization round trip
 
