@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import timeseries
 from .errors import (
@@ -179,6 +178,8 @@ def fit_arimax(train, controls, order=None):
     z, exog = _design(train, controls, d)
 
     if p or q:
+        from scipy.optimize import minimize  # imported here: see estimators.nnls
+
         design = np.column_stack([exog, np.ones(len(z))])
         ols, *_ = np.linalg.lstsq(design, z, rcond=None)
         x0 = np.concatenate([np.zeros(p + q), ols])

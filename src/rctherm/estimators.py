@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize_scalar, nnls as _lawson_hanson
 
 from .errors import (
     ConvergenceError,
@@ -52,8 +51,12 @@ def nnls(a, y):
         raise ShapeError(f"A has {a.shape[0]} rows but y has {y.shape[0]} entries")
     if not (np.isfinite(a).all() and np.isfinite(y).all()):
         raise InvalidParameterError("nnls inputs must be finite")
+    # scipy.optimize is imported where it is used, so that a run with no NNLS,
+    # ARIMAX or tempered transfer does not pay for loading it
+    from scipy.optimize import nnls as lawson_hanson
+
     try:
-        x, _ = _lawson_hanson(a, y, maxiter=3 * a.shape[1])
+        x, _ = lawson_hanson(a, y, maxiter=3 * a.shape[1])
     except RuntimeError:  # scipy's only failure: the iteration cap
         raise ConvergenceError(f"nnls exceeded {3 * a.shape[1]} active-set iterations") from None
     return x
@@ -309,6 +312,8 @@ def _fit_power_prior(design, noise_var, source):
     point's neighbours. With r0 = y - X m0 and b = X'r0/sigma^2, it is
     -(N log(2 pi sigma^2) + r0'r0/sigma^2 - b'A^-1 b + log|A| - log|alpha L0|)/2.
     """
+    from scipy.optimize import minimize_scalar  # imported here: see nnls
+
     r0 = design.residual(source.means)
     b = design.moment(r0) / noise_var
     const = design.rows * math.log(2 * math.pi * noise_var) + (r0 @ r0) / noise_var

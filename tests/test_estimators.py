@@ -76,8 +76,8 @@ def test_nnls_validation():
 
 def test_nnls_maps_the_iteration_cap_to_convergence_error():
     a = np.eye(2)
-    with mock.patch.object(est, "_lawson_hanson",
-                           side_effect=RuntimeError("Maximum number of iterations reached.")):
+    with mock.patch("scipy.optimize.nnls",
+                    side_effect=RuntimeError("Maximum number of iterations reached.")):
         with pytest.raises(ConvergenceError, match="6 active-set iterations"):
             est.nnls(a, np.ones(2))
 

@@ -413,15 +413,34 @@ def test_segment_hash_sees_shifted_start():
 # ---------------------------------------------------------------------------
 # CLI
 
-def test_cli_import_loads_neither_scipy_signal_nor_scipy_stats():
-    # each run of the command pays its imports; scipy.signal alone (which
-    # loads scipy.stats) took about half of the package's import time
-    code = ("import sys, rctherm.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+def _fresh_python(code):
+    """stdout of ``code`` run in a new interpreter that sees this package."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))}
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=120).stdout
-    assert loaded == "[]\n"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+def test_cli_import_loads_no_scipy_signal_stats_or_optimize():
+    # each run of the command pays its imports; scipy.signal (which loads
+    # scipy.stats) and scipy.optimize were each a large share of the package's
+    # import time
+    code = ("import sys, rctherm.cli; print(sorted(m for m in "
+            "('scipy.signal', 'scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    assert _fresh_python(code) == "[]\n"
+
+
+@pytest.mark.parametrize("kind, loads_optimize", [("bnn_rc", False), ("arimax", True)])
+def test_experiment_loads_scipy_optimize_only_for_an_iterative_fit(tmp_path, kind,
+                                                                   loads_optimize):
+    # the closed-form bnn_rc fit runs no optimiser; ARIMAX's L-BFGS-B does
+    config = small_config(model_kinds=(kind,))
+    config = replace(config, fleet_config=replace(config.fleet_config, n_homes=1))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config.to_json())
+    argv = ["experiment", "--config", str(config_path), "--out", str(tmp_path / "run")]
+    code = (f"import sys; from rctherm import cli; status = cli.main({argv!r}); "
+            "print(status, 'scipy.optimize' in sys.modules)")
+    assert _fresh_python(code).splitlines()[-1] == f"0 {loads_optimize}"
 
 
 def test_cli_synth_ingest_fit_coeffs_cluster(tmp_path):
