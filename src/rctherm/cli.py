@@ -24,8 +24,19 @@ def _add_common(parser):
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
 
+def _at_least(low):
+    """An argparse type: an integer of at least ``low``."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _add_seed(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    parser.add_argument("--seed", type=_at_least(0), default=0, help="master RNG seed")
 
 
 def build_parser():
@@ -54,7 +65,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="forward-simulate RC parameters")
     _add_common(p)
     p.add_argument("params", type=Path, help="RcParams JSON file")
-    p.add_argument("--days", type=int, default=1)
+    p.add_argument("--days", type=_at_least(1), default=1)
     p.add_argument("--t-out", type=float, default=30.0)
 
     p = sub.add_parser("coeffs", help="RC parameters to difference coefficients")

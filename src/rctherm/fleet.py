@@ -518,7 +518,6 @@ def generate_trace(truth, season, home_id, start, rng, measurement_noise_std):
         hvac_mode=np.full(n_samples, season.hvac_mode, dtype=np.int8),
         motion=motion,
         humidity=humidity,
-        long_gap=np.zeros(n_samples, dtype=bool),
     )
     return trace, ControlSeries(k_heat=kh, k_cool=kc)
 

@@ -78,6 +78,8 @@ class ExperimentConfig:
         for name in ("order", "train_days", "test_days"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed!r}")
 
     def to_dict(self):
         out = {k: getattr(self, k) for k in _PLAIN_FIELDS if k != "manifest"}
@@ -321,13 +323,14 @@ def run_experiment(config, out_dir=None):
     source-season fit for "cross-season"), evaluate and emit.
     """
     scenario = config.scenario
+    if scenario != "none" and tuple(config.model_kinds) != ("bnn_rc",):
+        raise ConfigError(f"{scenario} transfer fits the bnn_rc model kind alone, "
+                          f"got {list(config.model_kinds)}")
     metadata, traces, seasons = _load_fleet(config)
     metadata = sorted(metadata, key=lambda m: m.home_id)
     if scenario == "cross-season" and len(seasons) < 2 and (
             config.source_season is None or config.target_season is None):
         raise ConfigError("cross-season transfer needs two seasons")
-    if scenario == "cross-home" and "bnn_rc" not in config.model_kinds:
-        raise ConfigError("cross-home transfer requires the bnn_rc model kind")
     src = config.source_season or next(iter(seasons), None)
     dst = (config.target_season or seasons[1]) if scenario == "cross-season" else src
     for season in (src, dst):
@@ -369,7 +372,6 @@ def run_experiment(config, out_dir=None):
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         (out_path / "models").mkdir(parents=True, exist_ok=True)
-    kinds = config.model_kinds if scenario == "none" else ("bnn_rc",)
     records = []
     for meta in present:
         home_id = meta.home_id
@@ -378,7 +380,7 @@ def run_experiment(config, out_dir=None):
         train_controls = None if scenario == "cross-home" else timeseries.derive_controls(train)
         test_controls = timeseries.derive_controls(test)
         data_hash = _segment_hash(train)
-        for kind in kinds:
+        for kind in config.model_kinds:
             if scenario == "none":
                 model = fit(kind, home_id, train, train_controls)
             else:

@@ -54,8 +54,8 @@ class Trace:
     """A single home's uniformly sampled thermostat time series.
 
     ``long_gap`` marks samples inside an imputed run longer than
-    ``MAX_GAP_STEPS``; it is populated by :func:`impute` and consumed by
-    :func:`build_regression`.
+    ``MAX_GAP_STEPS``; it marks none unless given, is populated by
+    :func:`impute` and is consumed by :func:`build_regression`.
     """
 
     home_id: str
@@ -67,7 +67,7 @@ class Trace:
     hvac_mode: np.ndarray
     motion: np.ndarray
     humidity: np.ndarray
-    long_gap: np.ndarray | None = None
+    long_gap: np.ndarray = field(default=None)
 
     def __post_init__(self):
         n = len(self.t_in)
@@ -76,6 +76,8 @@ class Trace:
         for name in ("t_out", "t_setheat", "t_setcool", "hvac_mode", "motion", "humidity"):
             if len(getattr(self, name)) != n:
                 raise ParseError(f"field {name} length differs from t_in")
+        if self.long_gap is None:
+            object.__setattr__(self, "long_gap", np.zeros(n, dtype=bool))
 
     def __len__(self):
         return len(self.t_in)
@@ -88,12 +90,8 @@ class Trace:
         for name in _CONTINUOUS_FIELDS + ("motion",):
             if not np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True):
                 return False
-        if not np.array_equal(self.hvac_mode, other.hvac_mode):
-            return False
-        a, b = self.long_gap, other.long_gap
-        if (a is None) != (b is None):
-            return False
-        return a is None or np.array_equal(a, b)
+        return (np.array_equal(self.hvac_mode, other.hvac_mode)
+                and np.array_equal(self.long_gap, other.long_gap))
 
     @property
     def has_missing(self):
@@ -200,15 +198,7 @@ def _float_field(name, lo=None, hi=None):
             raise ParseError(f"{name} value {value} outside [{lo}, {hi}]")
         return value
 
-    def fast(cells):
-        values = np.array([float(c) if c else np.nan for c in cells])
-        odd = ~np.isfinite(values)
-        if lo is not None:
-            odd |= (values < lo) | (values > hi)
-        # blank cells are the expected NaNs; any other odd cell is a fault
-        return None if any(cells[i] for i in np.flatnonzero(odd).tolist()) else values
-
-    return parse, fast
+    return parse
 
 
 def _lookup_field(table, message):
@@ -218,13 +208,11 @@ def _lookup_field(table, message):
         except KeyError:
             raise ParseError(message.format(text.strip())) from None
 
-    return parse, lambda cells: [table[c] for c in cells]
+    return parse
 
 
-#: (column in CSV_HEADER, name, dtype, (parse, fast)) for each non-timestamp
-#: field, in the order a row's fields are checked. ``parse`` reads one cell
-#: exactly; ``fast`` reads a whole column of canonical cells at once and
-#: raises or returns None when any cell needs ``parse``.
+#: (column in CSV_HEADER, name, dtype, parse) for each non-timestamp field, in
+#: the order a row's fields are checked; ``parse`` reads one cell exactly.
 _FIELDS = (
     (5, "hvac_mode", np.int8, _lookup_field(_MODE_CELLS, "unknown hvac_mode {!r}")),
     (6, "motion", float, _lookup_field(_MOTION_CELLS, "motion must be 0 or 1, got {!r}")),
@@ -234,26 +222,6 @@ _FIELDS = (
     (4, "t_setcool", float, _float_field("t_setcool")),
     (7, "humidity", float, _float_field("humidity", lo=0.0, hi=1.0)),
 )
-
-
-def _parse_column(cells, parse, fast=None):
-    """Values of a column of cells up to the first cell ``parse`` rejects.
-
-    Returns (values, None) or (values before the bad cell, its ParseError).
-    """
-    try:
-        values = fast(cells) if fast else [parse(c) for c in cells]
-        if values is not None:
-            return values, None
-    except (ValueError, KeyError, ParseError):
-        pass
-    values = []
-    for cell in cells:
-        try:
-            values.append(parse(cell))
-        except ParseError as exc:
-            return values, exc
-    return values, None
 
 
 #: The canonical timestamp cell, as written by write_trace_csv: "0" marks a
@@ -309,10 +277,9 @@ _CANONICAL_ROW = np.dtype([(name, {"timestamp": _STAMP_DTYPE, "hvac_mode": "<U5"
                            for name in CSV_HEADER])
 #: (name, dtype, {cell: value}) of the hvac_mode and motion columns of a
 #: canonical block, where a blank cell reads "nan"
-_CANONICAL_CELLS = (
-    ("hvac_mode", np.int8, {"nan": MODE_MISSING, **_MODE_NAMES}),
-    ("motion", float, {"nan": np.nan, "0": 0.0, "1": 1.0}),
-)
+_CANONICAL_CELLS = tuple((name, dtype, {cell or "nan": value for cell, value in cells.items()})
+                         for name, dtype, cells in (("hvac_mode", np.int8, _MODE_CELLS),
+                                                    ("motion", float, _MOTION_CELLS)))
 
 
 def _lookup(cells, table, dtype):
@@ -375,58 +342,38 @@ def _read_canonical(lines, first_line, last_us):
 
 
 def _read_rows(rows, first_line, last_us):
-    """Parse csv rows a column at a time, each cell exactly.
+    """Parse csv rows one at a time, each cell exactly.
 
     Returns (rows read, line numbers, timestamps in microseconds, {field:
-    values}) of the non-blank rows. A block that holds a fault raises the one
-    a row-by-row reading meets first: the lowest line, then the first check in
-    the row's order (field count, timestamp, hvac_mode, motion, the floats in
-    CSV_HEADER order, then duplicate and ordering against the previous row).
-    Each check only scans rows before the earliest fault found so far.
+    values}) of the non-blank rows. Raises at the first fault in line order;
+    a row is checked for its field count, then its timestamp, hvac_mode,
+    motion and the floats in CSV_HEADER order, then for a duplicate or
+    out-of-order timestamp against the row before it.
     """
-    n_read = len(rows)
     width = len(CSV_HEADER)
-    # a row is blank when every cell is; the first cell decides most rows
-    keep = [i for i, row in enumerate(rows)
-            if row and (row[0].strip() or any(map(str.strip, row)))]
-    rows, lines = [rows[i] for i in keep], first_line + np.asarray(keep, dtype=np.int64)
-    fault, limit = None, len(rows)
-    short = next((i for i, row in enumerate(rows) if len(row) != width), None)
-    if short is not None:
-        fault = ParseError(f"expected {width} fields, got {len(rows[short])}",
-                           int(lines[short]))
-        limit = short
-    columns = list(zip(*rows[:limit])) or [()] * width
-    del rows
-    stamps = _canonical_stamps(columns[0])
-    if stamps is None:
-        stamps, exc = _parse_column(columns[0], _parse_timestamp)
-        if exc is not None:
-            limit = len(stamps)
-            fault = ParseError(str(exc), int(lines[limit]))
-
-    fields = {}
-    for col, name, dtype, field in _FIELDS:
-        values, exc = _parse_column(columns[col][:limit], *field)
-        columns[col] = None  # release the column's strings before the next
-        if exc is not None:
-            limit = len(values)
-            fault = ParseError(str(exc), int(lines[limit]))
-        fields[name] = np.array(values, dtype=dtype)
-
-    us = np.array(stamps[:limit], dtype=np.int64)
-    step = _steps(us, last_us)
-    back = np.flatnonzero(step <= 0)
-    if len(back):
-        i = back[0]
-        cell, line = columns[0][i], lines[i]
-        if step[i] == 0:
-            fault = DuplicateTimestampError(f"line {line}: duplicate timestamp {cell}")
-        else:
-            fault = OrderingError(f"line {line}: timestamp {cell} not increasing")
-    if fault is not None:
-        raise fault
-    return n_read, lines, us, fields
+    lines, stamps, records = [], [], []
+    for line, row in enumerate(rows, first_line):
+        if not any(map(str.strip, row)):
+            continue
+        try:
+            if len(row) != width:
+                raise ParseError(f"expected {width} fields, got {len(row)}")
+            us = _parse_timestamp(row[0])
+            record = [parse(row[col]) for col, _, _, parse in _FIELDS]
+        except ParseError as exc:
+            raise ParseError(str(exc), line) from None
+        if last_us is not None and us == last_us:
+            raise DuplicateTimestampError(f"line {line}: duplicate timestamp {row[0]}")
+        if last_us is not None and us < last_us:
+            raise OrderingError(f"line {line}: timestamp {row[0]} not increasing")
+        lines.append(line)
+        stamps.append(us)
+        records.append(record)
+        last_us = us
+    columns = list(zip(*records)) or [()] * len(_FIELDS)
+    fields = {name: np.array(values, dtype=dtype)
+              for (_, name, dtype, _), values in zip(_FIELDS, columns)}
+    return len(rows), np.array(lines, dtype=np.int64), np.array(stamps, dtype=np.int64), fields
 
 
 def _csv_rows(lines, line):
@@ -466,7 +413,7 @@ def ingest_trace(source, home_id):
 
     A block of rows in the canonical form write_trace_csv emits is parsed by
     numpy's C reader; any other block, and every fault, by the exact
-    cell-by-cell reader, which yields the same Trace for a canonical block.
+    row-at-a-time reader, which yields the same Trace for a canonical block.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
@@ -584,13 +531,10 @@ def impute(trace):
     """Fill missing samples: linear interpolation for continuous fields,
     zero-fill for motion, last-observation-carried-forward for hvac_mode.
 
-    Idempotent: a trace without missing markers is returned unchanged
-    (modulo a populated ``long_gap`` mask).
+    Idempotent: a trace without missing markers is returned unchanged.
     """
     if not trace.has_missing:
-        if trace.long_gap is not None:
-            return trace
-        return replace(trace, long_gap=np.zeros(len(trace), dtype=bool))
+        return trace
 
     model_missing = (trace.hvac_mode == MODE_MISSING)
     for name in ("t_in", "t_out", "t_setheat", "t_setcool"):
@@ -673,7 +617,7 @@ def build_regression(trace, controls, order):
     targets = y[n:].copy()
     indices = np.arange(n, len(trace))
 
-    if trace.long_gap is not None and trace.long_gap.any():
+    if trace.long_gap.any():
         bad = np.convolve(trace.long_gap.astype(int), np.ones(n + 1, dtype=int))[n: len(trace)] > 0
         keep = ~bad
         inputs, targets, indices = inputs[keep], targets[keep], indices[keep]
@@ -697,11 +641,9 @@ def split(trace, train_days, test_days):
 def slice_trace(trace, lo, hi):
     """Sub-trace over grid indices [lo, hi); start shifts accordingly."""
     fields = {name: getattr(trace, name)[lo:hi].copy()
-              for name in _CONTINUOUS_FIELDS + ("motion", "hvac_mode")}
-    gap = None if trace.long_gap is None else trace.long_gap[lo:hi].copy()
+              for name in _CONTINUOUS_FIELDS + ("motion", "hvac_mode", "long_gap")}
     return Trace(
         home_id=trace.home_id,
         start=trace.start + timedelta(seconds=lo * STEP_SECONDS),
-        long_gap=gap,
         **fields,
     )

@@ -81,6 +81,8 @@ def test_experiment_config_validation():
         small_config(retrain_days=3)
     with pytest.raises(ConfigError):
         small_config(model_kinds=("bnn_rc", "oracle"))
+    with pytest.raises(ConfigError, match="seed"):
+        small_config(seed=-1)
     with pytest.raises(ConfigError):
         harness.ExperimentConfig()  # neither fleet nor manifest
     with pytest.raises(ConfigError):
@@ -303,10 +305,12 @@ def test_run_experiment_multiple_kinds():
                for r in report.records if r["model"] == "persistence")
 
 
-def test_run_experiment_cross_home_requires_bnn():
-    config = small_config(scenario="cross-home", model_kinds=("arimax",),
-                          cluster_k=1)
-    with pytest.raises(ConfigError):
+@pytest.mark.parametrize("kinds", [("arimax",), ("bnn_rc", "arimax")], ids="+".join)
+@pytest.mark.parametrize("scenario", ["cross-home", "cross-season"])
+def test_run_experiment_cross_home_requires_bnn(scenario, kinds):
+    # a transfer fits bnn_rc alone: any other kind is refused, not dropped
+    config = small_config(scenario=scenario, model_kinds=kinds, cluster_k=1)
+    with pytest.raises(ConfigError, match="arimax"):
         harness.run_experiment(config)
 
 
@@ -557,6 +561,26 @@ def test_cli_simulate_rejects_time_constants_the_step_cannot_resolve(tmp_path, c
     assert cli.main(["simulate", str(params)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_negative_seed_or_days_is_a_usage_error(tmp_path, capsys):
+    # numpy's default_rng refuses a negative seed, and simulate needs a day
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(_RC_PARAMS))
+    metadata = tmp_path / "metadata.csv"
+    fleet.write_metadata_csv(uniform_metadata(0, 4), metadata)
+    config = tmp_path / "config.json"
+    config.write_text(_edited_config(lambda d: d.update(seed=-1)))
+    for argv in (["experiment", "--config", str(config)], ["synth", "--seed", "-1"],
+                 ["cluster", str(metadata), "--seed", "-3"],
+                 ["simulate", str(params), "--days", "-1"],
+                 ["simulate", str(params), "--days", "0"]):
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.count("error:") == 1, captured.err
+        assert "error: " in captured.err.splitlines()[-1], captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_unreadable_files_end_in_one_error_line(tmp_path, capsys):

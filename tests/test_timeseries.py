@@ -193,7 +193,7 @@ starts = st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2060, 1
                           timezone.utc, timezone(timedelta(hours=2)),
                           timezone(timedelta(hours=-9, minutes=-30)),
                           timezone(timedelta(hours=14))]))
-#: Block sizes for the column-at-a-time reader and writer: tiny ones put
+#: Block sizes for the reader and the column-at-a-time writer: tiny ones put
 #: block boundaries inside the generated files.
 blocks = st.sampled_from([1, 2, 3, 5, ts._BLOCK_ROWS])
 
@@ -234,7 +234,8 @@ def test_csv_roundtrip_property(n, data):
 
 
 # ---------------------------------------------------------------------------
-# Column-at-a-time reader against the row-by-row oracle
+# The reader (numpy's for canonical blocks, the exact row-at-a-time one for
+# the rest) against the row-by-row oracle
 
 _STAMP_FORMS = [
     lambda t: t.strftime("%Y-%m-%dT%H:%M:%SZ"),
