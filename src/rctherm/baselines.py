@@ -93,13 +93,11 @@ def difference(series, d):
     series = np.asarray(series, dtype=float)
     if len(series) <= d:
         raise InsufficientDataError(f"series of length {len(series)} cannot be differenced {d} times")
-    for _ in range(d):
-        series = np.diff(series)
-    return series
+    return np.diff(series, n=d, axis=0)
 
 
 def _design(trace, controls, d):
-    return difference(trace.t_in, d), np.diff(timeseries.exog(trace, controls), n=d, axis=0)
+    return difference(trace.t_in, d), difference(timeseries.exog(trace, controls), d)
 
 
 def _theta(ma, n):
@@ -222,21 +220,15 @@ def predict_arimax(model, test, controls):
     Returns predictions for grid indices [model.warmup, len(test)); compare
     against ``test.t_in[model.warmup:]``.
     """
-    p, d, q = model.order.p, model.order.d, model.order.q
+    p, d = model.order.p, model.order.d
     warm = model.warmup
     if len(test) <= warm:
         raise InsufficientDataError(f"need more than {warm} samples of warm-up history")
     z, exog = _design(test, controls, d)
-
-    mean = model.intercept + exog @ model.exog
-    for i, phi in enumerate(model.ar, start=1):
-        mean[i:] += phi * z[:-i]
-    # innovations from measured history, same CSS recursion as the fit
-    r = z - mean
-    e = all_pole(_theta(model.ma, len(r)), r)
-    pred_dz = mean.copy()
-    for j, theta in enumerate(model.ma, start=1):
-        pred_dz[j:] += theta * e[:-j]
+    # the forecast is the measured value less the innovation the fit's CSS
+    # recursion finds from measured history
+    params = np.concatenate([model.ar, model.ma, model.exog, [model.intercept]])
+    pred_dz = z - _innovations(params, z, exog, p, _theta(model.ma, len(z)))
 
     # undifference with measured lags: y_t = pred_dz_t - sum_{k>=1} (-1)^k C(d,k) y_{t-k},
     # for t from warm, the first predictable original-scale index

@@ -35,6 +35,14 @@ def _at_least(low):
     return integer
 
 
+def _finite(text):
+    """An argparse type: a finite float."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _add_seed(parser):
     parser.add_argument("--seed", type=_at_least(0), default=0, help="master RNG seed")
 
@@ -63,13 +71,11 @@ def build_parser():
     p.add_argument("--home-id", default="home")
 
     p = sub.add_parser("simulate", help="forward-simulate RC parameters")
-    _add_common(p)
     p.add_argument("params", type=Path, help="RcParams JSON file")
     p.add_argument("--days", type=_at_least(1), default=1)
-    p.add_argument("--t-out", type=float, default=30.0)
+    p.add_argument("--t-out", type=_finite, default=30.0)
 
     p = sub.add_parser("coeffs", help="RC parameters to difference coefficients")
-    _add_common(p)
     p.add_argument("params", type=Path, help="RcParams JSON file")
 
     p = sub.add_parser("cluster", help="cluster homes by metadata CSV")
@@ -115,7 +121,7 @@ def _cmd_synth(args):
             "truth": home.truth.to_dict(),
             "traces": {},
         }
-        for season_cfg in home.seasons:
+        for season_cfg in config.seasons:
             rel = f"{home.metadata.home_id}__{season_cfg.name}.csv"
             timeseries.write_trace_csv(traces[(home.metadata.home_id, season_cfg.name)],
                                        out / rel)

@@ -50,6 +50,8 @@ ELBOW_K_MAX = 10
 LOOKAHEAD = 48
 #: The construction years a home's metadata may hold.
 YEAR_BUILT_RANGE = (1800, 2100)
+#: The first timestamp of every synthetic trace.
+START = datetime(2019, 1, 1, tzinfo=timezone.utc)
 _MAX_LLOYD_ITERS = 100
 
 
@@ -320,7 +322,6 @@ class FleetConfig:
     floor_area_range: tuple = (800.0, 4000.0)
     year_built_range: tuple = (1950, 2020)
     lift_range: tuple = (20.0, 60.0)
-    start: datetime = datetime(2019, 1, 1, tzinfo=timezone.utc)
 
     def __post_init__(self):
         if self.n_homes < 1:
@@ -348,7 +349,6 @@ class FleetConfig:
 class SyntheticHome:
     metadata: HomeMetadata
     truth: RcParams
-    seasons: tuple  # of SeasonConfig
 
 
 def _home_rng(master_seed, home_index, stream):
@@ -542,12 +542,12 @@ def synth_fleet(config, seed=0):
             city="synthville",
         )
         truth = _sample_truth(config, meta, meta_rng)
-        home = SyntheticHome(metadata=meta, truth=truth, seasons=tuple(config.seasons))
+        home = SyntheticHome(metadata=meta, truth=truth)
         homes.append(home)
         for s_idx, season in enumerate(config.seasons):
             trace_rng = _home_rng(seed, i, 1 + s_idx)
             traces[(home_id, season.name)], _ = generate_trace(
-                truth, season, home_id, config.start, trace_rng,
+                truth, season, home_id, START, trace_rng,
                 config.measurement_noise_std)
     return homes, traces
 

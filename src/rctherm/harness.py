@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, estimators, fleet, rcnet, timeseries
-from .errors import ConfigError, DataError, InvalidParameterError
+from .errors import ConfigError, DataError, InsufficientDataError, InvalidParameterError
 
 MODEL_KINDS = ("bnn_rc", "onercone", "arimax", "persistence")
 SCENARIOS = ("none", "cross-home", "cross-season")
@@ -73,8 +73,8 @@ class ExperimentConfig:
         unknown = set(self.model_kinds) - set(MODEL_KINDS)
         if unknown:
             raise ConfigError(f"unknown model kinds: {sorted(unknown)}")
-        if self.fleet_config is None and self.manifest is None:
-            raise ConfigError("config needs a synthetic fleet or a manifest")
+        if (self.fleet_config is None) == (self.manifest is None):
+            raise ConfigError("config needs exactly one of a synthetic fleet and a manifest")
         for name in ("order", "train_days", "test_days"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
@@ -346,8 +346,15 @@ def run_experiment(config, out_dir=None):
                                        config.train_days, config.test_days)
         target = train
         if scenario == "cross-season":
+            # the retrain head from the start of the target season, the test
+            # segment from its end: they must not overlap
             target = traces[(home_id, dst)]
             n = len(target)
+            need = (config.retrain_days + config.test_days) * timeseries.SAMPLES_PER_DAY
+            if n < need:
+                raise InsufficientDataError(
+                    f"{home_id}'s {dst!r} trace has {n} samples, need {need} for "
+                    f"{config.retrain_days} retrain and {config.test_days} test days")
             test = timeseries.slice_trace(
                 target, n - config.test_days * timeseries.SAMPLES_PER_DAY, n)
         head = None

@@ -17,7 +17,13 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.linalg.blas import dtbsv
 
-from .errors import InsufficientDataError, InvalidParameterError, ParseError, ShapeError
+from .errors import (
+    DataError,
+    InsufficientDataError,
+    InvalidParameterError,
+    ParseError,
+    ShapeError,
+)
 
 #: Models beyond 5R5C are not supported.
 MAX_ORDER = 5
@@ -170,9 +176,16 @@ class DiffCoeffs:
 
 
 def build_state_space(params):
-    """Assemble the tridiagonal A and sparse B and Cm for an nRnC network."""
+    """Assemble the tridiagonal A and sparse B and Cm for an nRnC network.
+
+    An R*C product that underflows to zero raises InvalidParameterError.
+    """
     n = params.order
     r, c = params.resistances, params.capacitances
+    # each R*C product that the rates below divide by: positive R and C can
+    # still multiply to zero
+    if 0.0 in [c[i] * r[j] for i in range(n) for j in (i, i + 1) if j < n]:
+        raise InvalidParameterError("an R*C product underflows to zero")
     a = np.zeros((n, n))
     if n == 1:
         a[0, 0] = -1.0 / (c[0] * r[0])
@@ -340,7 +353,8 @@ def simulate_state_space(ds, ss, u, x0):
     """Roll the discrete state recursion forward; one output per input row.
 
     x_{t+1} = Phi x_t + (Gamma1 - Gamma2) u_t + Gamma2 u_{t+1}; y_t = Cm x_t,
-    filtered per mode of Phi (filter_modes).
+    filtered per mode of Phi (filter_modes). An output that overflows raises
+    DataError.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[1] != 3:
@@ -348,7 +362,11 @@ def simulate_state_space(ds, ss, u, x0):
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != ds.order:
         raise ShapeError(f"x0 must have {ds.order} entries, got {x.shape[0]}")
-    return filter_modes(modal_form(ds), ss.cm[0], x, u, ds.gamma1 - ds.gamma2, ds.gamma2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        y = filter_modes(modal_form(ds), ss.cm[0], x, u, ds.gamma1 - ds.gamma2, ds.gamma2)
+    if not np.isfinite(y).all():
+        raise DataError("the simulated output overflows")
+    return y
 
 
 def simulate_difference(dc, u, y_init):

@@ -301,16 +301,14 @@ def _read_canonical(lines, first_line, last_us):
     Returns what _read_rows returns for the same lines, or None when any line
     takes another form or holds a fault, for _read_rows to decide.
     """
-    # the first line refuses a file in another form cheaply
-    if lines[0][19:21] != "Z," or lines[0].encode().translate(None, _CANONICAL_BYTES + b"\r"):
-        return None
     text = "".join(lines)
     if "\r" in text:  # "\r\n" ends a row for csv.reader as "\n" does
         text = text.replace("\r\n", "\n")
     if not text.endswith("\n"):
         text += "\n"
     data = text.encode()
-    if data.translate(None, _CANONICAL_BYTES):
+    # numpy skips a blank line, and warns when every line is blank
+    if data.translate(None, _CANONICAL_BYTES) or data.startswith(b"\n") or b"\n\n" in data:
         return None
     # numpy reads an empty float cell as an error: write "nan" into each blank
     # cell (the alphabet holds no "n", so each "nan" read back was a blank)
@@ -324,8 +322,6 @@ def _read_canonical(lines, first_line, last_us):
                            comments=None, ndmin=1, encoding="ascii")
     except ValueError:
         return None
-    if len(table) != len(lines):  # numpy skips blank lines
-        return None
     us = _canonical_stamps(table["timestamp"])
     if us is None or (_steps(us, last_us) <= 0).any():
         return None
@@ -338,17 +334,17 @@ def _read_canonical(lines, first_line, last_us):
         fields[name] = _lookup(table[name], cells, dtype)
         if fields[name] is None:
             return None
-    return len(lines), first_line + np.arange(len(lines)), us, fields
+    return first_line + np.arange(len(lines)), us, fields
 
 
 def _read_rows(rows, first_line, last_us):
     """Parse csv rows one at a time, each cell exactly.
 
-    Returns (rows read, line numbers, timestamps in microseconds, {field:
-    values}) of the non-blank rows. Raises at the first fault in line order;
-    a row is checked for its field count, then its timestamp, hvac_mode,
-    motion and the floats in CSV_HEADER order, then for a duplicate or
-    out-of-order timestamp against the row before it.
+    Returns (line numbers, timestamps in microseconds, {field: values}) of
+    the non-blank rows. Raises at the first fault in line order; a row is
+    checked for its field count, then its timestamp, hvac_mode, motion and
+    the floats in CSV_HEADER order, then for a duplicate or out-of-order
+    timestamp against the row before it.
     """
     width = len(CSV_HEADER)
     lines, stamps, records = [], [], []
@@ -373,7 +369,7 @@ def _read_rows(rows, first_line, last_us):
     columns = list(zip(*records)) or [()] * len(_FIELDS)
     fields = {name: np.array(values, dtype=dtype)
               for (_, name, dtype, _), values in zip(_FIELDS, columns)}
-    return len(rows), np.array(lines, dtype=np.int64), np.array(stamps, dtype=np.int64), fields
+    return np.array(lines, dtype=np.int64), np.array(stamps, dtype=np.int64), fields
 
 
 def _csv_rows(lines, line):
@@ -389,18 +385,20 @@ def _csv_rows(lines, line):
 
 
 def _blocks(stream):
-    """The data records of a stream, up to _BLOCK_ROWS at a time: (lines,
-    None) while no line holds a quote, then (None, csv rows) to the end, since
-    a quoted field can span lines and only csv.reader can tell."""
-    line = 2
+    """The data records of a stream, parsed _BLOCK_ROWS lines at a time, as
+    _read_rows returns them: numpy's reader parses blocks until it refuses
+    one, and csv.reader reads from that block's first line to the end, since
+    a quoted field can span lines."""
+    line, last_us = 2, None
     while lines := list(itertools.islice(stream, _BLOCK_ROWS)):
-        if '"' in "".join(lines):
-            reader = _csv_rows(itertools.chain(lines, stream), line)
-            while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
-                yield None, rows
-            return
-        yield lines, None
-        line += len(lines)
+        if (block := _read_canonical(lines, line, last_us)) is None:
+            break
+        yield block
+        line, last_us = line + len(lines), block[1][-1]
+    rows = _csv_rows(itertools.chain(lines, stream), line)
+    while chunk := list(itertools.islice(rows, _BLOCK_ROWS)):
+        yield (block := _read_rows(chunk, line, last_us))
+        line, last_us = line + len(chunk), block[1][-1] if len(block[1]) else last_us
 
 
 def ingest_trace(source, home_id):
@@ -411,9 +409,10 @@ def ingest_trace(source, home_id):
     OrderingError, or DuplicateTimestampError on malformed input, naming the
     line the fault is on.
 
-    A block of rows in the canonical form write_trace_csv emits is parsed by
-    numpy's C reader; any other block, and every fault, by the exact
-    row-at-a-time reader, which yields the same Trace for a canonical block.
+    numpy's C reader parses blocks of rows in the canonical form
+    write_trace_csv emits. From the first block it refuses (a row in another
+    form, or a fault) to the end of the stream, the exact row-at-a-time
+    reader parses, which yields the same Trace for canonical rows.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
@@ -427,20 +426,11 @@ def ingest_trace(source, home_id):
     if [h.strip() for h in header] != CSV_HEADER:
         raise ParseError(f"unexpected header {header!r}", 1)
 
-    blocks, first_line, last_us = [], 2, None
-    for lines, rows in _blocks(stream):
-        block = None if lines is None else _read_canonical(lines, first_line, last_us)
-        if block is None:
-            block = _read_rows(rows or list(_csv_rows(lines, first_line)), first_line, last_us)
-        n_read, _, us, _ = block
-        blocks.append(block)
-        first_line += n_read
-        if len(us):
-            last_us = us[-1]
-    lines = np.concatenate([b[1] for b in blocks] or [np.empty(0, np.int64)])
+    blocks = list(_blocks(stream))
+    lines = np.concatenate([b[0] for b in blocks] or [np.empty(0, np.int64)])
     if len(lines) < 2:
         raise InsufficientDataError("trace CSV must contain at least 2 data rows")
-    us = np.concatenate([b[2] for b in blocks])
+    us = np.concatenate([b[1] for b in blocks])
 
     offset = us - us[0]
     off_grid = np.flatnonzero(offset % _STEP_US)
@@ -454,7 +444,7 @@ def ingest_trace(source, home_id):
     arrays = {}
     for _, name, dtype, _ in _FIELDS:
         full = np.full(n, MODE_MISSING if name == "hvac_mode" else np.nan, dtype=dtype)
-        full[idx] = np.concatenate([b[3][name] for b in blocks])
+        full[idx] = np.concatenate([b[2][name] for b in blocks])
         arrays[name] = full
     start = _EPOCH + timedelta(microseconds=int(us[0]))
     return Trace(home_id=home_id, start=start, **arrays)
@@ -639,7 +629,11 @@ def split(trace, train_days, test_days):
 
 
 def slice_trace(trace, lo, hi):
-    """Sub-trace over grid indices [lo, hi); start shifts accordingly."""
+    """Sub-trace over grid indices [lo, hi); start shifts accordingly. A
+    window outside [0, len(trace)] raises InsufficientDataError."""
+    if not 0 <= lo <= hi <= len(trace):
+        raise InsufficientDataError(
+            f"window [{lo}, {hi}) lies outside the trace's {len(trace)} samples")
     fields = {name: getattr(trace, name)[lo:hi].copy()
               for name in _CONTINUOUS_FIELDS + ("motion", "hvac_mode", "long_gap")}
     return Trace(

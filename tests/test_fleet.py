@@ -382,7 +382,7 @@ def test_derive_controls_consistency_with_generator():
         rng = fleet._home_rng(0, i, 1)
         trace, controls = fleet.generate_trace(
             home.truth, config.seasons[0], home.metadata.home_id,
-            config.start, rng, config.measurement_noise_std)
+            fleet.START, rng, config.measurement_noise_std)
         derived = ts.derive_controls(ts.impute(trace))
         agree += int((derived.k_heat == controls.k_heat).sum())
         agree += int((derived.k_cool == controls.k_cool).sum())

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from rctherm import cli, estimators, fleet, harness, rcnet
 from rctherm import timeseries as ts
-from rctherm.errors import ConfigError, DataError, RcthermError, ShapeError, UnimputableError
+from rctherm.errors import (
+    ConfigError,
+    DataError,
+    InsufficientDataError,
+    RcthermError,
+    ShapeError,
+    UnimputableError,
+)
 from test_fleet import SHOULDER, uniform_metadata
 from test_timeseries import make_trace
 
@@ -85,6 +92,8 @@ def test_experiment_config_validation():
         small_config(seed=-1)
     with pytest.raises(ConfigError):
         harness.ExperimentConfig()  # neither fleet nor manifest
+    with pytest.raises(ConfigError, match="exactly one"):
+        small_config(manifest="/nonexistent/manifest.json")
     with pytest.raises(ConfigError):
         harness.ExperimentConfig.from_dict({"schema_version": 99})
 
@@ -320,6 +329,31 @@ def test_run_experiment_cross_season_needs_two_seasons():
         harness.run_experiment(config)
 
 
+@pytest.mark.parametrize("target_days, retrain_days", [(10, 7), (5, 7), (5, 0)])
+def test_cross_season_retrain_and_test_days_must_fit_the_target_season(
+        tmp_path, capsys, target_days, retrain_days):
+    # the retrain head comes from the start of the target season and the
+    # test segment from its end: a season too short for both would overlap
+    # them (or, shorter than the test, shift the test's start back)
+    seasons = (fleet.SeasonConfig(name="a", days=20), fleet.SeasonConfig(name="b", days=target_days))
+    config = small_config(fleet_config=fleet.FleetConfig(n_homes=1, seasons=seasons),
+                          scenario="cross-season", train_days=10, test_days=8,
+                          retrain_days=retrain_days)
+    with pytest.raises(InsufficientDataError, match=f"home0000's 'b' trace has {target_days * 288} "
+                                                    f"samples, need {(retrain_days + 8) * 288}"):
+        harness.run_experiment(config)
+    path = tmp_path / "config.json"
+    path.write_text(config.to_json())
+    assert cli.main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count("error:") == 1
+
+
+def test_cross_home_retrain_head_longer_than_the_train_segment_is_insufficient_data():
+    config = small_config(scenario="cross-home", retrain_days=7, cluster_k=1)
+    with pytest.raises(InsufficientDataError, match=r"window \[0, 2016\) lies outside"):
+        harness.run_experiment(config)
+
+
 @pytest.mark.parametrize("scenario,seasons", [
     ("none", dict(source_season="summer")),
     ("cross-home", dict(source_season="summer")),
@@ -545,7 +579,10 @@ def test_cli_exit_codes(tmp_path):
                  json.dumps({**_RC_PARAMS, "q_cool": 10 ** 400}),
                  json.dumps({**_RC_PARAMS, "order": 3}),
                  json.dumps({**_RC_PARAMS, "extra": 1}),
-                 json.dumps({**_RC_PARAMS, "resistances": [1.0, -2.0]})):
+                 json.dumps({**_RC_PARAMS, "resistances": [1.0, -2.0]}),
+                 # each R*C is 1e-400, which underflows to zero
+                 json.dumps({**_RC_PARAMS, "resistances": [1e-200, 1e-200],
+                             "capacitances": [1e-200, 1e-200]})):
         params.write_text(text)
         for command in ("coeffs", "simulate"):
             assert cli.main([command, str(params)]) == 2, (command, text)
@@ -563,6 +600,27 @@ def test_cli_simulate_rejects_time_constants_the_step_cannot_resolve(tmp_path, c
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("t_out, code", [("nan", 1), ("inf", 1), ("-inf", 1), ("1e308", 2)])
+def test_cli_simulate_needs_a_finite_t_out_and_output(tmp_path, capsys, t_out, code):
+    # a non-finite --t-out is a usage error; one whose run overflows, a
+    # data error, with no RuntimeWarning on the way (the suite raises them)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(_RC_PARAMS))
+    assert cli.main(["simulate", str(params), f"--t-out={t_out}"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1, captured.err
+    assert "error: " in captured.err.splitlines()[-1], captured.err
+
+
+@pytest.mark.parametrize("command", ["coeffs", "simulate"])
+def test_cli_commands_that_print_take_no_out(tmp_path, command):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(_RC_PARAMS))
+    assert cli.main([command, str(params)]) == 0
+    assert cli.main([command, str(params), "--out", str(tmp_path)]) == 1
+
+
 def test_cli_negative_seed_or_days_is_a_usage_error(tmp_path, capsys):
     # numpy's default_rng refuses a negative seed, and simulate needs a day
     params = tmp_path / "params.json"
@@ -571,11 +629,12 @@ def test_cli_negative_seed_or_days_is_a_usage_error(tmp_path, capsys):
     fleet.write_metadata_csv(uniform_metadata(0, 4), metadata)
     config = tmp_path / "config.json"
     config.write_text(_edited_config(lambda d: d.update(seed=-1)))
-    for argv in (["experiment", "--config", str(config)], ["synth", "--seed", "-1"],
-                 ["cluster", str(metadata), "--seed", "-3"],
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (["experiment", "--config", str(config)] + out, ["synth", "--seed", "-1"] + out,
+                 ["cluster", str(metadata), "--seed", "-3"] + out,
                  ["simulate", str(params), "--days", "-1"],
                  ["simulate", str(params), "--days", "0"]):
-        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1, argv
+        assert cli.main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err.count("error:") == 1, captured.err
@@ -585,11 +644,12 @@ def test_cli_negative_seed_or_days_is_a_usage_error(tmp_path, capsys):
 
 def test_cli_unreadable_files_end_in_one_error_line(tmp_path, capsys):
     missing = str(tmp_path / "missing")
+    out = ["--out", str(tmp_path)]
     # an input trace, posterior, metadata or parameter file: a data error
-    for argv in (["ingest", missing], ["fit", missing], ["coeffs", missing],
-                 ["simulate", missing], ["cluster", missing],
-                 ["transfer", missing, missing], ["ingest", str(tmp_path)]):
-        assert cli.main(argv + ["--out", str(tmp_path)]) == 2, argv
+    for argv in (["ingest", missing] + out, ["fit", missing] + out, ["coeffs", missing],
+                 ["simulate", missing], ["cluster", missing] + out,
+                 ["transfer", missing, missing] + out, ["ingest", str(tmp_path)] + out):
+        assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
     # the experiment config file: a usage error

@@ -1,6 +1,7 @@
 """Unit tests for trace ingestion, imputation, and regression assembly."""
 
 import io
+import warnings
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -160,6 +161,35 @@ def test_lone_cr_in_a_newline_split_stream_is_a_parse_error(text, line):
     with mock.patch.object(ts, "_BLOCK_ROWS", 2):
         with pytest.raises(ParseError, match=f"^line {line}: malformed CSV row"):
             ts.ingest_trace(io.StringIO(text), "h")
+
+
+def test_numpy_reader_is_not_retried_after_its_first_refusal():
+    # blocks of two rows: the first is canonical, the second holds a space
+    # after a comma, the third is canonical again. csv.reader reads from the
+    # second block to the end, and the trace is the canonical file's.
+    rows = [stamp(i) + _ROW[:-1] for i in range(6)]
+    spaced = rows[:2] + [rows[2].replace(",", ", ", 1)] + rows[3:]
+    results = []
+
+    def spy(*args):
+        results.append(read(*args))
+        return results[-1]
+
+    read = ts._read_canonical
+    with mock.patch.object(ts, "_BLOCK_ROWS", 2), mock.patch.object(ts, "_read_canonical", spy):
+        got = ts.ingest_trace(io.StringIO(csv_lines(spaced)), "h")
+    assert [block is None for block in results] == [False, True]
+    assert got == ts.ingest_trace(io.StringIO(csv_lines(rows)), "h")
+
+
+def test_a_block_of_blank_lines_reads_without_a_warning():
+    # blocks of two lines: the second holds only blank lines, which numpy's
+    # reader would warn about; the exact reader skips them
+    text = csv_lines([stamp(0) + _ROW[:-1], stamp(1) + _ROW[:-1], "", "", stamp(2) + _ROW[:-1]])
+    with mock.patch.object(ts, "_BLOCK_ROWS", 2), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = ts.ingest_trace(io.StringIO(text), "h")
+    assert len(trace) == 3 and not trace.has_missing
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +512,7 @@ def test_float_cells_read_as_float_reads_them(cell):
     except ValueError:
         value = None
     if block is not None:
-        got = block[3]["t_in"][0]
+        got = block[2]["t_in"][0]
         assert value is not None and not np.isinf(value)
         assert np.array([got]).tobytes() == np.array([value]).tobytes()
     elif value is not None and not np.isinf(value) and set(cell) <= set(_FLOAT_CHARS):
@@ -700,3 +730,10 @@ def test_slice_preserves_long_gap():
                                                 np.linspace(70, 71, 12)]))
     sub = ts.slice_trace(trace, 4, 12)
     assert (sub.long_gap == trace.long_gap[4:12]).all()
+
+
+@pytest.mark.parametrize("lo, hi", [(-2, 6), (4, 13), (8, 6)])
+def test_slice_outside_the_trace_is_insufficient_data(lo, hi):
+    # a window is never clamped to the trace
+    with pytest.raises(InsufficientDataError, match="lies outside the trace's 12 samples"):
+        ts.slice_trace(make_trace(12), lo, hi)
