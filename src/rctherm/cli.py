@@ -67,7 +67,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("trace", type=Path)
     p.add_argument("--kind", choices=harness.MODEL_KINDS, default="bnn_rc")
-    p.add_argument("--order", type=int, default=2)
+    p.add_argument("--order", type=_at_least(1), default=2)
     p.add_argument("--home-id", default="home")
 
     p = sub.add_parser("simulate", help="forward-simulate RC parameters")

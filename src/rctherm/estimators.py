@@ -140,11 +140,8 @@ class TrainingConfig:
     noise_std: float = 0.1
 
     def __post_init__(self):
-        value = self.noise_std
-        # a value of another type is left to the config parser's check
-        if isinstance(value, (int, float)) and not isinstance(value, bool) \
-                and not value > 0:
-            raise InvalidParameterError(f"noise_std must be positive, got {value!r}")
+        if not self.noise_std > 0:
+            raise InvalidParameterError(f"noise_std must be positive, got {self.noise_std!r}")
 
     def to_dict(self):
         return asdict(self)

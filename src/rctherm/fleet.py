@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
 )
 from .rcnet import (
+    MAX_ORDER,
     RcParams,
     build_state_space,
     discretize,
@@ -309,25 +310,22 @@ class SeasonConfig:
             raise ConfigError(f"season {self.name!r} needs weather_noise_std >= 0, "
                               f"got {self.weather_noise_std}")
 
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 @dataclass(frozen=True)
 class FleetConfig:
-    n_homes: int = 20
+    n_homes: int
     order: int = 2
-    seasons: tuple = (SeasonConfig(),)
+    seasons: tuple[SeasonConfig, ...] = (SeasonConfig(),)
     measurement_noise_std: float = 0.05
-    floor_area_range: tuple = (800.0, 4000.0)
-    year_built_range: tuple = (1950, 2020)
-    lift_range: tuple = (20.0, 60.0)
+    floor_area_range: tuple[float, float] = (800.0, 4000.0)
+    year_built_range: tuple[float, float] = (1950.0, 2020.0)
+    lift_range: tuple[float, float] = (20.0, 60.0)
 
     def __post_init__(self):
         if self.n_homes < 1:
             raise ConfigError("n_homes must be >= 1")
-        if self.order < 1:
-            raise ConfigError(f"order must be >= 1, got {self.order}")
+        if not 1 <= self.order <= MAX_ORDER:
+            raise ConfigError(f"order must be in [1, {MAX_ORDER}], got {self.order}")
         if not self.measurement_noise_std >= 0:
             raise ConfigError(f"measurement_noise_std must be >= 0, "
                               f"got {self.measurement_noise_std}")

@@ -9,10 +9,13 @@ coefficient-based models. All runs are deterministic given the config.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,36 +27,77 @@ MODEL_KINDS = ("bnn_rc", "onercone", "arimax", "persistence")
 SCENARIOS = ("none", "cross-home", "cross-season")
 RETRAIN_CHOICES = (0, 1, 7)
 CONFIG_SCHEMA_VERSION = 3
-#: Config keys read as they are; absent ones take the dataclass defaults.
-_PLAIN_FIELDS = ("manifest", "order", "train_days", "test_days", "scenario", "retrain_days",
-                 "cluster_k", "source_season", "target_season", "seed")
-_FLEET_SCALARS = ("order", "measurement_noise_std")
-_FLEET_RANGES = ("floor_area_range", "year_built_range", "lift_range")
-#: The JSON types a config field may hold, by its annotation: an int is a
-#: float, a bool is not a number (no field is a bool).
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str,
-               "str | None": (str, type(None)), "object": dict, "array": list}
+#: How an error names the JSON type a value should have had.
+_JSON_NAMES = {dict: "an object", list: "an array", int: "an integer", float: "a number",
+               str: "a string"}
 
 
-def _check_type(label, value, annotation):
-    if not isinstance(value, _JSON_TYPES[annotation]) or isinstance(value, bool):
-        raise ConfigError(f"{label} must be {annotation}, got {value!r}")
+@functools.cache
+def _json_fields(cls):
+    """{JSON key: (field name, annotation, required)} of a config dataclass;
+    a field's key is its name unless its metadata gives another."""
+    hints = typing.get_type_hints(cls)
+    return {f.metadata.get("key", f.name): (f.name, hints[f.name],
+                                            f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
 
 
-def _typed(config):
-    """``config``, a config dataclass, once each of its fields annotated in
-    ``_JSON_TYPES`` holds a value of that type."""
-    for f in fields(config):
-        if f.type in _JSON_TYPES:
-            _check_type(f"config field {f.name!r}", getattr(config, f.name), f.type)
-    return config
+def _from_json(tp, value, where):
+    """``value``, a parsed JSON value, read as the annotation ``tp``.
+
+    A dataclass is read from an object whose keys are each one of its
+    fields and include every field without a default; ``tuple[X, ...]`` and
+    ``tuple[X, Y]`` from arrays, ``dict[str, X]`` from an object; ``X | None``
+    takes null.
+    ``int``, ``float`` (an int reads as a float) and ``str`` are checked by
+    type, and a bool is not a number. Every error is a ConfigError that
+    names the path ``where`` (such as ``config.fleet.seasons[0].days``).
+    """
+    if is_dataclass(tp):
+        keys = _json_fields(tp)
+        obj = _from_json(dict, value, where)
+        unknown = sorted(set(obj) - set(keys))
+        if unknown:
+            raise ConfigError(f"{where} has unknown keys {unknown}")
+        missing = sorted(k for k, (_, _, required) in keys.items() if required and k not in obj)
+        if missing:
+            raise ConfigError(f"{where} lacks keys {missing}")
+        kwargs = {keys[k][0]: _from_json(keys[k][1], v, f"{where}.{k}") for k, v in obj.items()}
+        try:
+            return tp(**kwargs)
+        except (ConfigError, InvalidParameterError) as exc:  # an impossible value
+            raise ConfigError(f"{where}: {exc}") from None
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        if value is None:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+        return _from_json(tp, value, where)
+    if origin is tuple:
+        items = _from_json(list, value, where)
+        kinds = args[:1] * len(items) if args[1:] == (...,) else args
+        if len(items) != len(kinds):
+            raise ConfigError(f"{where} must hold {len(kinds)} items, got {value!r}")
+        return tuple(_from_json(t, v, f"{where}[{i}]")
+                     for i, (t, v) in enumerate(zip(kinds, items)))
+    if origin is dict:
+        return {k: _from_json(args[1], v, f"{where}.{k}")
+                for k, v in _from_json(dict, value, where).items()}
+    if not isinstance(value, (int, float) if tp is float else tp) or isinstance(value, bool):
+        raise ConfigError(f"{where} must be {_JSON_NAMES[tp]}, got {value!r}")
+    if tp is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} is too large for a float") from None
+    return value
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    fleet_config: fleet.FleetConfig | None = None
+    fleet_config: fleet.FleetConfig | None = field(default=None, metadata={"key": "fleet"})
     manifest: str | None = None
-    model_kinds: tuple = ("bnn_rc",)
+    model_kinds: tuple[str, ...] = ("bnn_rc",)
     order: int = 2
     train_days: int = 75
     test_days: int = 15
@@ -78,55 +122,23 @@ class ExperimentConfig:
         for name in ("order", "train_days", "test_days"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be at least 0, got {self.seed!r}")
+        for name in ("cluster_k", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be at least 0, got {getattr(self, name)!r}")
 
     def to_dict(self):
-        out = {k: getattr(self, k) for k in _PLAIN_FIELDS if k != "manifest"}
-        out.update(schema_version=CONFIG_SCHEMA_VERSION, model_kinds=list(self.model_kinds),
-                   hyper=self.hyper.to_dict())
-        if self.manifest is not None:
-            out["manifest"] = str(self.manifest)
-        if self.fleet_config is not None:
-            fc = self.fleet_config
-            out["fleet"] = {**{k: getattr(fc, k) for k in ("n_homes",) + _FLEET_SCALARS},
-                            **{k: list(getattr(fc, k)) for k in _FLEET_RANGES},
-                            "seasons": [s.to_dict() for s in fc.seasons]}
-        return out
+        data = asdict(self)
+        data["fleet"] = data.pop("fleet_config")
+        return {**data, "schema_version": CONFIG_SCHEMA_VERSION}
 
     @classmethod
     def from_dict(cls, data):
         """Parse a config; any malformed field raises ConfigError."""
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        if data.get("schema_version") != CONFIG_SCHEMA_VERSION:
-            raise ConfigError(f"unsupported config schema {data.get('schema_version')!r}")
-        if isinstance(data.get("model_kinds"), str):
-            raise ConfigError(f"model_kinds must be a list of kinds, got {data['model_kinds']!r}")
-        try:
-            kwargs = {k: data[k] for k in _PLAIN_FIELDS if k in data}
-            if "model_kinds" in data:
-                kwargs["model_kinds"] = tuple(data["model_kinds"])
-            if "hyper" in data:
-                kwargs["hyper"] = _typed(estimators.TrainingConfig(**data["hyper"]))
-            if "fleet" in data:
-                fc = data["fleet"]
-                ranges = {k: tuple(fc[k]) for k in _FLEET_RANGES if k in fc}
-                for k, pair in ranges.items():
-                    if len(pair) != 2:
-                        raise ConfigError(f"config field {k!r} must be [low, high], got {fc[k]!r}")
-                    for v in pair:
-                        _check_type(f"config field {k!r}", v, "float")
-                kwargs["fleet_config"] = _typed(fleet.FleetConfig(
-                    n_homes=fc["n_homes"], **ranges,
-                    **{k: fc[k] for k in _FLEET_SCALARS if k in fc},
-                    seasons=tuple(_typed(fleet.SeasonConfig(**s))
-                                  for s in fc.get("seasons", [{}]))))
-            return _typed(cls(**kwargs))
-        except (IndexError, KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed config: {type(exc).__name__}: {exc}") from None
-        except InvalidParameterError as exc:  # an impossible hyper value
-            raise ConfigError(f"config field 'hyper': {exc}") from None
+        data = dict(_from_json(dict, data, "config"))
+        version = data.pop("schema_version", None)
+        if version != CONFIG_SCHEMA_VERSION:
+            raise ConfigError(f"unsupported config schema {version!r}")
+        return _from_json(cls, data, "config")
 
     @classmethod
     def from_json(cls, text):
@@ -199,44 +211,33 @@ def summarize(values):
 # ---------------------------------------------------------------------------
 # Fleet loading
 
-def _manifest_value(obj, key, annotation, where, default=None):
-    """``obj[key]`` once it holds the JSON type ``annotation`` (a float
-    field as a float); ConfigError names the key when it is absent (with no
-    default), mistyped, or a number no float can hold."""
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{where} lacks {key!r}")
-        return default
-    value = obj[key]
-    _check_type(f"{where}.{key}", value, annotation)
-    if annotation == "float":
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConfigError(f"{where}.{key} is too large for a float") from None
-    return value
-
-
 def _manifest_homes(data):
     """(metadata list, {(home_id, season): trace path relative to the
     manifest}) of a parsed manifest; a manifest that is not an object, or
-    that lacks a key or holds one of the wrong type, raises ConfigError."""
-    _check_type("manifest", data, "object")
+    that lacks a key or holds one of the wrong type, raises ConfigError.
+    An entry may hold keys it does not read (``rctherm synth`` writes
+    ``truth``)."""
+    def read(obj, key, tp, where, default=None):
+        if key not in obj:
+            if default is None:
+                raise ConfigError(f"{where} lacks {key!r}")
+            return default
+        return _from_json(tp, obj[key], f"{where}.{key}")
+
     metadata, paths = [], {}
-    for i, entry in enumerate(_manifest_value(data, "homes", "array", "manifest")):
+    homes = read(_from_json(dict, data, "manifest"), "homes", tuple[dict, ...], "manifest")
+    for i, entry in enumerate(homes):
         where = f"manifest.homes[{i}]"
-        _check_type(where, entry, "object")
-        home_id = _manifest_value(entry, "home_id", "str", where)
-        meta = _manifest_value(entry, "metadata", "object", where)
+        home_id = read(entry, "home_id", str, where)
+        meta = read(entry, "metadata", dict, where)
         metadata.append(fleet.HomeMetadata(
             home_id=home_id,
-            floor_area=_manifest_value(meta, "floor_area", "float", f"{where}.metadata"),
-            year_built=_manifest_value(meta, "year_built", "int", f"{where}.metadata"),
-            province=_manifest_value(meta, "province", "str", f"{where}.metadata", ""),
-            city=_manifest_value(meta, "city", "str", f"{where}.metadata", ""),
+            floor_area=read(meta, "floor_area", float, f"{where}.metadata"),
+            year_built=read(meta, "year_built", int, f"{where}.metadata"),
+            province=read(meta, "province", str, f"{where}.metadata", ""),
+            city=read(meta, "city", str, f"{where}.metadata", ""),
         ))
-        for season, rel in _manifest_value(entry, "traces", "object", where).items():
-            _check_type(f"{where}.traces.{season}", rel, "str")
+        for season, rel in read(entry, "traces", dict[str, str], where).items():
             paths[(home_id, season)] = rel
     return metadata, paths
 

@@ -73,12 +73,15 @@ def test_report_write(tmp_path):
 # ---------------------------------------------------------------------------
 # Config
 
-def test_experiment_config_roundtrip():
-    config = small_config(scenario="cross-home", retrain_days=1, cluster_k=2)
+@pytest.mark.parametrize("config", [
+    small_config(scenario="cross-home", retrain_days=1, cluster_k=2),
+    harness.ExperimentConfig(manifest="homes/manifest.json", model_kinds=("arimax", "persistence"),
+                             source_season="winter", seed=4),
+])
+def test_experiment_config_roundtrip(config):
     back = harness.ExperimentConfig.from_json(config.to_json())
     assert back.to_json() == config.to_json()
-    assert back.fleet_config == config.fleet_config
-    assert back.hyper == config.hyper
+    assert back == config
 
 
 def test_experiment_config_validation():
@@ -152,6 +155,11 @@ def _edited_config(edit):
     _edited_config(lambda d: d["fleet"].update(floor_area_range=[5, 1])),
     _edited_config(lambda d: d["fleet"].update(year_built_range=[2020, 1950])),
     _edited_config(lambda d: d["fleet"].update(lift_range=[40, 40])),
+    # unknown keys, which would otherwise be dropped for the defaults
+    _edited_config(lambda d: d.update(train_day=7)),
+    _edited_config(lambda d: d["fleet"].update(measurment_noise_std=0.5)),
+    _edited_config(lambda d: d["fleet"].update(order=6)),
+    _edited_config(lambda d: d.update(cluster_k=-1)),
 ])
 def test_experiment_config_malformed_json_is_a_config_error(text):
     with pytest.raises(ConfigError):
@@ -633,7 +641,8 @@ def test_cli_negative_seed_or_days_is_a_usage_error(tmp_path, capsys):
     for argv in (["experiment", "--config", str(config)] + out, ["synth", "--seed", "-1"] + out,
                  ["cluster", str(metadata), "--seed", "-3"] + out,
                  ["simulate", str(params), "--days", "-1"],
-                 ["simulate", str(params), "--days", "0"]):
+                 ["simulate", str(params), "--days", "0"],
+                 ["fit", str(tmp_path / "trace.csv"), "--order", "0"] + out):
         assert cli.main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
