@@ -51,8 +51,8 @@ def nnls(a, y):
         raise ShapeError(f"A has {a.shape[0]} rows but y has {y.shape[0]} entries")
     if not (np.isfinite(a).all() and np.isfinite(y).all()):
         raise InvalidParameterError("nnls inputs must be finite")
-    # scipy.optimize is imported where it is used, so that a run with no NNLS,
-    # ARIMAX or tempered transfer does not pay for loading it
+    # scipy.optimize is imported where it is used, so that a run with no NNLS
+    # or ARIMAX does not pay for loading it
     from scipy.optimize import nnls as lawson_hanson
 
     try:
@@ -117,19 +117,9 @@ def fit_1r1c(dataset):
 # ---------------------------------------------------------------------------
 # Variational Bayesian linear regression (BNN-nRnC)
 
-#: The scale-mixture prior (Blundell et al. 2015) of a fit with no source
-#: posterior: pi N(0, sigma1^2) + (1 - pi) N(0, sigma2^2) on every weight and
-#: the bias.
-PRIOR_SIGMA1, PRIOR_SIGMA2, PRIOR_PI = 1.0, 0.1, 0.2
-#: EM on the mixture responsibilities stops once none moves by more than
-#: EM_TOL in a step; a fit that has not stopped after EM_MAX_STEPS raises
-#: ConvergenceError.
-EM_TOL = 1e-6
-EM_MAX_STEPS = 500
-#: A transfer tempers the source precision by alpha in [ALPHA_GRID[0],
-#: ALPHA_GRID[-1]]: the half-decade grid point of highest target evidence,
-#: refined between its grid neighbours.
-ALPHA_GRID = np.logspace(-12.0, 0.0, 25)
+#: Every fit tempers its prior precision by the alpha of highest evidence on
+#: this grid, a hundredth of a decade apart.
+ALPHA_GRID = np.logspace(-12.0, 2.0, 1401)
 _LOG_2PI = math.log(2 * math.pi)
 
 
@@ -242,8 +232,7 @@ class _Design:
 
 
 def _solve(design, b, noise_var, prior_prec):
-    """(A^-1 b, 1/sqrt(diag A), Cholesky factor of A) for
-    A = X'X/noise_var + diag(prior_prec).
+    """(A^-1 b, 1/sqrt(diag A)) for A = X'X/noise_var + diag(prior_prec).
 
     Raises DegenerateSeriesError when A is not numerically positive
     definite: collinear rows that a near-flat prior leaves undetermined.
@@ -255,109 +244,66 @@ def _solve(design, b, noise_var, prior_prec):
     except np.linalg.LinAlgError:
         raise DegenerateSeriesError(
             "the rows and the prior leave some weights undetermined") from None
-    return cho_solve(factor, b), 1.0 / np.sqrt(np.diag(a)), factor
+    return cho_solve(factor, b), 1.0 / np.sqrt(np.diag(a))
 
 
-def _mixture_log_terms(ew2):
-    """Per-weight (log pi_k + E_q log N(w; 0, sigma_k^2)) of the two prior
-    components, given E_q[w^2]."""
-    def term(pi, sigma):
-        return math.log(pi) - 0.5 * _LOG_2PI - math.log(sigma) - ew2 / (2 * sigma ** 2)
-    return term(PRIOR_PI, PRIOR_SIGMA1), term(1 - PRIOR_PI, PRIOR_SIGMA2)
-
-
-def _neg_elbo(design, noise_var, means, scales, expected_log_prior):
-    """Negative evidence lower bound of the factorized q (means, scales):
-    expected negative log likelihood, minus the entropy of q, minus
-    ``expected_log_prior``."""
+def _neg_elbo(design, noise_var, means, scales, m0, prior_prec):
+    """Negative evidence lower bound of the factorized q (means, scales)
+    under the prior N(m0, diag(prior_prec)^-1): expected negative log
+    likelihood, minus the entropy of q, minus the expected log prior."""
     r = design.residual(means)
     nll = 0.5 * (design.rows * math.log(2 * math.pi * noise_var)
                  + (r @ r + scales ** 2 @ np.diag(design.gram)) / noise_var)
     entropy = float(np.sum(np.log(scales))) + 0.5 * len(means) * (_LOG_2PI + 1.0)
-    return float(nll - entropy - expected_log_prior)
+    log_prior = 0.5 * np.sum(np.log(prior_prec) - _LOG_2PI
+                             - prior_prec * (scales ** 2 + (means - m0) ** 2))
+    return float(nll - entropy - log_prior)
 
 
-def _fit_mixture(design, noise_var):
-    """EM under the scale-mixture prior: each M step is the Gaussian solve
-    at per-weight precisions r/sigma1^2 + (1 - r)/sigma2^2; each E step sets
-    the responsibilities r of the wide component from E_q[w^2] = m^2 + s^2.
-    Returns (means, scales, steps, negative ELBO); the prior term of the
-    ELBO is its EM bound, sum_i log sum_k pi_k exp(E_q log N_k(w_i))."""
-    d = design.gram.shape[0]
-    b = design.moment(design.targets) / noise_var
-    resp = np.ones(d)  # every weight starts in the wide component
-    for step in range(1, EM_MAX_STEPS + 1):
-        prec = resp / PRIOR_SIGMA1 ** 2 + (1 - resp) / PRIOR_SIGMA2 ** 2
-        means, scales, _ = _solve(design, b, noise_var, prec)
-        wide, narrow = _mixture_log_terms(means ** 2 + scales ** 2)
-        log_prior = np.logaddexp(wide, narrow)
-        new = np.exp(wide - log_prior)
-        if np.abs(new - resp).max() <= EM_TOL:
-            return means, scales, step, _neg_elbo(design, noise_var, means, scales,
-                                                  log_prior.sum())
-        resp = new
-    raise ConvergenceError(f"mixture-prior EM did not converge in {EM_MAX_STEPS} steps")
-
-
-def _fit_power_prior(design, noise_var, source):
-    """The fit under the power prior N(m0, (alpha diag(l0))^-1), with m0 and
-    l0 = 1/s0^2 the source posterior's means and precisions. Returns
+def _fit_evidence(design, noise_var, m0, prec0):
+    """The fit under the prior N(m0, (alpha diag(prec0))^-1). Returns
     (means, scales, alpha, log p(y | alpha), negative ELBO).
 
-    alpha maximises log p(y | alpha), the rows' marginal likelihood: first
-    over ALPHA_GRID, then by a bounded scalar search between the best grid
-    point's neighbours. With r0 = y - X m0 and b = X'r0/sigma^2, it is
+    alpha is the point of ALPHA_GRID that maximises log p(y | alpha), the
+    rows' marginal likelihood (Bishop, PRML 3.5). With r0 = y - X m0 and
+    b = X'r0/sigma^2 it is
     -(N log(2 pi sigma^2) + r0'r0/sigma^2 - b'A^-1 b + log|A| - log|alpha L0|)/2.
+    Whitened by S = diag(prec0)^-1/2, A = S^-1 (M + alpha I) S^-1 with
+    M = S X'X S/sigma^2 = Q diag(lam) Q', so one eigh of M gives it on the
+    whole grid: b'A^-1 b = sum c_i^2/(lam_i + alpha) with c = Q'Sb, and
+    log|A| - log|alpha L0| = sum log1p(lam_i/alpha).
     """
-    from scipy.optimize import minimize_scalar  # imported here: see nnls
-
-    r0 = design.residual(source.means)
+    r0 = design.residual(m0)
     b = design.moment(r0) / noise_var
     const = design.rows * math.log(2 * math.pi * noise_var) + (r0 @ r0) / noise_var
-    prec0 = 1.0 / source.scales ** 2
-
-    def log_evidence(log_alpha):
-        prior_prec = math.exp(log_alpha) * prec0
-        try:
-            delta, _, (chol, _) = _solve(design, b, noise_var, prior_prec)
-        except DegenerateSeriesError:
-            return -math.inf
-        return -0.5 * (const - b @ delta + 2 * np.log(np.diag(chol)).sum()
-                       - np.log(prior_prec).sum())
-
-    grid = np.log(ALPHA_GRID)
-    values = [log_evidence(x) for x in grid]
-    i = int(np.argmax(values))
-    found = minimize_scalar(lambda x: -log_evidence(x),
-                            bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
-                            method="bounded", options={"xatol": 1e-6})
-    if -found.fun > values[i]:
-        alpha, evidence = math.exp(found.x), float(-found.fun)
-    else:
-        alpha, evidence = float(ALPHA_GRID[i]), float(values[i])
-
+    s = 1.0 / np.sqrt(prec0)
+    lam, q = np.linalg.eigh(design.gram * np.outer(s, s) / noise_var)
+    lam = np.maximum(lam, 0.0)
+    c2 = (q.T @ (s * b)) ** 2
+    grid = ALPHA_GRID[:, None]
+    log_evidence = -0.5 * (const - (c2 / (lam + grid)).sum(axis=1)
+                           + np.log1p(lam / grid).sum(axis=1))
+    i = int(np.argmax(log_evidence))
+    alpha = float(ALPHA_GRID[i])
     prior_prec = alpha * prec0
-    delta, scales, _ = _solve(design, b, noise_var, prior_prec)
-    expected_log_prior = 0.5 * float(np.sum(
-        np.log(prior_prec) - _LOG_2PI - prior_prec * (scales ** 2 + delta ** 2)))
-    means = source.means + delta
-    return (means, scales, alpha, evidence,
-            _neg_elbo(design, noise_var, means, scales, expected_log_prior))
+    delta, scales = _solve(design, b, noise_var, prior_prec)
+    means = m0 + delta
+    return (means, scales, alpha, float(log_evidence[i]),
+            _neg_elbo(design, noise_var, means, scales, m0, prior_prec))
 
 
 def fit_bnn(dataset, hyper=None, home_id="", source=None):
     """The optimal factorized Gaussian posterior of the linear predictor on a
     regression dataset, in closed form.
 
-    With no ``source`` every weight has the scale-mixture prior
-    (PRIOR_SIGMA1, PRIOR_SIGMA2, PRIOR_PI), and EM on the per-weight
-    mixture responsibilities converges to the fit. A ``source`` Posterior
-    of the same order gives the power prior N(source means, source
-    scales^2 / alpha), with alpha the value on ALPHA_GRID's bracket that
-    maximises the dataset's marginal likelihood (posterior-as-prior
-    transfer). ``training_meta`` records the negative ELBO at the solution
-    (``neg_elbo``), and the EM step count (``em_steps``) or ``alpha`` with
-    its ``log_evidence``.
+    Every fit has the Gaussian prior N(m0, (alpha L0)^-1). With no
+    ``source`` it is m0 = 0 and L0 = I; a ``source`` Posterior of the same
+    order gives its means and precisions 1/scales^2 (posterior-as-prior
+    transfer). alpha is the value on ALPHA_GRID that maximises the
+    dataset's marginal likelihood. ``training_meta`` records ``alpha``, its
+    ``log_evidence``, the negative ELBO at the solution (``neg_elbo``) and
+    the largest root modulus of the fitted difference equation
+    (``root_radius``, below 1 when it is stable).
     """
     if len(dataset) == 0:
         raise InsufficientDataError("regression dataset is empty")
@@ -366,19 +312,21 @@ def fit_bnn(dataset, hyper=None, home_id="", source=None):
     if source is not None and source.order != n:
         raise ShapeError(f"source posterior order {source.order} != dataset order {n}")
     design = _Design(dataset)
-    noise_var = hyper.noise_std ** 2
+    d = design.gram.shape[0]
 
-    prior = {"sigma1": PRIOR_SIGMA1, "sigma2": PRIOR_SIGMA2, "pi": PRIOR_PI}
-    meta = {"home_id": home_id, "sample_count": design.rows, "hyper": hyper.to_dict(),
-            "prior": prior}
+    meta = {"home_id": home_id, "sample_count": design.rows, "hyper": hyper.to_dict()}
     if source is None:
-        means, scales, meta["em_steps"], meta["neg_elbo"] = _fit_mixture(design, noise_var)
+        m0, prec0 = np.zeros(d), np.ones(d)
     else:
-        prior.update(override_means=list(source.means), override_scales=list(source.scales))
-        means, scales, meta["alpha"], meta["log_evidence"], meta["neg_elbo"] = \
-            _fit_power_prior(design, noise_var, source)
-    return Posterior(order=n, means=means, scales=scales, noise_std=hyper.noise_std,
-                     training_meta=meta)
+        meta["prior"] = {"override_means": list(source.means),
+                         "override_scales": list(source.scales)}
+        m0, prec0 = source.means, 1.0 / source.scales ** 2
+    means, scales, meta["alpha"], meta["log_evidence"], meta["neg_elbo"] = \
+        _fit_evidence(design, hyper.noise_std ** 2, m0, prec0)
+    posterior = Posterior(order=n, means=means, scales=scales, noise_std=hyper.noise_std,
+                          training_meta=meta)
+    meta["root_radius"] = posterior.coeffs.root_radius
+    return posterior
 
 
 def posterior_to_coeffs(posterior):

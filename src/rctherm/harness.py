@@ -50,7 +50,8 @@ def _from_json(tp, value, where):
     ``tuple[X, Y]`` from arrays, ``dict[str, X]`` from an object; ``X | None``
     takes null.
     ``int``, ``float`` (an int reads as a float) and ``str`` are checked by
-    type, and a bool is not a number. Every error is a ConfigError that
+    type, a bool is not a number, and a float must be finite (JSON's
+    ``NaN`` and ``Infinity`` are refused). Every error is a ConfigError that
     names the path ``where`` (such as ``config.fleet.seasons[0].days``).
     """
     if is_dataclass(tp):
@@ -87,9 +88,11 @@ def _from_json(tp, value, where):
         raise ConfigError(f"{where} must be {_JSON_NAMES[tp]}, got {value!r}")
     if tp is float:
         try:
-            return float(value)
+            value = float(value)
         except OverflowError:
             raise ConfigError(f"{where} is too large for a float") from None
+        if not np.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
     return value
 
 
@@ -117,6 +120,8 @@ class ExperimentConfig:
         unknown = set(self.model_kinds) - set(MODEL_KINDS)
         if unknown:
             raise ConfigError(f"unknown model kinds: {sorted(unknown)}")
+        if not self.model_kinds:
+            raise ConfigError("model_kinds must name at least one kind")
         if (self.fleet_config is None) == (self.manifest is None):
             raise ConfigError("config needs exactly one of a synthetic fleet and a manifest")
         for name in ("order", "train_days", "test_days"):

@@ -154,6 +154,12 @@ class DiffCoeffs:
         if self.e.shape != (self.order,):
             raise ShapeError(f"e must be ({self.order},), got {self.e.shape}")
 
+    @property
+    def root_radius(self):
+        """Largest root modulus of z^n + e_1 z^{n-1} + ... + e_n: the
+        equation is stable when it is below 1."""
+        return float(np.abs(np.roots(np.concatenate([[1.0], self.e]))).max())
+
     def to_dict(self):
         return {
             "order": self.order,

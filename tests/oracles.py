@@ -34,7 +34,7 @@ from rctherm.errors import (
     ParseError,
     ShapeError,
 )
-from rctherm.estimators import PRIOR_PI, PRIOR_SIGMA1, PRIOR_SIGMA2, Posterior
+from rctherm.estimators import Posterior
 from rctherm.fleet import (
     HYSTERESIS_F,
     _outdoor_profile,
@@ -357,16 +357,13 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _mixture_logpdf_and_grad(w):
-    s1, s2, pi = PRIOR_SIGMA1, PRIOR_SIGMA2, PRIOR_PI
-    log_n1 = -0.5 * math.log(2 * math.pi) - math.log(s1) - w * w / (2 * s1 ** 2)
-    log_n2 = -0.5 * math.log(2 * math.pi) - math.log(s2) - w * w / (2 * s2 ** 2)
-    la = math.log(pi) + log_n1
-    lb = math.log(1 - pi) + log_n2
-    logp = np.logaddexp(la, lb)
-    resp1 = np.exp(la - logp)
-    dlogp = -w * (resp1 / s1 ** 2 + (1 - resp1) / s2 ** 2)
-    return logp, dlogp
+def _prior(source, d, alpha):
+    """(means, precisions) of the prior N(source means, source scales^2/alpha);
+    with no ``source``, of the unit source (means 0, scales 1), which a
+    cold fit tempers."""
+    if source is None:
+        return np.zeros(d), np.full(d, alpha)
+    return source.means, alpha / source.scales ** 2
 
 
 class DivergenceError(Exception):
@@ -383,9 +380,9 @@ def fit_bnn_loop(dataset, noise_std, source=None, alpha=1.0, learning_rate=1e-3,
     per step, curvature-preconditioned steps for the means and Adam for the
     softplus-parameterised scales, both decaying by ``lr_decay`` per epoch;
     the means are averaged over the last ``average_fraction`` of the epochs.
-    With no ``source`` the prior is the scale mixture and the fit starts
-    from persistence; a ``source`` Posterior is the starting point and, with
-    its precision scaled by ``alpha``, the per-weight Gaussian prior.
+    The prior is N(source means, source scales^2/alpha), with the unit
+    source when there is no ``source``. A ``source`` Posterior is the
+    starting point; with none the fit starts from persistence.
     """
     if len(dataset) == 0:
         raise InsufficientDataError("regression dataset is empty")
@@ -399,10 +396,11 @@ def fit_bnn_loop(dataset, noise_std, source=None, alpha=1.0, learning_rate=1e-3,
     num_rows = len(y)
     noise_var = noise_std ** 2
 
+    m0, prior_prec = _prior(source, d, alpha)
+    s0 = 1.0 / np.sqrt(prior_prec)
     if source is not None:
         mu = source.means.copy()
         rho = _softplus_inv(source.scales)
-        m0, s0 = source.means, source.scales / math.sqrt(alpha)
     else:
         mu = np.zeros(d)
         mu[3 * (n + 1)] = 1.0  # persistence start on the y_{t-1} weight
@@ -420,8 +418,7 @@ def fit_bnn_loop(dataset, noise_std, source=None, alpha=1.0, learning_rate=1e-3,
     # preconditioned by the inverse Gaussian curvature of the objective,
     # computed once from the full design; the scales keep the diagonal
     # adaptive update.
-    prior_curv = 1.0 / s0 ** 2 if source is not None else np.full(d, 1.0 / PRIOR_SIGMA1 ** 2)
-    precond = np.linalg.inv(x.T @ x / noise_var + np.diag(prior_curv))
+    precond = np.linalg.inv(x.T @ x / noise_var + np.diag(prior_prec))
 
     batch = min(batch_size, num_rows)
     steps_per_epoch = max(1, num_rows // batch)
@@ -450,17 +447,10 @@ def fit_bnn_loop(dataset, noise_std, source=None, alpha=1.0, learning_rate=1e-3,
                 g_w = scale_up * (xb.T @ r) / noise_var
                 nll = scale_up * 0.5 * np.dot(r, r) / noise_var + const_nll
 
-                if source is not None:
-                    kl = np.sum(np.log(s0 / sigma)
-                                + (sigma ** 2 + (mu - m0) ** 2) / (2 * s0 ** 2) - 0.5)
-                    gm = g_w + (mu - m0) / s0 ** 2
-                    gs = g_w * eps + sigma / s0 ** 2 - 1.0 / sigma
-                else:
-                    logp, dlogp = _mixture_logpdf_and_grad(w)
-                    log_q = -0.5 * math.log(2 * math.pi) - np.log(sigma) - eps ** 2 / 2
-                    kl = float(np.sum(log_q - logp))
-                    gm = g_w - dlogp
-                    gs = (g_w - dlogp) * eps - 1.0 / sigma
+                kl = np.sum(np.log(s0 / sigma)
+                            + (sigma ** 2 + (mu - m0) ** 2) / (2 * s0 ** 2) - 0.5)
+                gm = g_w + (mu - m0) / s0 ** 2
+                gs = g_w * eps + sigma / s0 ** 2 - 1.0 / sigma
                 g_mu += gm
                 g_rho += gs * _sigmoid(rho)
                 loss += nll + kl
@@ -493,12 +483,9 @@ def fit_bnn_loop(dataset, noise_std, source=None, alpha=1.0, learning_rate=1e-3,
 
 def elbo_and_grad(dataset, noise_std, means, scales, source=None, alpha=1.0):
     """(ELBO, dELBO/dmeans, dELBO/dscales) of the factorized Gaussian q
-    (means, scales), from the explicit design with its bias column.
-
-    With a ``source`` the prior is N(source means, source scales^2/alpha)
-    and the ELBO is exact. Under the scale mixture, E_q log p(w) has no
-    closed form; its prior term is the EM bound
-    sum_i log sum_k pi_k exp(E_q log N(w_i; 0, sigma_k^2)).
+    (means, scales), from the explicit design with its bias column, under
+    the prior N(source means, source scales^2/alpha) (the unit source when
+    there is no ``source``).
     """
     x = np.column_stack([dataset.inputs, np.ones(len(dataset))])
     noise_var = noise_std ** 2
@@ -509,43 +496,29 @@ def elbo_and_grad(dataset, noise_std, means, scales, source=None, alpha=1.0):
              + np.sum(np.log(scales) + 0.5 * math.log(2 * math.pi) + 0.5))
     g_m = x.T @ r / noise_var
     g_s = -scales * col_sq / noise_var + 1.0 / scales
-    ew2 = means ** 2 + scales ** 2
-    if source is not None:
-        prec = alpha / source.scales ** 2
-        dev = means - source.means
-        value += 0.5 * np.sum(np.log(prec) - math.log(2 * math.pi)
-                              - prec * (scales ** 2 + dev ** 2))
-        g_m -= prec * dev
-        g_s -= prec * scales
-    else:
-        def log_term(pi, sigma):
-            return (math.log(pi) - 0.5 * math.log(2 * math.pi) - math.log(sigma)
-                    - ew2 / (2 * sigma ** 2))
-        la = log_term(PRIOR_PI, PRIOR_SIGMA1)
-        lb = log_term(1 - PRIOR_PI, PRIOR_SIGMA2)
-        log_prior = np.logaddexp(la, lb)
-        resp = np.exp(la - log_prior)
-        prec = resp / PRIOR_SIGMA1 ** 2 + (1 - resp) / PRIOR_SIGMA2 ** 2
-        value += log_prior.sum()
-        g_m -= prec * means
-        g_s -= prec * scales
+    m0, prec = _prior(source, len(means), alpha)
+    dev = means - m0
+    value += 0.5 * np.sum(np.log(prec) - math.log(2 * math.pi) - prec * (scales ** 2 + dev ** 2))
+    g_m -= prec * dev
+    g_s -= prec * scales
     return float(value), g_m, g_s
 
 
 def log_evidence_candidate(dataset, noise_std, source, alpha):
-    """log p(y | alpha) of the rows under the power prior
-    N(source means, source scales^2/alpha), by Bayes' rule at the posterior
-    mean mu (the candidate's formula): log p(y | mu) + log p(mu | alpha) -
-    log p(mu | y, alpha), with the full-covariance posterior of the explicit
-    design and LU solves and determinants."""
+    """log p(y | alpha) of the rows under the prior N(source means,
+    source scales^2/alpha) (the unit source when there is no ``source``), by
+    Bayes' rule at the posterior mean mu (the candidate's formula):
+    log p(y | mu) + log p(mu | alpha) - log p(mu | y, alpha), with the
+    full-covariance posterior of the explicit design and LU solves and
+    determinants."""
     x = np.column_stack([dataset.inputs, np.ones(len(dataset))])
     y, noise_var = dataset.targets, noise_std ** 2
-    prior_prec = alpha / source.scales ** 2
+    m0, prior_prec = _prior(source, x.shape[1], alpha)
     a = x.T @ x / noise_var + np.diag(prior_prec)
-    mu = np.linalg.solve(a, x.T @ y / noise_var + prior_prec * source.means)
+    mu = np.linalg.solve(a, x.T @ y / noise_var + prior_prec * m0)
     r = y - x @ mu
     log_lik = -0.5 * (len(y) * math.log(2 * math.pi * noise_var) + r @ r / noise_var)
-    dev = mu - source.means
+    dev = mu - m0
     log_prior = 0.5 * np.sum(np.log(prior_prec) - math.log(2 * math.pi) - prior_prec * dev ** 2)
     log_post = 0.5 * (np.linalg.slogdet(a)[1] - len(mu) * math.log(2 * math.pi))
     return float(log_lik + log_prior - log_post)

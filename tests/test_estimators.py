@@ -22,6 +22,7 @@ from rctherm.errors import (
     InvalidParameterError,
     ShapeError,
 )
+from test_harness import _fresh_python
 from test_timeseries import make_trace
 
 
@@ -264,7 +265,7 @@ def _fit_case(start, order=2):
 @pytest.mark.parametrize("start,order", [("cold", 2), ("cold", 1), ("transfer", 2)])
 def test_fit_bnn_elbo_gradient_vanishes_at_the_solution(start, order):
     ds, post, source = _fit_case(start, order)
-    alpha = post.training_meta.get("alpha", 1.0)
+    alpha = post.training_meta["alpha"]
     value, g_m, g_s = elbo_and_grad(ds, 0.05, post.means, post.scales, source, alpha)
     assert value == pytest.approx(-post.training_meta["neg_elbo"], rel=1e-9)
     # in nats per posterior standard deviation
@@ -286,7 +287,7 @@ def test_fit_bnn_elbo_gradient_vanishes_at_the_solution(start, order):
 @pytest.mark.parametrize("start,order", [("cold", 2), ("cold", 1), ("transfer", 2)])
 def test_fit_bnn_elbo_at_least_that_of_the_sgd_oracle(start, order):
     ds, post, source = _fit_case(start, order)
-    alpha = post.training_meta.get("alpha", 1.0)
+    alpha = post.training_meta["alpha"]
     sgd = fit_bnn_loop(ds, 0.05, source=source, alpha=alpha, learning_rate=5e-3,
                        epochs=80, lr_decay=0.985)
     closed = elbo_and_grad(ds, 0.05, post.means, post.scales, source, alpha)[0]
@@ -312,17 +313,33 @@ def test_fit_bnn_recovers_coefficients():
     assert abs(got.offset) < 2e-2
     # the paper's stochastic-gradient fit lands on the same means: on this
     # data its largest deviation is 0.0099
-    sgd = fit_bnn_loop(ds, 0.005, learning_rate=5e-3, epochs=300, lr_decay=0.985)
+    sgd = fit_bnn_loop(ds, 0.005, alpha=post.training_meta["alpha"], learning_rate=5e-3,
+                       epochs=300, lr_decay=0.985)
     np.testing.assert_allclose(sgd.means, post.means, rtol=0, atol=0.015)
 
 
-def test_fit_bnn_em_cap_raises_convergence_error(monkeypatch):
-    ds = open_loop_dataset(rcnet.analytic_coefficients(FAST_2R2C, 300.0),
-                           seed=2, noise_std=0.05, days=2)
-    assert est.fit_bnn(ds, hyper=NOISY).training_meta["em_steps"] > 1
-    monkeypatch.setattr(est, "EM_MAX_STEPS", 1)
-    with pytest.raises(ConvergenceError, match="EM"):
-        est.fit_bnn(ds, hyper=NOISY)
+def test_fit_bnn_records_the_root_radius_of_its_difference_equation():
+    # the characteristic roots of the analytic 2R2C equation are the
+    # eigenvalues of its Phi, inside the unit circle
+    dc = rcnet.analytic_coefficients(FAST_2R2C, 300.0)
+    phi = rcnet.discretize(rcnet.build_state_space(FAST_2R2C), 300.0).phi
+    assert dc.root_radius == pytest.approx(np.abs(np.linalg.eigvals(phi)).max(), rel=1e-12)
+    post = est.fit_bnn(open_loop_dataset(dc, seed=4, days=20),
+                       hyper=est.TrainingConfig(noise_std=0.005))
+    radius = post.training_meta["root_radius"]
+    assert radius == post.coeffs.root_radius < 1
+    assert radius == pytest.approx(dc.root_radius, abs=1e-3)
+
+
+def test_fit_bnn_and_transfer_load_no_scipy_optimize():
+    # one eigh and one Cholesky solve per fit: no optimiser is imported
+    code = ("import sys; import numpy as np; from rctherm import estimators as est; "
+            "from rctherm.timeseries import RegressionDataset; "
+            "x = np.random.default_rng(0).normal(size=(200, 7)); "
+            "ds = RegressionDataset(order=1, inputs=x, targets=x.sum(axis=1), "
+            "indices=np.arange(200)); est.transfer(est.fit_bnn(ds), ds); "
+            "print('scipy.optimize' in sys.modules)")
+    assert _fresh_python(code) == "False\n"
 
 
 @pytest.mark.parametrize("value", [0.0, -1e-3, float("nan")])
@@ -372,21 +389,35 @@ def test_transfer_order_mismatch():
         est.transfer(post2, ds1)
 
 
-def test_transfer_alpha_maximises_the_evidence():
-    source, train, _ = _similar_homes()
-    meta = est.transfer(source, train, hyper=NOISY).training_meta
+@pytest.mark.parametrize("start", ["cold", "transfer"])
+def test_transfer_alpha_maximises_the_evidence(start):
+    ds, post, source = _fit_case(start)
+    meta = post.training_meta
     alpha, grid = meta["alpha"], est.ALPHA_GRID
     assert grid[0] <= alpha <= grid[-1]
 
     def evidence(a):
-        return log_evidence_candidate(train, 0.05, source, a)
+        return log_evidence_candidate(ds, 0.05, source, a)
     assert meta["log_evidence"] == pytest.approx(evidence(alpha), rel=1e-7)
-    # no worse than its grid neighbours, the ends of the bracket, or a 5%
+    # no worse than its grid neighbours, the ends of the grid, or a 5%
     # step either way; 1e-6 nats allows for the oracle's rounding
     i = np.searchsorted(grid, alpha)
     best = evidence(alpha)
     for other in {grid[0], grid[-1], *grid[max(i - 1, 0):i + 2], alpha * 1.05, alpha / 1.05}:
         assert best >= evidence(other) - 1e-6
+
+
+@pytest.mark.parametrize("alpha", [1e-12, 1e2])
+@pytest.mark.parametrize("start", ["cold", "transfer"])
+def test_log_evidence_at_the_ends_of_the_grid(monkeypatch, start, alpha):
+    # at 1e-12 alpha is far below every eigenvalue of the whitened Gram
+    # matrix, where the log1p and the whitening carry the evidence
+    ds, _, source = _fit_case(start)
+    monkeypatch.setattr(est, "ALPHA_GRID", np.array([alpha]))
+    meta = est.fit_bnn(ds, hyper=NOISY, source=source).training_meta
+    assert meta["alpha"] == alpha
+    assert meta["log_evidence"] == pytest.approx(
+        log_evidence_candidate(ds, 0.05, source, alpha), rel=1e-7)
 
 
 def test_transfer_of_a_flat_prior_to_collinear_rows_is_a_data_error():

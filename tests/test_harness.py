@@ -160,6 +160,12 @@ def _edited_config(edit):
     _edited_config(lambda d: d["fleet"].update(measurment_noise_std=0.5)),
     _edited_config(lambda d: d["fleet"].update(order=6)),
     _edited_config(lambda d: d.update(cluster_k=-1)),
+    # non-finite numbers, which JSON's NaN and Infinity literals give, and no
+    # model kinds
+    _edited_config(lambda d: d["fleet"].update(lift_range=[20, float("inf")])),
+    _edited_config(lambda d: d["hyper"].update(noise_std=float("inf"))),
+    _edited_config(lambda d: d["fleet"]["seasons"][0].update(outdoor_mean=float("nan"))),
+    _edited_config(lambda d: d.update(model_kinds=[])),
 ])
 def test_experiment_config_malformed_json_is_a_config_error(text):
     with pytest.raises(ConfigError):
