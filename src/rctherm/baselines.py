@@ -3,7 +3,9 @@ persistence floor.
 
 ARIMAX(p, d, q) is estimated as a regression with ARMA errors on the
 d-times-differenced series, by minimizing the conditional sum of squares
-(initial innovations zero), with the exact gradient. The degenerate order
+(initial innovations zero) by variable projection: Newton steps in the AR
+and MA coefficients, with the intercept and exogenous coefficients solved by
+least squares at each trial. The degenerate order
 (0, 1, 0) is the persistence predictor y_t = y_{t-1} + intercept, fitted in
 closed form; it carries no exogenous terms.
 """
@@ -27,6 +29,12 @@ from .rcnet import all_pole, all_pole_band
 
 _EXOG_DIM = 3  # (t_out, k_heat, k_cool)
 _AR_BOUND = 0.999
+#: The ARMA fit stops when a step predicts a relative CSS decrease below
+#: _TOL, and fails after _MAX_STEPS steps; a step is halved at most
+#: _MAX_HALVINGS times.
+_TOL = 1e-10
+_MAX_STEPS = 200
+_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -119,52 +127,145 @@ def _innovations(params, z, exog, p, theta):
     return all_pole(theta, r)
 
 
-def _css(params, z, exog, p, q):
-    """Conditional sum of squares (as a mean over the scored innovations)
-    and its exact gradient.
+def _invertible(ma):
+    """Whether theta(B) = 1 + theta_1 B + ... has every root outside the unit
+    circle, so that the innovations filter 1/theta(B) is stable."""
+    return not len(ma) or np.abs(np.roots(np.concatenate([[1.0], ma]))).max() < 1.0
 
-    The innovations are e = theta(B)^-1 r, linear in r, so the reverse-mode
-    gradient is the adjoint solve over the scored innovations:
-    -(2/m) g, with g = theta(B)^-T e~, is -dCSS/dr, and each parameter's
-    derivative is -(2/m) g against the series it multiplies in r, or, for
-    theta_j, against the innovations lagged j steps. Both solves share one
-    band.
+
+def _columns(z, exog):
+    """The series _Projection filters: z, each exogenous column plus 1, and
+    1, as the contiguous columns of one array."""
+    cols = np.ones((len(z), _EXOG_DIM + 2), order="F")
+    cols[:, 0] = z
+    cols[:, 1:-1] += exog
+    return cols
+
+
+class _Projection:
+    """The CSS at AR/MA coefficients ``arma``, with the intercept and the
+    exogenous coefficients at their least-squares values (variable
+    projection: Golub & Pereyra 1973).
+
+    For a fixed theta the innovations e = theta^-1 (z - sum phi_i B^i z)
+    - theta^-1 [X, 1] (beta, c) are linear in (beta, c), so those come from
+    least squares of the filtered series on the filtered columns over the
+    scored rows. Each exogenous column is filtered as theta^-1(x + 1) -
+    theta^-1 1: the differenced duty columns are mostly zero, and their
+    filtered tails would decay into subnormal floats, which are slow.
     """
-    skip = max(p, q)
-    m = max(len(z) - skip, 1)
-    theta = _theta(params[p:p + q], len(z))
-    # a non-invertible MA trial point overflows the filtered innovations;
-    # that non-finite objective maps to the 1e12 cliff below, so numpy's
-    # overflow warnings on the way carry nothing
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = _innovations(params, z, exog, p, theta)
-        # mean, not sum: L-BFGS-B's relative-reduction stop divides by
-        # max(|f|, 1), so the objective's scale decides where the fit stops.
-        # einsum, not a BLAS dot, which splits its sum across threads: the
-        # fitted coefficients do not depend on the BLAS thread count
-        css = np.einsum("i,i", e[skip:], e[skip:]) / m
+
+    def __init__(self, arma, cols, p, skip):
+        """``cols`` is _columns of the series, and the first ``skip`` rows
+        are not scored."""
+        n = len(cols)
+        self.arma, self.p, self.skip = arma, p, skip
+        self.theta = _theta(arma[p:], n)
+        v = all_pole(self.theta, cols)  # theta^-1 of z, x + 1 and 1
+        v[:, 1:-1] -= v[:, -1:]
+        self.v = v
+        w = v[:, 0].copy()
+        for i, phi in enumerate(arma[:p], start=1):
+            w[i:] -= phi * v[:-i, 0]
+        f = v[skip:, 1:]
+        # einsum, not a BLAS product, which splits its sums across threads:
+        # the fitted coefficients do not depend on the BLAS thread count
+        self.gram_inv = np.linalg.pinv(np.einsum("ti,tj->ij", f, f), hermitian=True)
+        self.linear = self.gram_inv @ np.einsum("ti,t->i", f, w[skip:])
+        self.e = w - np.einsum("ti,i->t", v[:, 1:], self.linear)
+        scored = self.e[skip:]
+        self.css = np.einsum("i,i", scored, scored) / len(scored)
+
+    def derivatives(self):
+        """The gradient and Hessian of the CSS in the AR/MA coefficients,
+        and the Gauss-Newton part of that Hessian (Kaufman 1975).
+
+        By the envelope theorem the gradient is the fixed-(beta, c) one,
+        -(2/m) J'e over the m scored rows, with J = [B^i theta^-1 z,
+        B^j theta^-1 e]. The Hessian is the fixed-(beta, c) Hessian with
+        (beta, c) eliminated (a Schur complement). Its second-order terms
+        are dot products with a = theta^-T e~ (e~ the innovations with the
+        unscored rows zeroed): d2e/dphi_i dtheta_j = B^(i+j) theta^-2 z,
+        d2e/dtheta_j dtheta_k = 2 B^(j+k) theta^-2 e and
+        d2e/dtheta_j d(beta, c) = B^j theta^-2 [X, 1].
+        """
+        p, skip, e, v = self.p, self.skip, self.e, self.v
+        n, q = len(e), len(self.arma) - self.p
+        u = all_pole(self.theta, e)
         scored = e.copy()
         scored[:skip] = 0.0
-        g = all_pole(theta, scored, adjoint=True)
-        grad = (-2.0 / m) * np.concatenate([
-            [np.einsum("i,i", z[:-i], g[i:]) for i in range(1, p + 1)],
-            [np.einsum("i,i", e[:-j], g[j:]) for j in range(1, q + 1)],
-            exog.T @ g,
-            [g.sum()],
-        ])
-    if not (np.isfinite(css) and np.all(np.isfinite(grad))):
-        return 1e12, np.zeros(len(params))
-    return float(css), grad
+        a = all_pole(self.theta, scored, adjoint=True)
+        jac = np.array([v[skip - i:n - i, 0] for i in range(1, p + 1)]
+                       + [u[skip - j:n - j] for j in range(1, q + 1)])
+        cross = np.einsum("kt,ti->ki", jac, v[skip:, 1:])
+        gauss = np.einsum("kt,lt->kl", jac, jac)
+        second = np.zeros_like(gauss)
+        mixed = np.zeros_like(cross)
+        for j in range(1, q + 1):
+            for i in range(1, p + 1):
+                second[i - 1, p + j - 1] = second[p + j - 1, i - 1] = \
+                    np.einsum("i,i", a[i + j:], v[:n - i - j, 0])
+            for k in range(1, q + 1):
+                second[p + j - 1, p + k - 1] = 2 * np.einsum("i,i", a[j + k:], u[:n - j - k])
+            mixed[p + j - 1] = np.einsum("t,ti->i", a[j:], v[:n - j, 1:])
+        linked = cross + mixed
+        scale = 2.0 / (n - skip)
+        return (-scale * np.einsum("kt,t->k", jac, e[skip:]),
+                scale * (gauss + second - linked @ self.gram_inv @ linked.T),
+                scale * (gauss - cross @ self.gram_inv @ cross.T))
+
+
+def _fit_arma(z, exog, p, q):
+    """The _Projection of least CSS, by Newton's method on the
+    variable-projection CSS from zero AR/MA coefficients, with the
+    Gauss-Newton Hessian where the exact one is not positive definite.
+
+    A trial's AR coefficients are clipped to the box of +-_AR_BOUND. A trial
+    that makes theta non-invertible is halved back before it is evaluated,
+    as is one that does not lower the CSS. The fit stops when a step
+    predicts a relative decrease below _TOL, or when no halving lowers the
+    CSS (a minimum to rounding).
+    """
+    cols, skip = _columns(z, exog), max(p, q)
+    fit = _Projection(np.zeros(p + q), cols, p, skip)
+    for _ in range(_MAX_STEPS):
+        grad, hess, gauss_newton = fit.derivatives()
+        # an AR coefficient on the box that the CSS pushes outwards stays
+        # there; the step moves the others (projected Newton: Bertsekas 1982)
+        free = np.ones(p + q, dtype=bool)
+        free[:p] = (np.abs(fit.arma[:p]) < _AR_BOUND) | (fit.arma[:p] * grad[:p] > 0)
+        hess, gauss_newton = hess[np.ix_(free, free)], gauss_newton[np.ix_(free, free)]
+        try:
+            np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            hess = gauss_newton
+        delta = np.zeros(p + q)
+        delta[free] = -np.linalg.lstsq(hess, grad[free], rcond=None)[0]
+        if not -0.5 * (grad @ delta) > _TOL * fit.css:
+            return fit
+        scale = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = fit.arma + scale * delta
+            trial[:p] = np.clip(trial[:p], -_AR_BOUND, _AR_BOUND)
+            if _invertible(trial[p:]):
+                moved = _Projection(trial, cols, p, skip)
+                if moved.css < fit.css:
+                    break
+            scale /= 2
+        else:
+            return fit
+        fit = moved
+    raise ConvergenceError("ARIMAX optimizer hit the iteration cap")
 
 
 def fit_arimax(train, controls, order=None):
     """Fit ARIMAX by conditional sum of squares.
 
-    Initialization: AR and MA coefficients at zero, exogenous coefficients
-    and intercept by ordinary least squares on the differenced series.
-    AR coefficients are box-bounded inside the unit interval and the fitted
-    AR polynomial is verified stationary. L-BFGS-B minimises the CSS with
-    its exact gradient (see ``_css``). Persistence (p = q = 0) is the closed
+    Newton's method moves the AR and MA coefficients from zero, with the
+    intercept and exogenous coefficients projected out by least squares at
+    every trial (``_fit_arma``). AR coefficients stay inside a box of
+    +-_AR_BOUND and the fitted AR polynomial is verified stationary; every
+    MA polynomial tried is invertible. Persistence (p = q = 0) is the closed
     form: its CSS minimiser is the mean of the differenced series, with no
     exogenous terms.
     """
@@ -176,25 +277,11 @@ def fit_arimax(train, controls, order=None):
     z, exog = _design(train, controls, d)
 
     if p or q:
-        from scipy.optimize import minimize  # imported here: see estimators.nnls
-
-        design = np.column_stack([exog, np.ones(len(z))])
-        ols, *_ = np.linalg.lstsq(design, z, rcond=None)
-        x0 = np.concatenate([np.zeros(p + q), ols])
-        bounds = ([(-_AR_BOUND, _AR_BOUND)] * p + [(None, None)] * q
-                  + [(None, None)] * (_EXOG_DIM + 1))
-        result = minimize(_css, x0, args=(z, exog, p, q), jac=True,
-                          method="L-BFGS-B", bounds=bounds,
-                          options={"maxiter": 500})
-        if not result.success and result.status != 1:  # status 1 = maxiter
-            raise ConvergenceError(f"ARIMAX optimizer failed: {result.message}")
-        if result.status == 1:
-            raise ConvergenceError("ARIMAX optimizer hit the iteration cap")
-        params = result.x
-        n_free = len(params)
+        fit = _fit_arma(z, exog, p, q)
+        params, e, n_free = np.concatenate([fit.arma, fit.linear]), fit.e, p + q + _EXOG_DIM + 1
     else:
         params = np.concatenate([np.zeros(_EXOG_DIM), [z.mean()]])
-        n_free = 1  # the intercept
+        e, n_free = z - params[-1], 1  # the intercept alone
 
     ar = params[:p]
     if p:
@@ -206,10 +293,9 @@ def fit_arimax(train, controls, order=None):
     beta = params[p + q:p + q + _EXOG_DIM]
     intercept = float(params[p + q + _EXOG_DIM])
 
-    e = _innovations(params, z, exog, p, _theta(ma, len(z)))
     skip = max(p, q)
     dof = max(len(e) - skip - n_free, 1)
-    var = float(np.einsum("i,i", e[skip:], e[skip:]) / dof)  # as in _css: no BLAS dot
+    var = float(np.einsum("i,i", e[skip:], e[skip:]) / dof)  # as in _Projection: no BLAS dot
     return ArimaxModel(order=order, ar=ar, ma=ma, exog=beta,
                        intercept=intercept, innovation_var=max(var, 1e-300))
 

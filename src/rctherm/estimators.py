@@ -13,6 +13,7 @@ never standardized).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -37,11 +38,17 @@ POSTERIOR_LAYOUT = "u-lags-then-y-lags-bias-last/1"
 # Non-negative least squares
 
 def nnls(a, y):
-    """min ||Ax - y|| s.t. x >= 0 by Lawson and Hanson's active-set method
-    (scipy.optimize.nnls).
+    """min ||Ax - y|| s.t. x >= 0 by Lawson and Hanson's active-set method,
+    on the Gram matrix A'A and the moment A'y (Bro & De Jong 1997).
 
-    Raises ConvergenceError if more than 3k active-set iterations are needed
-    (k = number of columns).
+    Each outer step frees the bound variable of largest gradient, and each
+    least-squares solve on the free set counts as one iteration. When a
+    solve puts free variables at or below zero, x moves towards it until the
+    first of them reaches zero, and those at zero are bound. A freed
+    variable whose first solve comes out nonpositive is rounding, so it is
+    bound again and skipped until another variable is freed (Lawson &
+    Hanson's test). Raises ConvergenceError if more than 3k iterations are
+    needed (k = number of columns).
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -51,15 +58,43 @@ def nnls(a, y):
         raise ShapeError(f"A has {a.shape[0]} rows but y has {y.shape[0]} entries")
     if not (np.isfinite(a).all() and np.isfinite(y).all()):
         raise InvalidParameterError("nnls inputs must be finite")
-    # scipy.optimize is imported where it is used, so that a run with no NNLS
-    # or ARIMAX does not pay for loading it
-    from scipy.optimize import nnls as lawson_hanson
-
-    try:
-        x, _ = lawson_hanson(a, y, maxiter=3 * a.shape[1])
-    except RuntimeError:  # scipy's only failure: the iteration cap
-        raise ConvergenceError(f"nnls exceeded {3 * a.shape[1]} active-set iterations") from None
-    return x
+    k = a.shape[1]
+    # einsum, not a BLAS product, which splits its sums across threads: the
+    # solution does not depend on the BLAS thread count
+    gram = np.einsum("ij,ik->jk", a, a)
+    moment = np.einsum("ij,i->j", a, y)
+    tol = 10 * np.finfo(float).eps * k * np.abs(gram).sum(axis=0).max(initial=0.0)
+    x = np.zeros(k)
+    free = np.zeros(k, dtype=bool)
+    skipped = np.zeros(k, dtype=bool)
+    iterations = 0
+    while True:
+        grad = np.where(free | skipped, -np.inf, moment - np.einsum("jk,k->j", gram, x))
+        if not (grad > tol).any():
+            return x
+        j = int(np.argmax(grad))
+        free[j] = True
+        for solve in itertools.count():
+            iterations += 1
+            if iterations > 3 * k:
+                raise ConvergenceError(f"nnls exceeded {3 * k} active-set iterations")
+            trial = np.zeros(k)
+            try:
+                trial[free] = np.linalg.solve(gram[np.ix_(free, free)], moment[free])
+            except np.linalg.LinAlgError:  # column j depends on the free ones
+                trial[j] = 0.0
+            if not solve and trial[j] <= 0.0:
+                free[j], skipped[j] = False, True
+                break
+            if (trial[free] > 0.0).all():
+                x, skipped[:] = trial, False
+                break
+            low = np.flatnonzero(free & (trial <= 0.0))
+            ratio = x[low] / (x[low] - trial[low])
+            x = x + ratio.min() * (trial - x)
+            free[low[np.argmin(ratio)]] = False
+            free &= x > 0.0
+            x[~free] = 0.0
 
 
 @dataclass(frozen=True)
@@ -109,7 +144,8 @@ def fit_1r1c(dataset):
         valid = False
     if k_cool.any() and c_hat <= _VALID_EPS:
         valid = False
-    residual = float(np.linalg.norm(design @ x - y))
+    r = np.einsum("ij,j->i", design, x) - y  # as in nnls: no BLAS product
+    residual = float(np.sqrt(np.einsum("i,i", r, r)))
     return OneROneCFit(a=float(a_hat), b=float(b_hat), c=float(c_hat),
                        valid=valid, residual_norm=residual)
 
@@ -262,7 +298,8 @@ def _neg_elbo(design, noise_var, means, scales, m0, prior_prec):
 
 def _fit_evidence(design, noise_var, m0, prec0):
     """The fit under the prior N(m0, (alpha diag(prec0))^-1). Returns
-    (means, scales, alpha, log p(y | alpha), negative ELBO).
+    (means, scales, alpha, log p(y | alpha), negative ELBO, whether alpha
+    is an end of ALPHA_GRID).
 
     alpha is the point of ALPHA_GRID that maximises log p(y | alpha), the
     rows' marginal likelihood (Bishop, PRML 3.5). With r0 = y - X m0 and
@@ -289,7 +326,8 @@ def _fit_evidence(design, noise_var, m0, prec0):
     delta, scales = _solve(design, b, noise_var, prior_prec)
     means = m0 + delta
     return (means, scales, alpha, float(log_evidence[i]),
-            _neg_elbo(design, noise_var, means, scales, m0, prior_prec))
+            _neg_elbo(design, noise_var, means, scales, m0, prior_prec),
+            i in (0, len(ALPHA_GRID) - 1))
 
 
 def fit_bnn(dataset, hyper=None, home_id="", source=None):
@@ -301,9 +339,11 @@ def fit_bnn(dataset, hyper=None, home_id="", source=None):
     order gives its means and precisions 1/scales^2 (posterior-as-prior
     transfer). alpha is the value on ALPHA_GRID that maximises the
     dataset's marginal likelihood. ``training_meta`` records ``alpha``, its
-    ``log_evidence``, the negative ELBO at the solution (``neg_elbo``) and
-    the largest root modulus of the fitted difference equation
-    (``root_radius``, below 1 when it is stable).
+    ``log_evidence``, whether alpha is an end of the grid
+    (``alpha_at_grid_edge``: the evidence may still rise past it, so
+    log_evidence is not a maximum), the negative ELBO at the solution
+    (``neg_elbo``) and the largest root modulus of the fitted difference
+    equation (``root_radius``, below 1 when it is stable).
     """
     if len(dataset) == 0:
         raise InsufficientDataError("regression dataset is empty")
@@ -321,8 +361,8 @@ def fit_bnn(dataset, hyper=None, home_id="", source=None):
         meta["prior"] = {"override_means": list(source.means),
                          "override_scales": list(source.scales)}
         m0, prec0 = source.means, 1.0 / source.scales ** 2
-    means, scales, meta["alpha"], meta["log_evidence"], meta["neg_elbo"] = \
-        _fit_evidence(design, hyper.noise_std ** 2, m0, prec0)
+    (means, scales, meta["alpha"], meta["log_evidence"], meta["neg_elbo"],
+     meta["alpha_at_grid_edge"]) = _fit_evidence(design, hyper.noise_std ** 2, m0, prec0)
     posterior = Posterior(order=n, means=means, scales=scales, noise_std=hyper.noise_std,
                           training_meta=meta)
     meta["root_radius"] = posterior.coeffs.root_radius

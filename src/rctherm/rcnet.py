@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import (
     DataError,
@@ -325,9 +326,13 @@ def all_pole(band, x, adjoint=False):
     the same recursion run backwards in time. As L^T is the stored matrix,
     the forward solve is dtbsv's transposed form, whose step is a k-term dot
     product (the adjoint's step is an axpy, which is slower).
+    A 2-D ``x`` is solved a column at a time (LAPACK dtbtrs); its columns
+    are best contiguous, as in a Fortran-ordered array.
     """
     if not len(x):  # dtbsv refuses an empty vector
-        return np.zeros(0)
+        return np.zeros(np.shape(x))
+    if np.ndim(x) == 2:
+        return dtbtrs(band, x, uplo="U", trans="N" if adjoint else "T", diag="U")[0]
     return dtbsv(band.shape[0] - 1, band, x, trans=int(not adjoint), diag=1)
 
 

@@ -13,8 +13,9 @@ one-step-at-a-time state recursions instead of per-mode filtering for the
 state-space roll-out and the thermostat simulation, scipy.signal's
 direct-form IIR filter seeded by lfiltic instead of the banded triangular
 solve for the difference-equation roll-out, and the ARIMAX fit by
-L-BFGS-B's finite-difference gradient (with the persistence intercept
-found by the optimiser) instead of the exact adjoint gradient.
+L-BFGS-B's finite-difference gradient over all its coefficients (with the
+persistence intercept found by the optimiser) instead of Newton steps in
+the AR and MA coefficients with the rest projected out.
 """
 
 import csv

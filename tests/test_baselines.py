@@ -4,7 +4,6 @@ import itertools
 import os
 import subprocess
 import sys
-import warnings
 from math import comb
 
 import numpy as np
@@ -99,20 +98,23 @@ def test_fit_arimax_recovers_parameters():
     assert model.innovation_var == pytest.approx(ESTD ** 2, rel=0.1)
 
 
-#: Fits the seed-0 series at two orders and prints both model files, then
-#: the digests of a free run and of a synthetic trace's t_in, both of which
-#: filter with a BLAS banded solve.
+#: Fits the seed-0 series at two ARIMAX orders and 75 days of a 1R1C roll-out
+#: by NNLS, and prints the three model files, then the digests of a free run
+#: and of a synthetic trace's t_in, both of which filter with a BLAS banded
+#: solve.
 _FIT_MODEL_FILES = """
 import hashlib
 from datetime import datetime, timezone
 import numpy as np
-from conftest import FAST_2R2C, random_inputs
-from rctherm import baselines as bl, fleet, rcnet
+from conftest import FAST_2R2C, open_loop_dataset, random_inputs
+from rctherm import baselines as bl, estimators as est, fleet, rcnet
 from test_baselines import _arimax_trace
 from test_fleet import SHOULDER
 trace, controls = _arimax_trace(20_000, 0)
 for order in ((1, 1, 2), (0, 1, 1)):
     print(bl.fit_arimax(trace, controls, bl.ArimaxOrder(*order)).to_json())
+oner = rcnet.analytic_coefficients(rcnet.RcParams((2.0,), (0.3,), 15.0, 12.0), 300.0)
+print(est.fit_1r1c(open_loop_dataset(oner, seed=0, noise_std=0.05, days=75)).to_json())
 dc = rcnet.analytic_coefficients(FAST_2R2C, 300.0)
 free = rcnet.simulate_difference(dc, random_inputs(np.random.default_rng(0), 20_000), [70.0, 70.0])
 synth, _ = fleet.generate_trace(FAST_2R2C, SHOULDER, "h", datetime(2019, 1, 1, tzinfo=timezone.utc),
@@ -124,7 +126,7 @@ for values in (free, synth.t_in):
 
 def test_arimax_model_file_does_not_depend_on_the_blas_thread_count():
     # OpenBLAS splits a long dot product across its threads, which changes the
-    # order of the sum; the fit's sums are einsums, so the file is the same,
+    # order of the sum; the fits' sums are einsums, so the files are the same,
     # and so are the filtered series
     files = []
     for threads in ("1", "2"):
@@ -135,19 +137,7 @@ def test_arimax_model_file_does_not_depend_on_the_blas_thread_count():
                                     capture_output=True, text=True, check=True,
                                     timeout=300).stdout)
     assert files[0] == files[1] and files[0].count("innovation_var") == 2
-    assert len(files[0].splitlines()) == 4
-
-
-def test_css_maps_overflow_to_cliff_without_warnings():
-    # a non-invertible MA polynomial makes the filtered innovations grow to
-    # ~1e190, whose squares overflow in the dot product
-    z = np.random.default_rng(0).normal(size=400)
-    params = np.array([0.0, 3.0, 0.0, 0.0, 0.0, 0.0])  # ar, ma, exog, intercept
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        value, grad = bl._css(params, z, np.zeros((400, 3)), 1, 1)
-    assert value == 1e12
-    assert grad.shape == params.shape and np.all(grad == 0.0)
+    assert files[0].count('"onercone"') == 1 and len(files[0].splitlines()) == 5
 
 
 def _invertible_ma(rng, q):
@@ -155,27 +145,41 @@ def _invertible_ma(rng, q):
     return np.atleast_1d(np.poly(rng.uniform(-0.8, 0.8, q)))[1:]
 
 
-@pytest.mark.parametrize("q", [0, 1, 2])
-@pytest.mark.parametrize("d", [0, 1, 2])
-@pytest.mark.parametrize("p", [0, 1, 2])
-def test_css_gradient_matches_central_differences(p, d, q):
+@pytest.mark.parametrize("p, d, q", [o for o in itertools.product(range(3), repeat=3)
+                                     if o[0] or o[2]])
+def test_projected_css_derivatives_match_central_differences(p, d, q):
+    # the fit's Newton step rests on the gradient and Hessian of the CSS with
+    # the intercept and exogenous coefficients projected out
     seed = 9 * p + 3 * d + q
     trace, controls = _arimax_trace(3000, seed)
     z = bl.difference(trace.t_in, d)
     x = np.diff(ts.exog(trace, controls), n=d, axis=0)
     rng = np.random.default_rng(seed)
-    params = np.concatenate([rng.uniform(-0.8, 0.8, p), _invertible_ma(rng, q),
-                             rng.normal(0, 0.1, 3), [rng.normal(0, 0.01)]])
-    value, grad = bl._css(params, z, x, p, q)
-    assert value == pytest.approx(css_value(params, z, x, p, q), rel=1e-12)
-    central = np.empty_like(params)
-    for k in range(len(params)):
-        h = 1e-6 * max(1.0, abs(params[k]))
-        step = np.zeros_like(params)
+    arma = np.concatenate([rng.uniform(-0.8, 0.8, p), _invertible_ma(rng, q)])
+    cols = bl._columns(z, x)
+
+    def project(at):
+        return bl._Projection(at, cols, p, max(p, q))
+
+    fit = project(arma)
+    params = np.concatenate([arma, fit.linear])
+    assert fit.css == pytest.approx(css_value(params, z, x, p, q), rel=1e-12)
+    for k in range(p + q, len(params)):  # no nearby (beta, c) does better
+        for sign in (1, -1):
+            moved = params.copy()
+            moved[k] += sign * 1e-4
+            assert css_value(moved, z, x, p, q) >= fit.css
+    grad, hess, _ = fit.derivatives()
+    h = 1e-5
+    central, central_hess = np.empty_like(grad), np.empty_like(hess)
+    for k in range(p + q):
+        step = np.zeros_like(arma)
         step[k] = h
-        central[k] = (bl._css(params + step, z, x, p, q)[0]
-                      - bl._css(params - step, z, x, p, q)[0]) / (2 * h)
+        up, down = project(arma + step), project(arma - step)
+        central[k] = (up.css - down.css) / (2 * h)
+        central_hess[:, k] = (up.derivatives()[0] - down.derivatives()[0]) / (2 * h)
     assert np.max(np.abs(grad - central)) <= 1e-5 * np.max(np.abs(grad))
+    assert np.max(np.abs(hess - central_hess)) <= 1e-5 * np.max(np.abs(hess))
 
 
 def _css_of(model, trace, controls):
@@ -186,24 +190,51 @@ def _css_of(model, trace, controls):
     return css_value(params, z, x, p, q)
 
 
-# The exact-gradient fit of seed 16 at order (0, 1, 1) stops at the MA
-# invertibility cliff: a quasi-Newton step to a non-invertible MA point
-# overflows to the 1e12 cliff, and the line search accepts a step of rounding
-# size back at the start point, so L-BFGS-B ends on its relative-reduction
-# test 17% above the finite-difference fit (ROADMAP, ARIMAX cliff stall).
-_CLIFF_STALL = pytest.mark.xfail(reason="L-BFGS-B stalls at the 1e12 cliff", strict=True)
-
-
+# Seeds 16, 10, 7, 22 and 4 after the first fifteen sit at the MA
+# invertibility cliff, where a fit whose trials overflow stops up to 17%
+# above this reference. At order (1, 0, 1) the integrated series puts the AR
+# optimum on the box at 0.999, where a fit that halves a step back into the
+# box, instead of clipping it, stops up to 6.5% above.
 @pytest.mark.parametrize("seed, order", [
     *itertools.product(range(5), [(1, 1, 2), (0, 1, 1), (1, 1, 0)]),
-    pytest.param(16, (0, 1, 1), marks=_CLIFF_STALL),
+    (16, (0, 1, 1)), (10, (0, 1, 1)), (7, (0, 1, 2)), (22, (0, 1, 2)), (4, (0, 1, 2)),
+    (0, (1, 0, 1)), (3, (1, 0, 1)),
 ], ids=str)
 def test_fit_arimax_reaches_the_finite_difference_optimum(seed, order):
     trace, controls = _arimax_trace(20_000, seed)
     order = bl.ArimaxOrder(*order)
-    exact = _css_of(bl.fit_arimax(trace, controls, order), trace, controls)
+    fitted = _css_of(bl.fit_arimax(trace, controls, order), trace, controls)
     reference = _css_of(fit_arimax_fd(trace, controls, order), trace, controls)
-    assert exact <= reference * (1 + 1e-5)
+    assert fitted <= reference * (1 + 1e-5)
+
+
+@pytest.mark.parametrize("seed, order", [(0, (0, 1, 1)), (1, (0, 1, 2)), (2, (0, 1, 1))],
+                         ids=str)
+def test_fit_arimax_evaluates_only_invertible_ma_polynomials(monkeypatch, seed, order):
+    # t_in is white noise about a level, so its first difference is
+    # e_t - e_{t-1}: the CSS optimum is at the MA unit root, and full steps
+    # cross it. A non-invertible theta(B) makes the innovations filter blow
+    # up; the fit halves such a trial back before it builds that filter.
+    tried = []
+    theta = bl._theta
+
+    def spy(ma, n):
+        tried.append(np.array(ma))
+        return theta(ma, n)
+
+    monkeypatch.setattr(bl, "_theta", spy)
+    rng = np.random.default_rng(seed)
+    _, controls = _arimax_trace(5000, seed)
+    trace = make_trace(5000, t_in=70.0 + rng.normal(0.0, 0.05, 5000),
+                       t_out=30.0 + rng.normal(0.0, 1.0, 5000))
+    model = bl.fit_arimax(trace, controls, bl.ArimaxOrder(*order))
+
+    def radius(ma):  # theta(B) is invertible when this is below 1
+        return np.abs(np.roots(np.concatenate([[1.0], ma]))).max()
+
+    assert len(tried) > 3
+    assert max(map(radius, tried)) < 1.0
+    assert radius(model.ma) > 0.95
 
 
 def test_fit_arimax_insufficient_data():

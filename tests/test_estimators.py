@@ -1,7 +1,5 @@
 """Unit tests for NNLS, the 1R1C fit, and the variational estimator."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
@@ -75,12 +73,51 @@ def test_nnls_validation():
         est.nnls(np.array([[np.nan]]), np.array([1.0]))
 
 
+def test_nnls_leaves_columns_of_rounding_gradient_bound():
+    # more columns than rows: two free columns fit y exactly, and every other
+    # column's gradient is then rounding, which the tolerance ignores; freed,
+    # each would come out nonpositive or singular in turn, up to the cap
+    a = np.array([[0.6, 0.5, 0.2, 0.5], [0.7, -0.5, 0.9, -0.8]])
+    y = np.array([0.9, -0.7])
+    x = est.nnls(a, y)
+    assert (x >= 0).all() and np.count_nonzero(x) == 2
+    np.testing.assert_allclose(a @ x, y, rtol=0, atol=1e-14)
+
+
+def test_nnls_skips_a_duplicate_column_that_rounding_frees():
+    # the first two columns are equal. With y large against A, rounding leaves
+    # the second a positive gradient once the first is free; its solve is
+    # singular, so it is bound again and skipped, not freed and bound over
+    # and over until the iteration cap
+    a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, -1.0], [-3.0, -3.0, -1.0]]) / 10
+    y = np.array([5000.0, 6000.0, 1000.0])
+    x = est.nnls(a, y)
+    assert (x >= 0).all()
+    best = projected_gradient_nnls(a, y)
+    assert np.linalg.norm(a @ x - y) <= np.linalg.norm(a @ best - y) * (1 + 1e-12)
+
+
+#: A well-conditioned 8-column problem (condition number 96), found by a
+#: random search over small integer matrices, on which Lawson and Hanson's
+#: method frees and binds columns over 28 least-squares solves, past the
+#: cap of 3 per column. Solved to the end, it agrees with the projected
+#: gradient oracle; scipy.optimize.nnls stops at the same cap on it.
+_SLOW_NNLS = (
+    np.array([[-4, 9, -7, 5, 9, -2, 3, -7],
+              [3, 6, 7, -1, 2, -9, -2, -4],
+              [0, -7, -9, 1, 8, -3, -9, -3],
+              [1, -2, 6, -1, -9, 4, -9, -9],
+              [1, -4, 9, -2, -8, 1, 0, -7],
+              [3, -4, 0, -4, 5, -7, -2, 4],
+              [4, -7, -5, 0, 9, -7, -3, 6],
+              [-4, -8, -2, -2, -3, 6, 7, 6]], dtype=float),
+    np.array([5, -4, -8, -5, -7, -4, 7, -1], dtype=float),
+)
+
+
 def test_nnls_maps_the_iteration_cap_to_convergence_error():
-    a = np.eye(2)
-    with mock.patch("scipy.optimize.nnls",
-                    side_effect=RuntimeError("Maximum number of iterations reached.")):
-        with pytest.raises(ConvergenceError, match="6 active-set iterations"):
-            est.nnls(a, np.ones(2))
+    with pytest.raises(ConvergenceError, match="nnls exceeded 24 active-set iterations"):
+        est.nnls(*_SLOW_NNLS)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +442,26 @@ def test_transfer_alpha_maximises_the_evidence(start):
     best = evidence(alpha)
     for other in {grid[0], grid[-1], *grid[max(i - 1, 0):i + 2], alpha * 1.05, alpha / 1.05}:
         assert best >= evidence(other) - 1e-6
+
+
+@pytest.mark.parametrize("start", ["cold", "transfer"])
+def test_alpha_inside_the_grid_is_not_flagged(start):
+    assert _fit_case(start)[1].training_meta["alpha_at_grid_edge"] is False
+
+
+def test_transfer_flags_an_alpha_at_the_top_of_the_grid():
+    # a source with the true coefficients and a wide scale: the tighter the
+    # prior about them, the higher the evidence, so it still rises at the
+    # top of the grid and log_evidence there is not a maximum
+    dc = rcnet.analytic_coefficients(FAST_2R2C, 300.0)
+    ds = open_loop_dataset(dc, seed=3, noise_std=0.05, days=1)
+    truth = est.coeffs_to_weights(dc)
+    source = est.Posterior(order=2, means=truth, scales=np.full(len(truth), 10.0),
+                           noise_std=0.05)
+    meta = est.transfer(source, ds, hyper=NOISY).training_meta
+    top = est.ALPHA_GRID[-1]
+    assert meta["alpha"] == top and meta["alpha_at_grid_edge"] is True
+    assert log_evidence_candidate(ds, 0.05, source, 10 * top) > meta["log_evidence"]
 
 
 @pytest.mark.parametrize("alpha", [1e-12, 1e2])

@@ -481,18 +481,19 @@ def test_cli_import_loads_no_scipy_signal_stats_or_optimize():
     assert _fresh_python(code) == "[]\n"
 
 
-@pytest.mark.parametrize("kind, loads_optimize", [("bnn_rc", False), ("arimax", True)])
-def test_experiment_loads_scipy_optimize_only_for_an_iterative_fit(tmp_path, kind,
-                                                                   loads_optimize):
-    # the closed-form bnn_rc fit runs no optimiser; ARIMAX's L-BFGS-B does
-    config = small_config(model_kinds=(kind,))
+def test_experiment_over_every_model_kind_loads_no_scipy_optimize(tmp_path):
+    # every fit is closed form (bnn_rc, persistence) or a numpy loop (NNLS for
+    # onercone, Newton for ARIMAX), so no run pays for loading an optimiser
+    config = small_config(model_kinds=harness.MODEL_KINDS)
     config = replace(config, fleet_config=replace(config.fleet_config, n_homes=1))
     config_path = tmp_path / "config.json"
     config_path.write_text(config.to_json())
     argv = ["experiment", "--config", str(config_path), "--out", str(tmp_path / "run")]
     code = (f"import sys; from rctherm import cli; status = cli.main({argv!r}); "
             "print(status, 'scipy.optimize' in sys.modules)")
-    assert _fresh_python(code).splitlines()[-1] == f"0 {loads_optimize}"
+    assert _fresh_python(code).splitlines()[-1] == "0 False"
+    records = (tmp_path / "run" / "records.csv").read_text()
+    assert all(kind in records for kind in harness.MODEL_KINDS)
 
 
 def test_cli_synth_ingest_fit_coeffs_cluster(tmp_path):
