@@ -12,7 +12,6 @@ closed form; it carries no exogenous terms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 
@@ -25,7 +24,8 @@ from .errors import (
     InvalidParameterError,
     ShapeError,
 )
-from .rcnet import all_pole, all_pole_band
+from .jsonfile import JsonFile, read
+from .rcnet import all_pole, all_pole_band, root_radius
 
 _EXOG_DIM = 3  # (t_out, k_heat, k_cool)
 _AR_BOUND = 0.999
@@ -49,7 +49,7 @@ class ArimaxOrder:
 
 
 @dataclass(frozen=True)
-class ArimaxModel:
+class ArimaxModel(JsonFile, error=ShapeError, name="arimax", constants={"kind": "arimax"}):
     order: ArimaxOrder
     ar: np.ndarray
     ma: np.ndarray
@@ -71,29 +71,17 @@ class ArimaxModel:
         return max(self.order.p, self.order.q) + self.order.d
 
     def to_dict(self):
-        return {
-            "kind": "arimax",
-            "order": [self.order.p, self.order.d, self.order.q],
-            "ar": list(self.ar),
-            "ma": list(self.ma),
-            "exog": list(self.exog),
-            "intercept": self.intercept,
-            "innovation_var": self.innovation_var,
-        }
+        return {**super().to_dict(), "order": [self.order.p, self.order.d, self.order.q]}
 
     @classmethod
     def from_dict(cls, data):
-        p, d, q = data["order"]
-        return cls(order=ArimaxOrder(p, d, q), ar=np.array(data["ar"]),
-                   ma=np.array(data["ma"]), exog=np.array(data["exog"]),
-                   intercept=data["intercept"], innovation_var=data["innovation_var"])
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        """Parse a model, whose "order" is the array [p, d, q]; anything
+        malformed raises ShapeError."""
+        data = dict(read(dict, data, "arimax", ShapeError))
+        if "order" in data:
+            data["order"] = dict(zip("pdq", read(tuple[int, int, int], data["order"],
+                                                 "arimax.order", ShapeError)))
+        return super().from_dict(data)
 
 
 def difference(series, d):
@@ -125,12 +113,6 @@ def _innovations(params, z, exog, p, theta):
     for i, phi in enumerate(ar, start=1):
         r[i:] -= phi * z[:-i]
     return all_pole(theta, r)
-
-
-def _invertible(ma):
-    """Whether theta(B) = 1 + theta_1 B + ... has every root outside the unit
-    circle, so that the innovations filter 1/theta(B) is stable."""
-    return not len(ma) or np.abs(np.roots(np.concatenate([[1.0], ma]))).max() < 1.0
 
 
 def _columns(z, exog):
@@ -247,7 +229,10 @@ def _fit_arma(z, exog, p, q):
         for _ in range(_MAX_HALVINGS):
             trial = fit.arma + scale * delta
             trial[:p] = np.clip(trial[:p], -_AR_BOUND, _AR_BOUND)
-            if _invertible(trial[p:]):
+            # theta(B) = 1 + theta_1 B + ... is invertible (the innovations
+            # filter 1/theta(B) is stable) when every root is outside the
+            # unit circle: its reversed polynomial's root radius is below 1
+            if root_radius(trial[p:]) < 1.0:
                 moved = _Projection(trial, cols, p, skip)
                 if moved.css < fit.css:
                     break
@@ -284,11 +269,10 @@ def fit_arimax(train, controls, order=None):
         e, n_free = z - params[-1], 1  # the intercept alone
 
     ar = params[:p]
-    if p:
-        # stationarity: roots of 1 - phi_1 z - ... - phi_p z^p outside unit circle
-        roots = np.roots(np.concatenate([[1.0], -ar])[::-1])
-        if len(roots) and np.any(np.abs(roots) <= 1.0):
-            raise ConvergenceError("fitted AR polynomial is not stationary")
+    # stationarity: the roots of 1 - phi_1 z - ... - phi_p z^p are outside
+    # the unit circle, so those of its reversed polynomial are inside it
+    if root_radius(-ar) >= 1.0:
+        raise ConvergenceError("fitted AR polynomial is not stationary")
     ma = params[p:p + q]
     beta = params[p + q:p + q + _EXOG_DIM]
     intercept = float(params[p + q + _EXOG_DIM])

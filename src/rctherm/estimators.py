@@ -14,7 +14,6 @@ never standardized).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -28,6 +27,7 @@ from .errors import (
     InvalidParameterError,
     ShapeError,
 )
+from .jsonfile import JsonFile
 from .rcnet import DiffCoeffs
 
 _VALID_EPS = 1e-12
@@ -98,7 +98,7 @@ def nnls(a, y):
 
 
 @dataclass(frozen=True)
-class OneROneCFit:
+class OneROneCFit(JsonFile, error=ShapeError, name="onercone", constants={"kind": "onercone"}):
     """Compound per-step 1R1C coefficients recovered by NNLS.
 
     a = delta/(C1 R1), b = delta*Q_heat/C1, c = delta*Q_cool/C1 in per-step
@@ -116,9 +116,6 @@ class OneROneCFit:
         """y_t = (1 - a) y_{t-1} + a t_out_{t-1} + b k_heat_{t-1} - c k_cool_{t-1}."""
         return DiffCoeffs(order=1, s=[[0.0, 0.0, 0.0], [self.a, self.b, -self.c]],
                           e=[self.a - 1.0])
-
-    def to_json(self):
-        return json.dumps({"kind": "onercone", **asdict(self)}, sort_keys=True)
 
 
 def fit_1r1c(dataset):
@@ -174,7 +171,8 @@ class TrainingConfig:
 
 
 @dataclass(frozen=True)
-class Posterior:
+class Posterior(JsonFile, error=ShapeError, name="posterior",
+                constants={"layout": POSTERIOR_LAYOUT}):
     """Factorized Gaussian posterior over the 4n+3 weights and 1 bias.
 
     Means follow the regression row layout with the bias last; the y-lag
@@ -206,42 +204,6 @@ class Posterior:
     def coeffs(self):
         """The difference equation of the posterior means."""
         return posterior_to_coeffs(self)
-
-    def to_dict(self):
-        return {
-            "layout": POSTERIOR_LAYOUT,
-            "order": self.order,
-            "means": list(self.means),
-            "scales": list(self.scales),
-            "noise_std": self.noise_std,
-            "training_meta": self.training_meta,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        """Parse a posterior; any malformed field raises ShapeError (or
-        InvalidParameterError for nonpositive scales)."""
-        if not isinstance(data, dict):
-            raise ShapeError(f"posterior must be a JSON object, got {type(data).__name__}")
-        if data.get("layout") != POSTERIOR_LAYOUT:
-            raise ShapeError(f"unknown posterior layout {data.get('layout')!r}")
-        try:
-            return cls(order=data["order"], means=np.array(data["means"]),
-                       scales=np.array(data["scales"]), noise_std=data["noise_std"],
-                       training_meta=data.get("training_meta", {}))
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ShapeError(f"malformed posterior: {type(exc).__name__}: {exc}") from None
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ShapeError(f"posterior is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
 
 
 class _Design:
@@ -288,8 +250,10 @@ def _neg_elbo(design, noise_var, means, scales, m0, prior_prec):
     under the prior N(m0, diag(prior_prec)^-1): expected negative log
     likelihood, minus the entropy of q, minus the expected log prior."""
     r = design.residual(means)
+    # einsum, not a BLAS dot, which splits its sum across threads: the model
+    # file does not depend on the BLAS thread count
     nll = 0.5 * (design.rows * math.log(2 * math.pi * noise_var)
-                 + (r @ r + scales ** 2 @ np.diag(design.gram)) / noise_var)
+                 + (np.einsum("i,i", r, r) + scales ** 2 @ np.diag(design.gram)) / noise_var)
     entropy = float(np.sum(np.log(scales))) + 0.5 * len(means) * (_LOG_2PI + 1.0)
     log_prior = 0.5 * np.sum(np.log(prior_prec) - _LOG_2PI
                              - prior_prec * (scales ** 2 + (means - m0) ** 2))
@@ -312,7 +276,8 @@ def _fit_evidence(design, noise_var, m0, prec0):
     """
     r0 = design.residual(m0)
     b = design.moment(r0) / noise_var
-    const = design.rows * math.log(2 * math.pi * noise_var) + (r0 @ r0) / noise_var
+    # as in _neg_elbo: no BLAS dot
+    const = design.rows * math.log(2 * math.pi * noise_var) + np.einsum("i,i", r0, r0) / noise_var
     s = 1.0 / np.sqrt(prec0)
     lam, q = np.linalg.eigh(design.gram * np.outer(s, s) / noise_var)
     lam = np.maximum(lam, 0.0)

@@ -10,7 +10,6 @@ simulated under a bang-bang thermostat with a 0.5 degF hysteresis band.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -22,7 +21,9 @@ from .errors import (
     DegenerateSeriesError,
     InvalidParameterError,
     ParseError,
+    ShapeError,
 )
+from .jsonfile import JsonFile
 from .rcnet import (
     MAX_ORDER,
     RcParams,
@@ -77,42 +78,18 @@ class HomeMetadata:
 
 
 @dataclass(frozen=True)
-class Clustering:
+class Clustering(JsonFile, error=ShapeError, name="clustering"):
     """k-means result in standardized (floor_area, year_built) space."""
 
     k: int
     centroids: np.ndarray  # (k, 2), standardized
-    assignments: dict  # home_id -> cluster index
+    assignments: dict[str, int]  # home_id -> cluster index
     sse: float
     feature_mean: np.ndarray
     feature_std: np.ndarray
 
     def standardize(self, features):
         return (np.asarray(features, dtype=float) - self.feature_mean) / self.feature_std
-
-    def to_dict(self):
-        return {
-            "k": self.k,
-            "centroids": [list(c) for c in self.centroids],
-            "assignments": dict(sorted(self.assignments.items())),
-            "sse": self.sse,
-            "feature_mean": list(self.feature_mean),
-            "feature_std": list(self.feature_std),
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(k=data["k"], centroids=np.array(data["centroids"]),
-                   assignments=dict(data["assignments"]), sse=data["sse"],
-                   feature_mean=np.array(data["feature_mean"]),
-                   feature_std=np.array(data["feature_std"]))
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 def _kmeans_pp_init(points, k, rng):

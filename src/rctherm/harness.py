@@ -9,95 +9,27 @@ coefficient-based models. All runs are deterministic given the config.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import json
-import types
-import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, estimators, fleet, rcnet, timeseries
-from .errors import ConfigError, DataError, InsufficientDataError, InvalidParameterError
+from .errors import ConfigError, DataError, InsufficientDataError
+from .jsonfile import JsonFile, read
 
 MODEL_KINDS = ("bnn_rc", "onercone", "arimax", "persistence")
 SCENARIOS = ("none", "cross-home", "cross-season")
 RETRAIN_CHOICES = (0, 1, 7)
 CONFIG_SCHEMA_VERSION = 3
-#: How an error names the JSON type a value should have had.
-_JSON_NAMES = {dict: "an object", list: "an array", int: "an integer", float: "a number",
-               str: "a string"}
-
-
-@functools.cache
-def _json_fields(cls):
-    """{JSON key: (field name, annotation, required)} of a config dataclass;
-    a field's key is its name unless its metadata gives another."""
-    hints = typing.get_type_hints(cls)
-    return {f.metadata.get("key", f.name): (f.name, hints[f.name],
-                                            f.default is MISSING and f.default_factory is MISSING)
-            for f in fields(cls)}
-
-
-def _from_json(tp, value, where):
-    """``value``, a parsed JSON value, read as the annotation ``tp``.
-
-    A dataclass is read from an object whose keys are each one of its
-    fields and include every field without a default; ``tuple[X, ...]`` and
-    ``tuple[X, Y]`` from arrays, ``dict[str, X]`` from an object; ``X | None``
-    takes null.
-    ``int``, ``float`` (an int reads as a float) and ``str`` are checked by
-    type, a bool is not a number, and a float must be finite (JSON's
-    ``NaN`` and ``Infinity`` are refused). Every error is a ConfigError that
-    names the path ``where`` (such as ``config.fleet.seasons[0].days``).
-    """
-    if is_dataclass(tp):
-        keys = _json_fields(tp)
-        obj = _from_json(dict, value, where)
-        unknown = sorted(set(obj) - set(keys))
-        if unknown:
-            raise ConfigError(f"{where} has unknown keys {unknown}")
-        missing = sorted(k for k, (_, _, required) in keys.items() if required and k not in obj)
-        if missing:
-            raise ConfigError(f"{where} lacks keys {missing}")
-        kwargs = {keys[k][0]: _from_json(keys[k][1], v, f"{where}.{k}") for k, v in obj.items()}
-        try:
-            return tp(**kwargs)
-        except (ConfigError, InvalidParameterError) as exc:  # an impossible value
-            raise ConfigError(f"{where}: {exc}") from None
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is types.UnionType:  # X | None
-        if value is None:
-            return None
-        (tp,) = (a for a in args if a is not type(None))
-        return _from_json(tp, value, where)
-    if origin is tuple:
-        items = _from_json(list, value, where)
-        kinds = args[:1] * len(items) if args[1:] == (...,) else args
-        if len(items) != len(kinds):
-            raise ConfigError(f"{where} must hold {len(kinds)} items, got {value!r}")
-        return tuple(_from_json(t, v, f"{where}[{i}]")
-                     for i, (t, v) in enumerate(zip(kinds, items)))
-    if origin is dict:
-        return {k: _from_json(args[1], v, f"{where}.{k}")
-                for k, v in _from_json(dict, value, where).items()}
-    if not isinstance(value, (int, float) if tp is float else tp) or isinstance(value, bool):
-        raise ConfigError(f"{where} must be {_JSON_NAMES[tp]}, got {value!r}")
-    if tp is float:
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ConfigError(f"{where} is too large for a float") from None
-        if not np.isfinite(value):
-            raise ConfigError(f"{where} must be finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(JsonFile, error=ConfigError, name="config",
+                       constants={"schema_version": CONFIG_SCHEMA_VERSION}, indent=2):
     fleet_config: fleet.FleetConfig | None = field(default=None, metadata={"key": "fleet"})
     manifest: str | None = None
     model_kinds: tuple[str, ...] = ("bnn_rc",)
@@ -130,31 +62,6 @@ class ExperimentConfig:
         for name in ("cluster_k", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be at least 0, got {getattr(self, name)!r}")
-
-    def to_dict(self):
-        data = asdict(self)
-        data["fleet"] = data.pop("fleet_config")
-        return {**data, "schema_version": CONFIG_SCHEMA_VERSION}
-
-    @classmethod
-    def from_dict(cls, data):
-        """Parse a config; any malformed field raises ConfigError."""
-        data = dict(_from_json(dict, data, "config"))
-        version = data.pop("schema_version", None)
-        if version != CONFIG_SCHEMA_VERSION:
-            raise ConfigError(f"unsupported config schema {version!r}")
-        return _from_json(cls, data, "config")
-
-    @classmethod
-    def from_json(cls, text):
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 @dataclass
@@ -222,27 +129,27 @@ def _manifest_homes(data):
     that lacks a key or holds one of the wrong type, raises ConfigError.
     An entry may hold keys it does not read (``rctherm synth`` writes
     ``truth``)."""
-    def read(obj, key, tp, where, default=None):
+    def get(obj, key, tp, where, default=None):
         if key not in obj:
             if default is None:
                 raise ConfigError(f"{where} lacks {key!r}")
             return default
-        return _from_json(tp, obj[key], f"{where}.{key}")
+        return read(tp, obj[key], f"{where}.{key}", ConfigError)
 
     metadata, paths = [], {}
-    homes = read(_from_json(dict, data, "manifest"), "homes", tuple[dict, ...], "manifest")
+    homes = get(read(dict, data, "manifest", ConfigError), "homes", tuple[dict, ...], "manifest")
     for i, entry in enumerate(homes):
         where = f"manifest.homes[{i}]"
-        home_id = read(entry, "home_id", str, where)
-        meta = read(entry, "metadata", dict, where)
+        home_id = get(entry, "home_id", str, where)
+        meta = get(entry, "metadata", dict, where)
         metadata.append(fleet.HomeMetadata(
             home_id=home_id,
-            floor_area=read(meta, "floor_area", float, f"{where}.metadata"),
-            year_built=read(meta, "year_built", int, f"{where}.metadata"),
-            province=read(meta, "province", str, f"{where}.metadata", ""),
-            city=read(meta, "city", str, f"{where}.metadata", ""),
+            floor_area=get(meta, "floor_area", float, f"{where}.metadata"),
+            year_built=get(meta, "year_built", int, f"{where}.metadata"),
+            province=get(meta, "province", str, f"{where}.metadata", ""),
+            city=get(meta, "city", str, f"{where}.metadata", ""),
         ))
-        for season, rel in read(entry, "traces", dict[str, str], where).items():
+        for season, rel in get(entry, "traces", dict[str, str], where).items():
             paths[(home_id, season)] = rel
     return metadata, paths
 
@@ -291,8 +198,8 @@ def _segment_hash(trace):
 
 def fit_model(kind, train, controls, order, hyper=None, home_id=""):
     """Fit one model kind to a training segment: a Posterior (bnn_rc), a
-    OneROneCFit (onercone) or an ArimaxModel (arimax, persistence). Each has
-    ``to_json`` for its model file."""
+    OneROneCFit (onercone) or an ArimaxModel (arimax, persistence). Each is
+    a jsonfile.JsonFile, whose ``to_json`` is its model file."""
     if kind == "bnn_rc":
         ds = timeseries.build_regression(train, controls, order)
         return estimators.fit_bnn(ds, hyper=hyper, home_id=home_id)
@@ -308,7 +215,8 @@ def evaluate(model, test, controls):
     """(one-step RMSE, free-running RMSE or None) of a fitted model on a test
     segment. A coefficient model (bnn_rc, onercone) is scored on the test
     segment's regression rows, then also runs free from the first measured
-    lags; ARIMAX has no free-running column."""
+    lags; ARIMAX has no free-running column. A free run that leaves the
+    float range (that of an unstable equation) scores inf."""
     if isinstance(model, baselines.ArimaxModel):
         pred = baselines.predict_arimax(model, test, controls)
         return estimators.rmse(pred, test.t_in[model.warmup:]), None
@@ -317,7 +225,10 @@ def evaluate(model, test, controls):
     one_step = estimators.rmse(estimators.predict_one_step(dc, ds), ds.targets)
     n = dc.order
     free = rcnet.simulate_difference(dc, timeseries.exog(test, controls), test.t_in[:n])
-    return one_step, estimators.rmse(free[n:], test.t_in[n:])
+    if not np.isfinite(free).all():  # it overflowed, and may then turn nan (inf - inf)
+        return one_step, np.inf
+    with np.errstate(over="ignore"):  # its squared errors may overflow
+        return one_step, estimators.rmse(free[n:], test.t_in[n:])
 
 
 def run_experiment(config, out_dir=None):

@@ -10,7 +10,6 @@ The input vector is always u = (t_out, k_heat, k_cool).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,21 +24,20 @@ from .errors import (
     ParseError,
     ShapeError,
 )
+from .jsonfile import JsonFile, read
 
 #: Models beyond 5R5C are not supported.
 MAX_ORDER = 5
 
 SECONDS_PER_HOUR = 3600.0
-#: The keys of an RC parameter file besides its optional "order".
-_PARAM_KEYS = ("resistances", "capacitances", "q_heat", "q_cool")
 
 
 @dataclass(frozen=True)
-class RcParams:
+class RcParams(JsonFile, error=ParseError, name="params"):
     """Physical parameters of an nRnC network."""
 
-    resistances: tuple
-    capacitances: tuple
+    resistances: tuple[float, ...]
+    capacitances: tuple[float, ...]
     q_heat: float
     q_cool: float
 
@@ -61,49 +59,18 @@ class RcParams:
         return len(self.resistances)
 
     def to_dict(self):
-        return {
-            "order": self.order,
-            "resistances": list(self.resistances),
-            "capacitances": list(self.capacitances),
-            "q_heat": self.q_heat,
-            "q_cool": self.q_cool,
-        }
+        return {**super().to_dict(), "order": self.order}
 
     @classmethod
     def from_dict(cls, data):
-        """Parse parameters; a non-object, or a missing, unknown or mistyped
-        key raises ParseError (an impossible value, InvalidParameterError)."""
-        if not isinstance(data, dict):
-            raise ParseError(f"RC parameters must be a JSON object, got {type(data).__name__}")
-        unknown = sorted(set(data) - {"order", *_PARAM_KEYS})
-        missing = [k for k in _PARAM_KEYS if k not in data]
-        if unknown or missing:
-            raise ParseError(f"RC parameters: unknown keys {unknown}, missing keys {missing}")
-        for key in _PARAM_KEYS:
-            value = data[key]
-            if not (isinstance(value, list) and all(map(_is_number, value))
-                    if key in ("resistances", "capacitances") else _is_number(value)):
-                raise ParseError(f"RC parameter {key!r} has the wrong type: {value!r}")
-        try:
-            params = cls(resistances=data["resistances"], capacitances=data["capacitances"],
-                         q_heat=float(data["q_heat"]), q_cool=float(data["q_cool"]))
-        except OverflowError:
-            raise ParseError("an RC parameter is too large for a float") from None
-        if data.get("order", params.order) != params.order:
-            raise ParseError(f"RC parameter 'order' is {data['order']!r} for {params.order} lumps")
+        """Parse parameters; an optional "order" key must match the lumps.
+        Anything malformed or impossible raises ParseError."""
+        data = dict(read(dict, data, "params", ParseError))
+        order = read(int | None, data.pop("order", None), "params.order", ParseError)
+        params = super().from_dict(data)
+        if order not in (None, params.order):
+            raise ParseError(f"params.order is {order} for {params.order} lumps")
         return params
-
-    @classmethod
-    def from_json(cls, text):
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ParseError(f"RC parameters are not valid JSON: {exc}") from None
-        return cls.from_dict(data)
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -136,7 +103,7 @@ class DiscretizedSystem:
 
 
 @dataclass(frozen=True)
-class DiffCoeffs:
+class DiffCoeffs(JsonFile, error=ShapeError, name="coeffs"):
     """Compound coefficients of the scalar input/output difference equation.
 
     y_t = sum_{i=0..n} s[i] . u_{t-i} - sum_{i=1..n} e[i-1] y_{t-i} + offset
@@ -159,27 +126,13 @@ class DiffCoeffs:
     def root_radius(self):
         """Largest root modulus of z^n + e_1 z^{n-1} + ... + e_n: the
         equation is stable when it is below 1."""
-        return float(np.abs(np.roots(np.concatenate([[1.0], self.e]))).max())
+        return root_radius(self.e)
 
-    def to_dict(self):
-        return {
-            "order": self.order,
-            "s": [list(row) for row in self.s],
-            "e": list(self.e),
-            "offset": self.offset,
-        }
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(order=data["order"], s=np.array(data["s"]), e=np.array(data["e"]),
-                   offset=data["offset"])
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+def root_radius(a):
+    """Largest root modulus of z^k + a_1 z^{k-1} + ... + a_k, and 0 when
+    k = 0."""
+    return float(np.abs(np.roots(np.concatenate([[1.0], a]))).max(initial=0.0))
 
 
 def build_state_space(params):

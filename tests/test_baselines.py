@@ -98,16 +98,17 @@ def test_fit_arimax_recovers_parameters():
     assert model.innovation_var == pytest.approx(ESTD ** 2, rel=0.1)
 
 
-#: Fits the seed-0 series at two ARIMAX orders and 75 days of a 1R1C roll-out
-#: by NNLS, and prints the three model files, then the digests of a free run
-#: and of a synthetic trace's t_in, both of which filter with a BLAS banded
-#: solve.
+#: Fits the seed-0 series at two ARIMAX orders, 75 days of a 1R1C roll-out
+#: by NNLS, and a 90-day synthetic trace by the closed-form posterior with a
+#: one-day transfer from it, and prints the five model files, then the
+#: digests of a free run and of a synthetic trace's t_in, both of which
+#: filter with a BLAS banded solve.
 _FIT_MODEL_FILES = """
 import hashlib
 from datetime import datetime, timezone
 import numpy as np
 from conftest import FAST_2R2C, open_loop_dataset, random_inputs
-from rctherm import baselines as bl, estimators as est, fleet, rcnet
+from rctherm import baselines as bl, estimators as est, fleet, rcnet, timeseries as ts
 from test_baselines import _arimax_trace
 from test_fleet import SHOULDER
 trace, controls = _arimax_trace(20_000, 0)
@@ -115,6 +116,12 @@ for order in ((1, 1, 2), (0, 1, 1)):
     print(bl.fit_arimax(trace, controls, bl.ArimaxOrder(*order)).to_json())
 oner = rcnet.analytic_coefficients(rcnet.RcParams((2.0,), (0.3,), 15.0, 12.0), 300.0)
 print(est.fit_1r1c(open_loop_dataset(oner, seed=0, noise_std=0.05, days=75)).to_json())
+_, traces = fleet.synth_fleet(fleet.FleetConfig(n_homes=1), seed=4)
+winter = traces[("home0000", "winter")]
+cold = est.fit_bnn(ts.build_regression(winter, ts.derive_controls(winter), 2))
+day = ts.slice_trace(winter, 0, ts.SAMPLES_PER_DAY)
+print(cold.to_json())
+print(est.transfer(cold, ts.build_regression(day, ts.derive_controls(day), 2)).to_json())
 dc = rcnet.analytic_coefficients(FAST_2R2C, 300.0)
 free = rcnet.simulate_difference(dc, random_inputs(np.random.default_rng(0), 20_000), [70.0, 70.0])
 synth, _ = fleet.generate_trace(FAST_2R2C, SHOULDER, "h", datetime(2019, 1, 1, tzinfo=timezone.utc),
@@ -124,7 +131,7 @@ for values in (free, synth.t_in):
 """
 
 
-def test_arimax_model_file_does_not_depend_on_the_blas_thread_count():
+def test_model_files_do_not_depend_on_the_blas_thread_count():
     # OpenBLAS splits a long dot product across its threads, which changes the
     # order of the sum; the fits' sums are einsums, so the files are the same,
     # and so are the filtered series
@@ -137,7 +144,8 @@ def test_arimax_model_file_does_not_depend_on_the_blas_thread_count():
                                     capture_output=True, text=True, check=True,
                                     timeout=300).stdout)
     assert files[0] == files[1] and files[0].count("innovation_var") == 2
-    assert files[0].count('"onercone"') == 1 and len(files[0].splitlines()) == 5
+    assert files[0].count('"onercone"') == 1 and files[0].count('"layout"') == 2
+    assert len(files[0].splitlines()) == 7
 
 
 def _invertible_ma(rng, q):

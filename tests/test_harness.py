@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rctherm import cli, estimators, fleet, harness, rcnet
+from rctherm import baselines, cli, estimators, fleet, harness, rcnet
 from rctherm import timeseries as ts
 from rctherm.errors import (
     ConfigError,
     DataError,
     InsufficientDataError,
+    ParseError,
     RcthermError,
     ShapeError,
     UnimputableError,
@@ -222,22 +223,75 @@ _BAD_ORDERS = ((True, 8), (2.5, 14), (0, 4), (-1, 0))
 _RC_PARAMS = {"resistances": [1.0, 2.0], "capacitances": [0.1, 0.2],
               "q_heat": 15.0, "q_cool": 12.0}
 
+_COEFFS = rcnet.DiffCoeffs(order=1, s=[[0.0, 0.0, 0.0], [0.1, 0.2, -0.3]], e=[-0.9], offset=0.5)
+_ONERCONE = estimators.OneROneCFit(a=0.01, b=0.4, c=0.0, valid=True, residual_norm=1.5)
+_ARIMAX = baselines.ArimaxModel(order=baselines.ArimaxOrder(1, 1, 1), ar=[0.5], ma=[0.25],
+                                exog=[0.02, 0.1, -0.08], intercept=0.001, innovation_var=0.0025)
+_CLUSTERING = fleet.Clustering(k=2, centroids=np.array([[-1.0, 0.5], [1.0, -0.5]]),
+                               assignments={"h1": 1, "h0": 0}, sse=0.25,
+                               feature_mean=np.array([1500.0, 1990.0]),
+                               feature_std=np.array([500.0, 20.0]))
 
-@settings(max_examples=300, deadline=None)
+#: (reader, a valid parsed input, the class of every error it raises, the
+#: start of every error message: the root of the key path)
+_JSON_READERS = (
+    (harness.ExperimentConfig.from_json, small_config(cluster_k=2).to_dict(), ConfigError,
+     "config"),
+    (rcnet.RcParams.from_json, _RC_PARAMS, ParseError, "params"),
+    (rcnet.DiffCoeffs.from_json, _COEFFS.to_dict(), ShapeError, "coeffs"),
+    (estimators.Posterior.from_json, _POSTERIOR.to_dict(), ShapeError, "posterior"),
+    (estimators.OneROneCFit.from_json, _ONERCONE.to_dict(), ShapeError, "onercone"),
+    (baselines.ArimaxModel.from_json, _ARIMAX.to_dict(), ShapeError, "arimax"),
+    (fleet.Clustering.from_json, _CLUSTERING.to_dict(), ShapeError, "clustering"),
+    # HomeMetadata refuses an impossible value with its own data error
+    (lambda text: harness._manifest_homes(json.loads(text)), _MANIFEST, RcthermError, ""),
+)
+
+
+@settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_json_inputs_raise_only_package_errors(data):
-    for parse, valid in ((harness.ExperimentConfig.from_json,
-                          json.loads(small_config(cluster_k=2).to_json())),
-                         (estimators.Posterior.from_json, json.loads(_POSTERIOR.to_json())),
-                         (rcnet.RcParams.from_json, json.loads(json.dumps(_RC_PARAMS))),
-                         (lambda text: harness._manifest_homes(json.loads(text)),
-                          json.loads(json.dumps(_MANIFEST)))):
-        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
-            valid = _mutated(valid, data)
-        try:
-            parse(json.dumps(valid))
-        except RcthermError:
-            pass
+    parse, valid, error, where = data.draw(st.sampled_from(_JSON_READERS))
+    valid = json.loads(json.dumps(valid))  # a copy to mutate
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        valid = _mutated(valid, data)
+    try:
+        parse(json.dumps(valid))
+    except RcthermError as exc:
+        assert isinstance(exc, error) and str(exc).startswith(where), repr(exc)
+
+
+@pytest.mark.parametrize("model, text", [
+    (harness.ExperimentConfig(manifest="homes/manifest.json",
+                              model_kinds=("arimax", "persistence"), source_season="winter",
+                              seed=4),
+     '{\n  "cluster_k": 0,\n  "fleet": null,\n  "hyper": {\n    "noise_std": 0.1\n  },\n'
+     '  "manifest": "homes/manifest.json",\n  "model_kinds": [\n    "arimax",\n'
+     '    "persistence"\n  ],\n  "order": 2,\n  "retrain_days": 0,\n  "scenario": "none",\n'
+     '  "schema_version": 3,\n  "seed": 4,\n  "source_season": "winter",\n'
+     '  "target_season": null,\n  "test_days": 15,\n  "train_days": 75\n}'),
+    (rcnet.RcParams((1.0, 2.0), (0.1, 0.2), 15.0, 12.0),
+     '{"capacitances": [0.1, 0.2], "order": 2, "q_cool": 12.0, "q_heat": 15.0, '
+     '"resistances": [1.0, 2.0]}'),
+    (_COEFFS, '{"e": [-0.9], "offset": 0.5, "order": 1, "s": [[0.0, 0.0, 0.0], [0.1, 0.2, -0.3]]}'),
+    (_POSTERIOR,
+     '{"layout": "u-lags-then-y-lags-bias-last/1", "means": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, '
+     '7.0], "noise_std": 0.1, "order": 1, "scales": [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], '
+     '"training_meta": {"home_id": "h0"}}'),
+    (_ONERCONE,
+     '{"a": 0.01, "b": 0.4, "c": 0.0, "kind": "onercone", "residual_norm": 1.5, "valid": true}'),
+    (_ARIMAX,
+     '{"ar": [0.5], "exog": [0.02, 0.1, -0.08], "innovation_var": 0.0025, "intercept": 0.001, '
+     '"kind": "arimax", "ma": [0.25], "order": [1, 1, 1]}'),
+    (_CLUSTERING,
+     '{"assignments": {"h0": 0, "h1": 1}, "centroids": [[-1.0, 0.5], [1.0, -0.5]], '
+     '"feature_mean": [1500.0, 1990.0], "feature_std": [500.0, 20.0], "k": 2, "sse": 0.25}'),
+], ids=["ExperimentConfig", "RcParams", "DiffCoeffs", "Posterior", "OneROneCFit", "ArimaxModel",
+        "Clustering"])
+def test_json_writers_keep_their_bytes(model, text):
+    assert model.to_json() == text
+    back = type(model).from_json(text)
+    assert back.to_json() == text
 
 
 @pytest.mark.parametrize("text", [
@@ -407,6 +461,22 @@ def test_values_inside_a_long_gap_do_not_reach_a_coefficient_model(kind):
         return model.to_json(), harness.evaluate(model, test, ts.derive_controls(test))[0]
 
     assert fit_and_score(replace(imputed, t_in=moved)) == fit_and_score(imputed)
+
+
+@pytest.mark.parametrize("radius", [1.5, 2.37])
+def test_a_diverging_free_run_scores_inf(radius):
+    # an unstable difference equation's free run over 5 days reaches 1e254
+    # (radius 1.5), whose square overflows, or overflows itself and turns nan
+    # (radius 2.37); either scores inf, with no warning
+    dc = rcnet.DiffCoeffs(order=2, s=np.full((3, 3), 0.01), e=[-(radius + 0.5), 0.5 * radius])
+    assert dc.root_radius == pytest.approx(radius)
+    posterior = estimators.Posterior(order=2, means=estimators.coeffs_to_weights(dc),
+                                     scales=np.ones(12), noise_std=0.1)
+    config = fleet.FleetConfig(n_homes=1, seasons=(replace(SHOULDER, days=5),))
+    _, traces = fleet.synth_fleet(config, seed=0)
+    test = traces[("home0000", SHOULDER.name)]
+    one_step, free = harness.evaluate(posterior, test, ts.derive_controls(test))
+    assert np.isfinite(one_step) and free == np.inf
 
 
 @pytest.mark.parametrize("kind", ["bnn_rc", "onercone"])
