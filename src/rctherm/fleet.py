@@ -88,6 +88,19 @@ class Clustering(JsonFile, error=ShapeError, name="clustering"):
     feature_mean: np.ndarray
     feature_std: np.ndarray
 
+    def __post_init__(self):
+        if self.k < 1 or np.shape(self.centroids) != (self.k, 2):
+            raise ShapeError(f"centroids must be ({self.k}, 2), got shape "
+                             f"{np.shape(self.centroids)}")
+        for name in ("feature_mean", "feature_std"):
+            if np.shape(getattr(self, name)) != (2,):
+                raise ShapeError(f"{name} must hold 2 values, got {getattr(self, name)!r}")
+        if not (np.asarray(self.feature_std) > 0).all():
+            raise ShapeError(f"feature_std must be positive, got {self.feature_std!r}")
+        outside = sorted(h for h, c in self.assignments.items() if not 0 <= c < self.k)
+        if outside:
+            raise ShapeError(f"assignments of {outside} lie outside [0, {self.k})")
+
     def standardize(self, features):
         return (np.asarray(features, dtype=float) - self.feature_mean) / self.feature_std
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, estimators, fleet, rcnet, timeseries
-from .errors import ConfigError, DataError, InsufficientDataError
+from .errors import ConfigError, DataError, InsufficientDataError, InvalidParameterError
 from .jsonfile import JsonFile, read
 
 MODEL_KINDS = ("bnn_rc", "onercone", "arimax", "persistence")
@@ -142,13 +142,16 @@ def _manifest_homes(data):
         where = f"manifest.homes[{i}]"
         home_id = get(entry, "home_id", str, where)
         meta = get(entry, "metadata", dict, where)
-        metadata.append(fleet.HomeMetadata(
-            home_id=home_id,
-            floor_area=get(meta, "floor_area", float, f"{where}.metadata"),
-            year_built=get(meta, "year_built", int, f"{where}.metadata"),
-            province=get(meta, "province", str, f"{where}.metadata", ""),
-            city=get(meta, "city", str, f"{where}.metadata", ""),
-        ))
+        try:
+            metadata.append(fleet.HomeMetadata(
+                home_id=home_id,
+                floor_area=get(meta, "floor_area", float, f"{where}.metadata"),
+                year_built=get(meta, "year_built", int, f"{where}.metadata"),
+                province=get(meta, "province", str, f"{where}.metadata", ""),
+                city=get(meta, "city", str, f"{where}.metadata", ""),
+            ))
+        except InvalidParameterError as exc:  # its message starts with the key
+            raise ConfigError(f"{where}.metadata.{exc}") from None
         for season, rel in get(entry, "traces", dict[str, str], where).items():
             paths[(home_id, season)] = rel
     return metadata, paths

@@ -146,10 +146,15 @@ class RegressionDataset:
         return len(self.targets)
 
 
-#: Rows read or written per block. It bounds the per-cell strings and floats
-#: held at once: on a 90-day trace, reading or writing in blocks of 1024 rows
-#: peaks a few MB lower than in blocks of 4096, at the same speed.
+#: Rows read by the exact reader, or written, per block. It bounds the
+#: per-cell strings and floats held at once: on a 90-day trace, reading or
+#: writing in blocks of 1024 rows peaks a few MB lower than in blocks of
+#: 4096, at the same speed.
 _BLOCK_ROWS = 1024
+#: Characters numpy's reader takes per chunk, completed to a line end: about
+#: 2800 rows of a written trace. Smaller chunks pay numpy's set-up per call
+#: more often; larger ones hold more at once without reading faster.
+_BLOCK_CHARS = 1 << 18
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 _STEP_US = STEP_SECONDS * 1_000_000
@@ -224,28 +229,26 @@ _FIELDS = (
 )
 
 
-#: The canonical timestamp cell, as written by write_trace_csv: "0" marks a
-#: digit, the rest must match exactly. Cells are read one character wider, so
-#: the trailing NUL of the template rejects a longer cell.
-_STAMP_DTYPE = np.dtype("<U21")
-_CANONICAL = np.array(["0000-00-00T00:00:00Z"], dtype=_STAMP_DTYPE).view(np.uint32)
-_DIGITS = _CANONICAL == ord("0")
+#: The bytes that open a canonical line, as write_trace_csv writes them: the
+#: timestamp and the comma after it. "0" marks a digit, the rest must match
+#: exactly, so the comma rejects a longer timestamp cell.
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z,", dtype=np.uint8)
+_DIGITS = _STAMP == ord("0")
 
 
-def _canonical_stamps(cells):
-    """Epoch microseconds of timestamp cells that are all canonical
-    ``YYYY-MM-DDTHH:MM:SSZ`` with a valid date and time, computed from the
-    digits; None when any cell takes another form (or is blank)."""
-    codes = np.ascontiguousarray(cells, dtype=_STAMP_DTYPE).view(np.uint32)
-    codes = codes.reshape(-1, len(_CANONICAL))
-    digits = codes - np.uint32(ord("0"))
-    if not ((digits[:, _DIGITS] <= 9).all()
-            and (codes[:, ~_DIGITS] == _CANONICAL[~_DIGITS]).all()):
+def _canonical_stamps(codes):
+    """Epoch microseconds of the ``(rows, 21)`` bytes that open each line
+    when all are a canonical ``YYYY-MM-DDTHH:MM:SSZ,`` with a valid date and
+    time, computed from the digits; None when any takes another form."""
+    digits = codes[:, _DIGITS] - np.uint8(ord("0"))
+    if not ((digits <= 9).all() and (codes[:, ~_DIGITS] == _STAMP[~_DIGITS]).all()):
         return None
+    # the digits pair up as century, year of century, month, day, hour,
+    # minute and second
     digits = digits.astype(np.int64)
-    year, month, day, hour, minute, second = (
-        digits[:, lo:hi] @ 10 ** np.arange(hi - lo - 1, -1, -1)
-        for lo, hi in ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19)))
+    pairs = digits[:, 0::2] * 10 + digits[:, 1::2]
+    year = pairs[:, 0] * 100 + pairs[:, 1]
+    month, day, hour, minute, second = pairs[:, 2:].T
     if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
             & (hour <= 23) & (minute <= 59) & (second <= 59)).all():
         return None
@@ -263,23 +266,24 @@ def _steps(us, last_us):
     return np.diff(np.r_[us[:1] - 1 if last_us is None else [last_us], us])
 
 
-#: The characters of a canonical block: digits, the float signs, point and
+#: The characters of a canonical chunk: digits, the float signs, point and
 #: exponents, the stamp separators and the letters of the hvac_mode names.
 #: With no "n" or "i", no cell reads as nan or inf; with no quote, space, "#",
 #: "\r" or non-ASCII character, numpy's reader splits the cells of each line
 #: exactly as csv.reader does.
 _CANONICAL_BYTES = b"0123456789+-.eE,\n:TZ" + "".join(_MODE_NAMES).encode()
 _COMMA, _NEWLINE = ord(","), ord("\n")
-#: Each string column is one character wider than its longest valid cell, so
-#: a cell that numpy truncates to that width is never valid.
-_CANONICAL_ROW = np.dtype([(name, {"timestamp": _STAMP_DTYPE, "hvac_mode": "<U5",
-                                   "motion": "<U4"}.get(name, float))
-                           for name in CSV_HEADER])
+#: The cells after the timestamp. Each byte column is one character wider
+#: than its longest valid cell, so a cell that numpy truncates to that width
+#: is never valid.
+_CANONICAL_ROW = np.dtype([(name, {"hvac_mode": "S5", "motion": "S4"}.get(name, float))
+                           for name in CSV_HEADER[1:]])
 #: (name, dtype, {cell: value}) of the hvac_mode and motion columns of a
-#: canonical block, where a blank cell reads "nan"
-_CANONICAL_CELLS = tuple((name, dtype, {cell or "nan": value for cell, value in cells.items()})
-                         for name, dtype, cells in (("hvac_mode", np.int8, _MODE_CELLS),
-                                                    ("motion", float, _MOTION_CELLS)))
+#: canonical chunk, where a blank cell reads "nan"
+_CANONICAL_CELLS = tuple(
+    (name, dtype, {(cell or "nan").encode(): value for cell, value in cells.items()})
+    for name, dtype, cells in (("hvac_mode", np.int8, _MODE_CELLS),
+                               ("motion", float, _MOTION_CELLS)))
 
 
 def _lookup(cells, table, dtype):
@@ -293,37 +297,47 @@ def _lookup(cells, table, dtype):
     return values if found == len(cells) else None
 
 
-def _read_canonical(lines, first_line, last_us):
-    """Parse a block of lines in the canonical form write_trace_csv emits with
-    numpy's C reader: canonical timestamps, no quote, space, blank line or
-    "\r" other than in a "\r\n" line end, and blank cells allowed.
+def _read_canonical(text, first_line, last_us):
+    """Parse a chunk of whole lines in the canonical form write_trace_csv
+    emits with numpy's C reader: canonical timestamps, no quote, space, blank
+    line or "\r" other than in a "\r\n" line end, and blank cells allowed.
 
     Returns what _read_rows returns for the same lines, or None when any line
     takes another form or holds a fault, for _read_rows to decide.
     """
-    text = "".join(lines)
     if "\r" in text:  # "\r\n" ends a row for csv.reader as "\n" does
         text = text.replace("\r\n", "\n")
     if not text.endswith("\n"):
         text += "\n"
-    data = text.encode()
-    # numpy skips a blank line, and warns when every line is blank
-    if data.translate(None, _CANONICAL_BYTES) or data.startswith(b"\n") or b"\n\n" in data:
+    # any non-ASCII character encodes as "?", which the alphabet refuses
+    data = text.encode("ascii", "replace")
+    if data.translate(None, _CANONICAL_BYTES):
+        return None
+    codes = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(codes == _NEWLINE)
+    starts = np.r_[0, ends[:-1] + 1]
+    # a line too short for its timestamp, a blank one (two adjacent newlines)
+    # among them, is not canonical
+    if (ends - starts < len(_STAMP)).any():
+        return None
+    us = _canonical_stamps(codes[starts[:, None] + np.arange(len(_STAMP))])
+    if us is None or (_steps(us, last_us) <= 0).any():
+        return None
+    # numpy's reader refuses a line with fewer than 8 cells but ignores cells
+    # past the 8th: 7 commas a line on average then means 7 on each
+    comma = codes == _COMMA
+    if np.count_nonzero(comma) != (len(CSV_HEADER) - 1) * len(ends):
         return None
     # numpy reads an empty float cell as an error: write "nan" into each blank
     # cell (the alphabet holds no "n", so each "nan" read back was a blank)
-    codes = np.frombuffer(data, dtype=np.uint8)
-    comma = codes == _COMMA
     blank = np.flatnonzero(comma[:-1] & (comma[1:] | (codes[1:] == _NEWLINE))) + 1
     cuts = [0, *blank.tolist(), len(data)]
     data = b"nan".join([data[a:b] for a, b in zip(cuts, cuts[1:])])
     try:
         table = np.loadtxt(io.BytesIO(data), dtype=_CANONICAL_ROW, delimiter=",",
-                           comments=None, ndmin=1, encoding="ascii")
+                           usecols=range(1, len(CSV_HEADER)), comments=None, ndmin=1,
+                           encoding="ascii")
     except ValueError:
-        return None
-    us = _canonical_stamps(table["timestamp"])
-    if us is None or (_steps(us, last_us) <= 0).any():
         return None
     fields = {name: table[name].copy() for name in _CONTINUOUS_FIELDS}
     humidity = fields["humidity"]
@@ -334,7 +348,7 @@ def _read_canonical(lines, first_line, last_us):
         fields[name] = _lookup(table[name], cells, dtype)
         if fields[name] is None:
             return None
-    return first_line + np.arange(len(lines)), us, fields
+    return first_line + np.arange(len(ends)), us, fields
 
 
 def _read_rows(rows, first_line, last_us):
@@ -385,17 +399,23 @@ def _csv_rows(lines, line):
 
 
 def _blocks(stream):
-    """The data records of a stream, parsed _BLOCK_ROWS lines at a time, as
-    _read_rows returns them: numpy's reader parses blocks until it refuses
-    one, and csv.reader reads from that block's first line to the end, since
-    a quoted field can span lines."""
+    """The data records of a stream, as _read_rows returns them: numpy's
+    reader parses chunks of about _BLOCK_CHARS characters, each completed to
+    a line end, until it refuses one. The stream is then sought back to that
+    chunk's start and csv.reader reads from there to the end, _BLOCK_ROWS
+    rows at a time, since a quoted field can span lines. A stream that cannot
+    seek is read by csv.reader alone."""
     line, last_us = 2, None
-    while lines := list(itertools.islice(stream, _BLOCK_ROWS)):
-        if (block := _read_canonical(lines, line, last_us)) is None:
+    while stream.seekable():
+        start = stream.tell()
+        if not (text := stream.read(_BLOCK_CHARS)):
+            return
+        if (block := _read_canonical(text + stream.readline(), line, last_us)) is None:
+            stream.seek(start)
             break
         yield block
-        line, last_us = line + len(lines), block[1][-1]
-    rows = _csv_rows(itertools.chain(lines, stream), line)
+        line, last_us = line + len(block[0]), block[1][-1]
+    rows = _csv_rows(stream, line)
     while chunk := list(itertools.islice(rows, _BLOCK_ROWS)):
         yield (block := _read_rows(chunk, line, last_us))
         line, last_us = line + len(chunk), block[1][-1] if len(block[1]) else last_us
@@ -409,24 +429,25 @@ def ingest_trace(source, home_id):
     OrderingError, or DuplicateTimestampError on malformed input, naming the
     line the fault is on.
 
-    numpy's C reader parses blocks of rows in the canonical form
-    write_trace_csv emits. From the first block it refuses (a row in another
-    form, or a fault) to the end of the stream, the exact row-at-a-time
-    reader parses, which yields the same Trace for canonical rows.
+    numpy's C reader parses chunks of lines in the canonical form
+    write_trace_csv emits. From the first chunk it refuses (a line in
+    another form, or a fault) to the end of the stream, the exact
+    row-at-a-time reader parses the lines the stream yields, which gives the
+    same Trace for canonical lines.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
             return ingest_trace(fh, home_id)
 
-    stream = iter(source)
+    # readline, not iteration, so the stream can still tell its position
     try:
-        header = next(_csv_rows(stream, 1))
+        header = next(_csv_rows(iter(source.readline, ""), 1))
     except StopIteration:
         raise ParseError("empty CSV stream", 1) from None
     if [h.strip() for h in header] != CSV_HEADER:
         raise ParseError(f"unexpected header {header!r}", 1)
 
-    blocks = list(_blocks(stream))
+    blocks = list(_blocks(source))
     lines = np.concatenate([b[0] for b in blocks] or [np.empty(0, np.int64)])
     if len(lines) < 2:
         raise InsufficientDataError("trace CSV must contain at least 2 data rows")

@@ -1,6 +1,7 @@
 """Unit tests for clustering, fleet synthesis, and the generator's physics."""
 
 import io
+import json
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -17,6 +18,7 @@ from rctherm.errors import (
     DegenerateSeriesError,
     InvalidParameterError,
     ParseError,
+    ShapeError,
 )
 
 START = datetime(2019, 1, 1, tzinfo=timezone.utc)
@@ -122,6 +124,27 @@ def test_assign_new_home_to_nearest_centroid():
         feature_std=np.array([500.0, 10.0]))
     assert fleet.assign(fleet.HomeMetadata("n", 1000.0, 1990), clustering) == 0  # (-2, 0)
     assert fleet.assign(fleet.HomeMetadata("f", 2600.0, 1995), clustering) == 1  # (1.2, 0.5)
+
+
+@pytest.mark.parametrize("edit, fault", [
+    ({"centroids": [1.0], "feature_mean": []}, "centroids must be"),
+    ({"centroids": [[0.0, 1.0]]}, "centroids must be"),
+    ({"centroids": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]}, "centroids must be"),
+    ({"k": 0, "centroids": [], "assignments": {}}, "centroids must be"),
+    ({"feature_mean": []}, "feature_mean must hold 2"),
+    ({"feature_std": [500.0, 20.0, 1.0]}, "feature_std must hold 2"),
+    ({"feature_std": [500.0, 0.0]}, "feature_std must be positive"),
+    ({"feature_std": [-500.0, 20.0]}, "feature_std must be positive"),
+    ({"assignments": {"h0": 2}}, r"assignments of \['h0'\] lie outside \[0, 2\)"),
+    ({"assignments": {"h0": -1, "h1": 0}}, "assignments of"),
+])
+def test_malformed_clustering_is_a_shape_error_naming_clustering(edit, fault):
+    # refused when read, not later by numpy inside assign
+    data = {"k": 2, "centroids": [[-1.0, 0.5], [1.0, -0.5]], "assignments": {"h0": 0},
+            "sse": 0.25, "feature_mean": [1500.0, 1990.0], "feature_std": [500.0, 20.0],
+            **edit}
+    with pytest.raises(ShapeError, match=f"^clustering: {fault}"):
+        fleet.Clustering.from_json(json.dumps(data))
 
 
 def test_elbow_clustering_matches_the_elbow_rule(rng):

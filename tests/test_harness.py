@@ -243,8 +243,7 @@ _JSON_READERS = (
     (estimators.OneROneCFit.from_json, _ONERCONE.to_dict(), ShapeError, "onercone"),
     (baselines.ArimaxModel.from_json, _ARIMAX.to_dict(), ShapeError, "arimax"),
     (fleet.Clustering.from_json, _CLUSTERING.to_dict(), ShapeError, "clustering"),
-    # HomeMetadata refuses an impossible value with its own data error
-    (lambda text: harness._manifest_homes(json.loads(text)), _MANIFEST, RcthermError, ""),
+    (lambda text: harness._manifest_homes(json.loads(text)), _MANIFEST, ConfigError, "manifest"),
 )
 
 
@@ -333,6 +332,14 @@ def _edited_manifest(edit):
     (_edited_manifest(lambda m: m["homes"][0]["metadata"].update(year_built=1990.5)),
      "year_built"),
     (_edited_manifest(lambda m: m["homes"][0]["metadata"].update(city=None)), "city"),
+    (_edited_manifest(lambda m: m["homes"][0]["metadata"].update(floor_area=0)),
+     r"homes\[0\]\.metadata\.floor_area must be positive"),
+    (_edited_manifest(lambda m: m["homes"][0]["metadata"].update(floor_area=-1500.0)),
+     r"homes\[0\]\.metadata\.floor_area must be positive"),
+    (_edited_manifest(lambda m: m["homes"][0]["metadata"].update(year_built=1799)),
+     r"homes\[0\]\.metadata\.year_built 1799 outside"),
+    (_edited_manifest(lambda m: m["homes"][0]["metadata"].update(year_built=2101)),
+     r"homes\[0\]\.metadata\.year_built 2101 outside"),
     (_edited_manifest(lambda m: m["homes"][0].update(traces=["h0.csv"])), "traces"),
     (_edited_manifest(lambda m: m["homes"][0]["traces"].update(winter=3)), "winter"),
 ])

@@ -144,6 +144,9 @@ def test_timestamp_outside_utc_datetime_range_is_a_parse_error():
 
 
 _ROW = ",70.5,30,68,75,auto,0,0.4\n"
+#: A chunk size that ends each chunk on the second of these 46-character
+#: lines once it is completed to a line end.
+_TWO_ROWS = 50
 
 
 @pytest.mark.parametrize("text, line", [
@@ -158,15 +161,15 @@ _ROW = ",70.5,30,68,75,auto,0,0.4\n"
 def test_lone_cr_in_a_newline_split_stream_is_a_parse_error(text, line):
     # a StringIO splits lines only at "\n", so csv.reader meets the "\r"
     # inside a line and raises csv.Error
-    with mock.patch.object(ts, "_BLOCK_ROWS", 2):
+    with mock.patch.object(ts, "_BLOCK_CHARS", _TWO_ROWS):
         with pytest.raises(ParseError, match=f"^line {line}: malformed CSV row"):
             ts.ingest_trace(io.StringIO(text), "h")
 
 
 def test_numpy_reader_is_not_retried_after_its_first_refusal():
-    # blocks of two rows: the first is canonical, the second holds a space
+    # chunks of two rows: the first is canonical, the second holds a space
     # after a comma, the third is canonical again. csv.reader reads from the
-    # second block to the end, and the trace is the canonical file's.
+    # second chunk to the end, and the trace is the canonical file's.
     rows = [stamp(i) + _ROW[:-1] for i in range(6)]
     spaced = rows[:2] + [rows[2].replace(",", ", ", 1)] + rows[3:]
     results = []
@@ -176,17 +179,19 @@ def test_numpy_reader_is_not_retried_after_its_first_refusal():
         return results[-1]
 
     read = ts._read_canonical
-    with mock.patch.object(ts, "_BLOCK_ROWS", 2), mock.patch.object(ts, "_read_canonical", spy):
+    with (mock.patch.object(ts, "_BLOCK_CHARS", _TWO_ROWS),
+          mock.patch.object(ts, "_read_canonical", spy)):
         got = ts.ingest_trace(io.StringIO(csv_lines(spaced)), "h")
     assert [block is None for block in results] == [False, True]
     assert got == ts.ingest_trace(io.StringIO(csv_lines(rows)), "h")
 
 
 def test_a_block_of_blank_lines_reads_without_a_warning():
-    # blocks of two lines: the second holds only blank lines, which numpy's
-    # reader would warn about; the exact reader skips them
+    # chunks of one character, each completed to a line end: the third holds
+    # only the two blank lines, which numpy's reader would warn about; the
+    # exact reader skips them
     text = csv_lines([stamp(0) + _ROW[:-1], stamp(1) + _ROW[:-1], "", "", stamp(2) + _ROW[:-1]])
-    with mock.patch.object(ts, "_BLOCK_ROWS", 2), warnings.catch_warnings():
+    with mock.patch.object(ts, "_BLOCK_CHARS", 1), warnings.catch_warnings():
         warnings.simplefilter("error")
         trace = ts.ingest_trace(io.StringIO(text), "h")
     assert len(trace) == 3 and not trace.has_missing
@@ -223,9 +228,11 @@ starts = st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2060, 1
                           timezone.utc, timezone(timedelta(hours=2)),
                           timezone(timedelta(hours=-9, minutes=-30)),
                           timezone(timedelta(hours=14))]))
-#: Block sizes for the reader and the column-at-a-time writer: tiny ones put
-#: block boundaries inside the generated files.
+#: Block sizes for the column-at-a-time writer and the exact reader, and
+#: chunk sizes in characters for numpy's reader: small ones put block and
+#: chunk boundaries inside the generated files.
 blocks = st.sampled_from([1, 2, 3, 5, ts._BLOCK_ROWS])
+chunks = st.sampled_from([1, 30, 100, 150, ts._BLOCK_CHARS])
 
 
 def random_trace(data, n, start=START):
@@ -252,9 +259,10 @@ def test_csv_roundtrip_property(n, data):
     start = data.draw(starts)
     trace = random_trace(data, n, start.replace(microsecond=0))
     fractional = random_trace(data, n, start)
-    with mock.patch.object(ts, "_BLOCK_ROWS", data.draw(blocks)):
+    with (mock.patch.object(ts, "_BLOCK_ROWS", data.draw(blocks)),
+          mock.patch.object(ts, "_BLOCK_CHARS", data.draw(chunks))):
         text = ts.trace_to_csv_text(trace)
-        # every block the writer emits is canonical: numpy's reader takes it
+        # every line the writer emits is canonical: numpy's reader takes it
         with mock.patch.object(ts, "_read_rows", side_effect=AssertionError("exact path")):
             assert ts.ingest_trace(io.StringIO(text), "hp") == trace
         for t in (trace, fractional):
@@ -372,12 +380,20 @@ _canonical = st.one_of(
 )
 
 
+def _stamp_codes(cells):
+    """The ``(rows, 21)`` bytes that open lines whose first cells are
+    ``cells``, as the canonical reader gathers them."""
+    opening = [(cell + ",").encode()[:len(ts._STAMP)] for cell in cells]
+    assert all(len(o) == len(ts._STAMP) for o in opening)
+    return np.frombuffer(b"".join(opening), dtype=np.uint8).reshape(len(cells), -1)
+
+
 def _check_canonical(cells):
     try:
         exact = [ts._parse_timestamp(c) for c in cells]
     except ParseError:
         exact = None
-    fast = ts._canonical_stamps(cells)
+    fast = ts._canonical_stamps(_stamp_codes(cells))
     if fast is not None:
         assert fast.tolist() == exact
     if all(len(c) == 20 for c in cells):  # the canonical shape: no suffix
@@ -400,11 +416,15 @@ def test_canonical_timestamp_edges(cell):
     _check_canonical([cell])
 
 
-def _outcome(read, text, newline="\n"):
+def _result(read, source):
     try:
-        return read(io.StringIO(text, newline=newline), "h"), None
+        return read(source, "h"), None
     except RcthermError as exc:
         return None, (type(exc), str(exc), getattr(exc, "line", None))
+
+
+def _outcome(read, text, newline="\n", stream=io.StringIO):
+    return _result(read, stream(text, newline=newline))
 
 
 @settings(max_examples=400, deadline=None)
@@ -412,7 +432,8 @@ def _outcome(read, text, newline="\n"):
 def test_ingest_matches_rowwise_oracle(data):
     text = _generated_csv(data)
     expected, expected_error = _outcome(ingest_trace_rowwise, text)
-    with mock.patch.object(ts, "_BLOCK_ROWS", data.draw(blocks)):
+    with (mock.patch.object(ts, "_BLOCK_ROWS", data.draw(blocks)),
+          mock.patch.object(ts, "_BLOCK_CHARS", data.draw(chunks))):
         got, error = _outcome(ts.ingest_trace, text)
     # the same fault (class, message with its line number) or an equal trace
     assert error == expected_error
@@ -435,8 +456,8 @@ def _csv(lines, end="\n"):
 
 
 #: Each input numpy's reader must refuse or read as csv.reader and the exact
-#: cell parsers do. With blocks of 2 rows, the blocks before row 3 take
-#: numpy's reader.
+#: cell parsers do. With chunks of 100 characters (two lines each), numpy's
+#: reader takes rows 0 and 1 before a fault in row 3.
 _PITFALLS = {
     "stamp suffix": _csv(_canonical_lines({(3, 0): stamp(3) + "x"})),
     "stamp truncated": _csv(_canonical_lines({(3, 0): stamp(3) + "Zx"})),
@@ -468,25 +489,126 @@ _PITFALLS = {
     "blank cells row": _csv(_canonical_lines()[:3] + [",,,,,,,"] + _canonical_lines()[3:]),
     "no final newline": _csv(_canonical_lines({(6, 7): ""}))[:-1],
     "short row": _csv(_canonical_lines()[:3] + [stamp(9) + ",70"]),
+    "long row": _csv(_canonical_lines({(3, 7): "0.4,1"})),
+    "long and short rows": _csv([line.rsplit(",", 1)[0] if i == 4 else line for i, line
+                                 in enumerate(_canonical_lines({(3, 7): "0.4,1"}))]),
+    "short stamp line": _csv(_canonical_lines()[:3] + ["2024"] + _canonical_lines()[3:]),
     "duplicate": _csv(_canonical_lines({(3, 0): stamp(2)})),
     "backwards": _csv(_canonical_lines({(3, 0): stamp(1)})),
     "backwards across blocks": _csv(_canonical_lines({(2, 0): stamp(1)})),
     "off grid": _csv(_canonical_lines({(3, 0): stamp(3).replace(":00Z", ":30Z")})),
     "non-ASCII": _csv(_canonical_lines({(3, 5): "aut\u00f6"})),
+    "lone surrogate": _csv(_canonical_lines({(3, 1): "70\udc80"})),
 }
 
 
-@pytest.mark.parametrize("block", [2, 3, ts._BLOCK_ROWS])
+@pytest.mark.parametrize("chunk", [1, 100, 150, ts._BLOCK_CHARS])
 @pytest.mark.parametrize("name", _PITFALLS)
-def test_canonical_reader_pitfalls_match_rowwise_oracle(name, block):
+def test_canonical_reader_pitfalls_match_rowwise_oracle(name, chunk):
     # read as ingest_trace reads a path: "\r", "\n" and "\r\n" end lines
     text = _PITFALLS[name]
     expected, expected_error = _outcome(ingest_trace_rowwise, text, newline="")
-    with mock.patch.object(ts, "_BLOCK_ROWS", block):
+    with mock.patch.object(ts, "_BLOCK_CHARS", chunk):
         got, error = _outcome(ts.ingest_trace, text, newline="")
     assert error == expected_error
     if expected is not None:
         assert got == expected and got.start == expected.start
+
+
+# a UTF-8 file cannot hold a lone surrogate
+@pytest.mark.parametrize("name", [name for name in _PITFALLS if name != "lone surrogate"])
+def test_canonical_reader_pitfalls_read_from_a_path_match_rowwise_oracle(name, tmp_path):
+    # the exact reader starts at a sought-back position of a real file
+    path = tmp_path / "trace.csv"
+    path.write_text(_PITFALLS[name], encoding="utf-8", newline="")
+    expected, expected_error = _outcome(ingest_trace_rowwise, _PITFALLS[name], newline="")
+    with mock.patch.object(ts, "_BLOCK_CHARS", 100):
+        got, error = _result(ts.ingest_trace, path)
+    assert error == expected_error
+    if expected is not None:
+        assert got == expected and got.start == expected.start
+
+
+class _Pipe(io.StringIO):
+    """A text stream that cannot seek, as a pipe's."""
+
+    def seekable(self):
+        return False
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_stream_that_cannot_seek_reads_as_a_seekable_one(data):
+    text = _generated_csv(data)
+    expected = _outcome(ts.ingest_trace, text)
+    with mock.patch.object(ts, "_read_canonical", side_effect=AssertionError("numpy's reader")):
+        got = _outcome(ts.ingest_trace, text, stream=_Pipe)
+    assert got[1] == expected[1]
+    if expected[0] is not None:
+        assert got[0] == expected[0]
+
+
+def test_a_lone_cr_in_the_second_chunk_of_a_path_ends_a_line(tmp_path):
+    # a path is opened with newline="", so "\r" alone ends a line: the first
+    # chunk takes numpy's reader, and csv.reader reads the lines from the
+    # second on as iterating the file splits them
+    lines = _canonical_lines(n=7)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(_csv(lines[:3]).encode() + "\r".join(lines[3:]).encode() + b"\n")
+    results = []
+
+    def spy(*args):
+        results.append(read(*args))
+        return results[-1]
+
+    read = ts._read_canonical
+    with mock.patch.object(ts, "_BLOCK_CHARS", 100), mock.patch.object(ts, "_read_canonical", spy):
+        got = ts.ingest_trace(path, "h")
+    assert [block is None for block in results] == [False, True]
+    with open(path, newline="") as fh:
+        assert got == ingest_trace_rowwise(fh, "h")
+    assert got == ts.ingest_trace(io.StringIO(_csv(lines)), "h")
+
+
+def test_a_gapped_90_day_trace_reads_without_the_exact_reader(tmp_path):
+    # a trace file as the real-data benchmark writes it: short dropped runs
+    # that impute fills, outages longer than MAX_GAP_STEPS and single blank
+    # cells. Each chunk is canonical, so numpy's reader takes all of them.
+    rng = np.random.default_rng(19)
+    n = 90 * ts.SAMPLES_PER_DAY
+    trace = make_trace(
+        n,
+        t_in=70.0 + np.cumsum(rng.normal(0.0, 0.05, n)),
+        t_out=40.0 + 10.0 * np.sin(np.arange(n) * 2 * np.pi / ts.SAMPLES_PER_DAY),
+        hvac_mode=rng.integers(0, 4, n).astype(np.int8),
+        motion=rng.integers(0, 2, n).astype(float),
+        humidity=rng.uniform(0.2, 0.6, n),
+    )
+    path = tmp_path / "home.csv"
+    ts.write_trace_csv(trace, path)
+    header, *lines = path.read_text().splitlines()
+    drop = np.zeros(n, dtype=bool)
+    for count, lo, hi in ((30, 1, ts.MAX_GAP_STEPS), (3, ts.MAX_GAP_STEPS + 1, 24)):
+        for length in rng.integers(lo, hi + 1, count).tolist():
+            start = int(rng.integers(1, n - 1 - length))
+            drop[start:start + length] = True
+    cells = [line.split(",") for line in lines]
+    for row, col in zip(rng.integers(1, n - 1, 120).tolist(),
+                        rng.integers(1, len(ts.CSV_HEADER), 120).tolist()):
+        cells[row][col] = ""
+    kept = [",".join(row) for row, dropped in zip(cells, drop) if not dropped]
+    path.write_text("\n".join([header, *kept]) + "\n")
+    with mock.patch.object(ts, "_read_rows", side_effect=AssertionError("exact path")):
+        got = ts.ingest_trace(path, "h")
+    with open(path, newline="") as fh:
+        assert got == ingest_trace_rowwise(fh, "h")
+    assert got.has_missing and len(got) == n
 
 
 _FLOAT_CHARS = "0123456789+-.eE"
@@ -506,7 +628,7 @@ _float_cells = st.one_of(
 def test_float_cells_read_as_float_reads_them(cell):
     # numpy's reader gives the bits float() gives, or refuses the block
     line = _canonical_lines({(0, 1): cell}, n=1)[0]
-    block = ts._read_canonical([line + "\n"], 2, None)
+    block = ts._read_canonical(line + "\n", 2, None)
     try:
         value = float(cell) if cell else np.nan  # a blank cell is missing
     except ValueError:
