@@ -102,19 +102,6 @@ def _theta(ma, n):
     return all_pole_band(np.concatenate([[1.0], ma]), n)
 
 
-def _innovations(params, z, exog, p, theta):
-    """Innovations of dz_t = c + sum phi_i dz_{t-i} + beta.dX_t + ARMA errors,
-    with initial innovations zero (CSS convention); ``theta`` is _theta of
-    the MA coefficients over len(z) steps."""
-    ar = params[:p]
-    beta = params[-1 - _EXOG_DIM:-1]
-    c = params[-1]
-    r = z - c - exog @ beta
-    for i, phi in enumerate(ar, start=1):
-        r[i:] -= phi * z[:-i]
-    return all_pole(theta, r)
-
-
 def _columns(z, exog):
     """The series _Projection filters: z, each exogenous column plus 1, and
     1, as the contiguous columns of one array."""
@@ -137,9 +124,10 @@ class _Projection:
     filtered tails would decay into subnormal floats, which are slow.
     """
 
-    def __init__(self, arma, cols, p, skip):
+    def __init__(self, arma, cols, p, skip, linear=None):
         """``cols`` is _columns of the series, and the first ``skip`` rows
-        are not scored."""
+        are not scored. A given ``linear`` (beta, c) is used as it is, with
+        no least-squares step."""
         n = len(cols)
         self.arma, self.p, self.skip = arma, p, skip
         self.theta = _theta(arma[p:], n)
@@ -149,12 +137,14 @@ class _Projection:
         w = v[:, 0].copy()
         for i, phi in enumerate(arma[:p], start=1):
             w[i:] -= phi * v[:-i, 0]
-        f = v[skip:, 1:]
-        # einsum, not a BLAS product, which splits its sums across threads:
-        # the fitted coefficients do not depend on the BLAS thread count
-        self.gram_inv = np.linalg.pinv(np.einsum("ti,tj->ij", f, f), hermitian=True)
-        self.linear = self.gram_inv @ np.einsum("ti,t->i", f, w[skip:])
-        self.e = w - np.einsum("ti,i->t", v[:, 1:], self.linear)
+        if linear is None:
+            f = v[skip:, 1:]
+            # einsum, not a BLAS product, which splits its sums across threads:
+            # the fitted coefficients do not depend on the BLAS thread count
+            self.gram_inv = np.linalg.pinv(np.einsum("ti,tj->ij", f, f), hermitian=True)
+            linear = self.gram_inv @ np.einsum("ti,t->i", f, w[skip:])
+        self.linear = linear
+        self.e = w - np.einsum("ti,i->t", v[:, 1:], linear)
         scored = self.e[skip:]
         self.css = np.einsum("i,i", scored, scored) / len(scored)
 
@@ -290,15 +280,15 @@ def predict_arimax(model, test, controls):
     Returns predictions for grid indices [model.warmup, len(test)); compare
     against ``test.t_in[model.warmup:]``.
     """
-    p, d = model.order.p, model.order.d
+    p, d, q = model.order.p, model.order.d, model.order.q
     warm = model.warmup
     if len(test) <= warm:
         raise InsufficientDataError(f"need more than {warm} samples of warm-up history")
     z, exog = _design(test, controls, d)
-    # the forecast is the measured value less the innovation the fit's CSS
-    # recursion finds from measured history
-    params = np.concatenate([model.ar, model.ma, model.exog, [model.intercept]])
-    pred_dz = z - _innovations(params, z, exog, p, _theta(model.ma, len(z)))
+    # the forecast is the measured value less the innovation that the fit's
+    # CSS recursion finds from measured history
+    pred_dz = z - _Projection(np.concatenate([model.ar, model.ma]), _columns(z, exog), p,
+                              max(p, q), linear=np.append(model.exog, model.intercept)).e
 
     # undifference with measured lags: y_t = pred_dz_t - sum_{k>=1} (-1)^k C(d,k) y_{t-k},
     # for t from warm, the first predictable original-scale index

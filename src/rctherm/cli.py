@@ -10,7 +10,6 @@ manifest file, or an output), 3 convergence error. Every error ends in one
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -108,26 +107,18 @@ def _cmd_synth(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fleet.write_metadata_csv([h.metadata for h in homes], out / "metadata.csv")
-    manifest = {"homes": []}
+    entries = []
     for home in homes:
-        entry = {
-            "home_id": home.metadata.home_id,
-            "metadata": {
-                "floor_area": home.metadata.floor_area,
-                "year_built": home.metadata.year_built,
-                "province": home.metadata.province,
-                "city": home.metadata.city,
-            },
-            "truth": home.truth.to_dict(),
-            "traces": {},
-        }
-        for season_cfg in config.seasons:
-            rel = f"{home.metadata.home_id}__{season_cfg.name}.csv"
-            timeseries.write_trace_csv(traces[(home.metadata.home_id, season_cfg.name)],
-                                       out / rel)
-            entry["traces"][season_cfg.name] = rel
-        manifest["homes"].append(entry)
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
+        meta = home.metadata
+        paths = {s.name: f"{meta.home_id}__{s.name}.csv" for s in config.seasons}
+        for name, rel in paths.items():
+            timeseries.write_trace_csv(traces[(meta.home_id, name)], out / rel)
+        entries.append(harness.ManifestHome(
+            home_id=meta.home_id,
+            metadata=harness.ManifestMetadata(meta.floor_area, meta.year_built,
+                                              meta.province, meta.city),
+            traces=paths, truth=home.truth.to_dict()))
+    (out / "manifest.json").write_text(harness.Manifest(homes=tuple(entries)).to_json())
     print(f"wrote {len(homes)} homes to {out}")
     return 0
 

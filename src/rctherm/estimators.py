@@ -18,7 +18,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     ConvergenceError,
@@ -229,22 +228,6 @@ class _Design:
         return np.append(self.inputs.T @ r, r.sum())
 
 
-def _solve(design, b, noise_var, prior_prec):
-    """(A^-1 b, 1/sqrt(diag A)) for A = X'X/noise_var + diag(prior_prec).
-
-    Raises DegenerateSeriesError when A is not numerically positive
-    definite: collinear rows that a near-flat prior leaves undetermined.
-    """
-    a = design.gram / noise_var
-    a[np.diag_indices_from(a)] += prior_prec
-    try:
-        factor = cho_factor(a, lower=True)
-    except np.linalg.LinAlgError:
-        raise DegenerateSeriesError(
-            "the rows and the prior leave some weights undetermined") from None
-    return cho_solve(factor, b), 1.0 / np.sqrt(np.diag(a))
-
-
 def _neg_elbo(design, noise_var, means, scales, m0, prior_prec):
     """Negative evidence lower bound of the factorized q (means, scales)
     under the prior N(m0, diag(prior_prec)^-1): expected negative log
@@ -273,6 +256,12 @@ def _fit_evidence(design, noise_var, m0, prec0):
     M = S X'X S/sigma^2 = Q diag(lam) Q', so one eigh of M gives it on the
     whole grid: b'A^-1 b = sum c_i^2/(lam_i + alpha) with c = Q'Sb, and
     log|A| - log|alpha L0| = sum log1p(lam_i/alpha).
+
+    The same eigh gives the means, m0 + A^-1 b = m0 + S Q (c/(lam + alpha)),
+    and the scales are 1/sqrt(diag A). Raises DegenerateSeriesError when
+    lam_min + alpha <= d eps (lam_max + alpha), d the number of weights:
+    M + alpha I is then singular to rounding, so the rows and the prior
+    leave some weights undetermined.
     """
     r0 = design.residual(m0)
     b = design.moment(r0) / noise_var
@@ -281,15 +270,17 @@ def _fit_evidence(design, noise_var, m0, prec0):
     s = 1.0 / np.sqrt(prec0)
     lam, q = np.linalg.eigh(design.gram * np.outer(s, s) / noise_var)
     lam = np.maximum(lam, 0.0)
-    c2 = (q.T @ (s * b)) ** 2
+    c = q.T @ (s * b)
     grid = ALPHA_GRID[:, None]
-    log_evidence = -0.5 * (const - (c2 / (lam + grid)).sum(axis=1)
+    log_evidence = -0.5 * (const - (c ** 2 / (lam + grid)).sum(axis=1)
                            + np.log1p(lam / grid).sum(axis=1))
     i = int(np.argmax(log_evidence))
     alpha = float(ALPHA_GRID[i])
+    if lam[0] + alpha <= len(lam) * np.finfo(float).eps * (lam[-1] + alpha):
+        raise DegenerateSeriesError("the rows and the prior leave some weights undetermined")
     prior_prec = alpha * prec0
-    delta, scales = _solve(design, b, noise_var, prior_prec)
-    means = m0 + delta
+    means = m0 + s * (q @ (c / (lam + alpha)))
+    scales = 1.0 / np.sqrt(np.diag(design.gram) / noise_var + prior_prec)
     return (means, scales, alpha, float(log_evidence[i]),
             _neg_elbo(design, noise_var, means, scales, m0, prior_prec),
             i in (0, len(ALPHA_GRID) - 1))

@@ -12,14 +12,14 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, estimators, fleet, rcnet, timeseries
 from .errors import ConfigError, DataError, InsufficientDataError, InvalidParameterError
-from .jsonfile import JsonFile, read
+from .jsonfile import JsonFile
 
 MODEL_KINDS = ("bnn_rc", "onercone", "arimax", "persistence")
 SCENARIOS = ("none", "cross-home", "cross-season")
@@ -123,38 +123,32 @@ def summarize(values):
 # ---------------------------------------------------------------------------
 # Fleet loading
 
-def _manifest_homes(data):
-    """(metadata list, {(home_id, season): trace path relative to the
-    manifest}) of a parsed manifest; a manifest that is not an object, or
-    that lacks a key or holds one of the wrong type, raises ConfigError.
-    An entry may hold keys it does not read (``rctherm synth`` writes
-    ``truth``)."""
-    def get(obj, key, tp, where, default=None):
-        if key not in obj:
-            if default is None:
-                raise ConfigError(f"{where} lacks {key!r}")
-            return default
-        return read(tp, obj[key], f"{where}.{key}", ConfigError)
+@dataclass(frozen=True)
+class ManifestMetadata:
+    """A manifest home's metadata; fleet.HomeMetadata checks its values
+    when the fleet loads."""
 
-    metadata, paths = [], {}
-    homes = get(read(dict, data, "manifest", ConfigError), "homes", tuple[dict, ...], "manifest")
-    for i, entry in enumerate(homes):
-        where = f"manifest.homes[{i}]"
-        home_id = get(entry, "home_id", str, where)
-        meta = get(entry, "metadata", dict, where)
-        try:
-            metadata.append(fleet.HomeMetadata(
-                home_id=home_id,
-                floor_area=get(meta, "floor_area", float, f"{where}.metadata"),
-                year_built=get(meta, "year_built", int, f"{where}.metadata"),
-                province=get(meta, "province", str, f"{where}.metadata", ""),
-                city=get(meta, "city", str, f"{where}.metadata", ""),
-            ))
-        except InvalidParameterError as exc:  # its message starts with the key
-            raise ConfigError(f"{where}.metadata.{exc}") from None
-        for season, rel in get(entry, "traces", dict[str, str], where).items():
-            paths[(home_id, season)] = rel
-    return metadata, paths
+    floor_area: float
+    year_built: int
+    province: str = ""
+    city: str = ""
+
+
+@dataclass(frozen=True)
+class ManifestHome:
+    """One home of a manifest."""
+
+    home_id: str
+    metadata: ManifestMetadata
+    traces: dict[str, str]  # season -> trace CSV path, relative to the manifest
+    truth: dict | None = None  # the RcParams of a synthetic home (rctherm synth)
+
+
+@dataclass(frozen=True)
+class Manifest(JsonFile, error=ConfigError, name="manifest", indent=2):
+    """The homes of a trace-CSV fleet (a config's ``manifest``)."""
+
+    homes: tuple[ManifestHome, ...]
 
 
 def _load_fleet(config):
@@ -165,17 +159,20 @@ def _load_fleet(config):
         seasons = [s.name for s in config.fleet_config.seasons]
         return metadata, traces, seasons
     manifest = Path(config.manifest)
-    try:
-        data = json.loads(manifest.read_text())
-    except ValueError as exc:
-        raise ConfigError(f"manifest {manifest} is not valid JSON: {exc}") from None
-    metadata, paths = _manifest_homes(data)
+    homes = Manifest.from_json(manifest.read_bytes()).homes
+    metadata = []
+    for i, home in enumerate(homes):
+        try:
+            metadata.append(fleet.HomeMetadata(home.home_id, **asdict(home.metadata)))
+        except InvalidParameterError as exc:  # its message starts with the key
+            raise ConfigError(f"manifest.homes[{i}].metadata.{exc}") from None
     traces, seasons = {}, []
-    for (home_id, season), rel in paths.items():
-        if season not in seasons:
-            seasons.append(season)
-        trace = timeseries.ingest_trace(manifest.parent / rel, home_id)
-        traces[(home_id, season)] = timeseries.impute(trace)
+    for home in homes:
+        for season, rel in home.traces.items():
+            if season not in seasons:
+                seasons.append(season)
+            trace = timeseries.ingest_trace(manifest.parent / rel, home.home_id)
+            traces[(home.home_id, season)] = timeseries.impute(trace)
     return metadata, traces, seasons
 
 

@@ -1,6 +1,6 @@
 """The package's JSON files: one writer and one reader for every dataclass
-stored as JSON (experiment configs, RC parameters, difference coefficients,
-fitted models and clusterings) and for manifests.
+stored as JSON (experiment configs, manifests, RC parameters, difference
+coefficients, fitted models and clusterings).
 
 The writer turns a dataclass into plain JSON data, an object keyed by its
 fields' names (or by a field's ``metadata["key"]``), with tuples and numpy

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dtbtrs
 
 from .errors import (
@@ -260,7 +259,7 @@ def all_pole_band(a, n):
     ``a`` is [1, a_1..a_k]. a(B) is the n-by-n unit lower-triangular banded
     Toeplitz matrix L with a_i on its i-th subdiagonal. The band is L's
     transpose in BLAS upper band storage, (k+1, n): every column is a
-    reversed, with the unit diagonal last. dtbsv never reads that diagonal,
+    reversed, with the unit diagonal last. dtbtrs never reads that diagonal,
     so it is left unset.
     """
     band = np.empty((n, len(a)))
@@ -277,16 +276,16 @@ def all_pole(band, x, adjoint=False):
     The forward solve L y = x is the recursion
     y_t = x_t - a_1 y_{t-1} - ... - a_k y_{t-k}; ``adjoint`` solves L^T y = x,
     the same recursion run backwards in time. As L^T is the stored matrix,
-    the forward solve is dtbsv's transposed form, whose step is a k-term dot
-    product (the adjoint's step is an axpy, which is slower).
-    A 2-D ``x`` is solved a column at a time (LAPACK dtbtrs); its columns
-    are best contiguous, as in a Fortran-ordered array.
+    the forward solve is the transposed form of LAPACK's dtbtrs, whose step
+    is a k-term dot product (the adjoint's step is an axpy, which is slower).
+    It solves a column at a time: a 1-D ``x`` is one column, and the columns
+    of a 2-D ``x`` are best contiguous, as in a Fortran-ordered array.
     """
-    if not len(x):  # dtbsv refuses an empty vector
+    if not len(x):  # an empty series needs no solve
         return np.zeros(np.shape(x))
-    if np.ndim(x) == 2:
-        return dtbtrs(band, x, uplo="U", trans="N" if adjoint else "T", diag="U")[0]
-    return dtbsv(band.shape[0] - 1, band, x, trans=int(not adjoint), diag=1)
+    cols = x if np.ndim(x) == 2 else np.reshape(x, (-1, 1))
+    y = dtbtrs(band, cols, uplo="U", trans="N" if adjoint else "T", diag="U")[0]
+    return y if np.ndim(x) == 2 else y[:, 0]
 
 
 def filter_modes(modes, out_row, x0, u, b_now, b_next):

@@ -427,7 +427,8 @@ def ingest_trace(source, home_id):
     ``source`` is a path or a text file-like object. Rows missing from the
     grid are inserted as marked-missing samples. Raises ParseError,
     OrderingError, or DuplicateTimestampError on malformed input, naming the
-    line the fault is on.
+    line the fault is on. A path is read as UTF-8, and a byte that is not
+    UTF-8 reads as U+FFFD, so its cell is a ParseError too.
 
     numpy's C reader parses chunks of lines in the canonical form
     write_trace_csv emits. From the first chunk it refuses (a line in
@@ -436,7 +437,7 @@ def ingest_trace(source, home_id):
     same Trace for canonical lines.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, newline="") as fh:
+        with open(source, newline="", encoding="utf-8", errors="replace") as fh:
             return ingest_trace(fh, home_id)
 
     # readline, not iteration, so the stream can still tell its position

@@ -304,6 +304,18 @@ def test_predict_arimax_undifferences_like_the_sample_loop(d, p, q, seed):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("p, q", [(1, 2), (0, 1), (1, 1)])
+def test_predict_arimax_at_d0_is_the_fitted_recursion(p, q):
+    # on its training segment the forecast is the measured value less the
+    # innovations whose CSS the fit minimised, bit for bit
+    trace, controls = _arimax_trace(3000, seed=10 * p + q)
+    model = bl.fit_arimax(trace, controls, bl.ArimaxOrder(p, 0, q))
+    z, exog = bl._design(trace, controls, 0)
+    e = bl._fit_arma(z, exog, p, q).e
+    got = bl.predict_arimax(model, trace, controls)
+    assert got.tobytes() == (z - e)[model.warmup:].tobytes()
+
+
 def test_predict_arimax_needs_warmup():
     trace, controls = _arimax_trace(2000, seed=9)
     model = bl.fit_arimax(trace, controls)

@@ -243,7 +243,7 @@ _JSON_READERS = (
     (estimators.OneROneCFit.from_json, _ONERCONE.to_dict(), ShapeError, "onercone"),
     (baselines.ArimaxModel.from_json, _ARIMAX.to_dict(), ShapeError, "arimax"),
     (fleet.Clustering.from_json, _CLUSTERING.to_dict(), ShapeError, "clustering"),
-    (lambda text: harness._manifest_homes(json.loads(text)), _MANIFEST, ConfigError, "manifest"),
+    (harness.Manifest.from_json, _MANIFEST, ConfigError, "manifest"),
 )
 
 
@@ -285,8 +285,20 @@ def test_json_inputs_raise_only_package_errors(data):
     (_CLUSTERING,
      '{"assignments": {"h0": 0, "h1": 1}, "centroids": [[-1.0, 0.5], [1.0, -0.5]], '
      '"feature_mean": [1500.0, 1990.0], "feature_std": [500.0, 20.0], "k": 2, "sse": 0.25}'),
+    # as rctherm synth writes it, with each home's truth
+    (harness.Manifest(homes=(harness.ManifestHome(
+        home_id="h0", metadata=harness.ManifestMetadata(1500.0, 1990, "ON", "Ottawa"),
+        traces={"winter": "h0__winter.csv"},
+        truth=rcnet.RcParams((1.0,), (0.5,), 15.0, 12.0).to_dict()),)),
+     '{\n  "homes": [\n    {\n      "home_id": "h0",\n      "metadata": {\n'
+     '        "city": "Ottawa",\n        "floor_area": 1500.0,\n        "province": "ON",\n'
+     '        "year_built": 1990\n      },\n      "traces": {\n'
+     '        "winter": "h0__winter.csv"\n      },\n      "truth": {\n'
+     '        "capacitances": [\n          0.5\n        ],\n        "order": 1,\n'
+     '        "q_cool": 12.0,\n        "q_heat": 15.0,\n        "resistances": [\n'
+     '          1.0\n        ]\n      }\n    }\n  ]\n}'),
 ], ids=["ExperimentConfig", "RcParams", "DiffCoeffs", "Posterior", "OneROneCFit", "ArimaxModel",
-        "Clustering"])
+        "Clustering", "Manifest"])
 def test_json_writers_keep_their_bytes(model, text):
     assert model.to_json() == text
     back = type(model).from_json(text)
@@ -342,6 +354,8 @@ def _edited_manifest(edit):
      r"homes\[0\]\.metadata\.year_built 2101 outside"),
     (_edited_manifest(lambda m: m["homes"][0].update(traces=["h0.csv"])), "traces"),
     (_edited_manifest(lambda m: m["homes"][0]["traces"].update(winter=3)), "winter"),
+    (_edited_manifest(lambda m: m["homes"][0].update(notes="h0")),
+     r"homes\[0\] has unknown keys \['notes'\]"),
 ])
 def test_malformed_manifest_is_a_config_error_naming_the_key(tmp_path, data, key):
     manifest = tmp_path / "manifest.json"
@@ -354,6 +368,13 @@ def test_malformed_manifest_is_a_config_error_naming_the_key(tmp_path, data, key
 def test_manifest_that_is_not_json_is_a_config_error(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text("{homes")
+    with pytest.raises(ConfigError, match="JSON"):
+        harness.run_experiment(harness.ExperimentConfig(manifest=str(manifest)))
+
+
+def test_manifest_that_is_not_utf8_is_a_config_error(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(json.dumps(_MANIFEST).replace("h0", "hé").encode("latin-1"))
     with pytest.raises(ConfigError, match="JSON"):
         harness.run_experiment(harness.ExperimentConfig(manifest=str(manifest)))
 

@@ -515,13 +515,21 @@ def test_canonical_reader_pitfalls_match_rowwise_oracle(name, chunk):
         assert got == expected and got.start == expected.start
 
 
-# a UTF-8 file cannot hold a lone surrogate
-@pytest.mark.parametrize("name", [name for name in _PITFALLS if name != "lone surrogate"])
+#: The bytes of each pitfall as a file (a UTF-8 file cannot hold a lone
+#: surrogate), and a file that is not UTF-8: its byte 0xE9 reads as U+FFFD.
+_FILE_PITFALLS = {
+    **{name: text.encode() for name, text in _PITFALLS.items() if name != "lone surrogate"},
+    "non-UTF-8 byte": _csv(_canonical_lines({(1, 1): "70\u00e9"})).encode("latin-1"),
+}
+
+
+@pytest.mark.parametrize("name", _FILE_PITFALLS)
 def test_canonical_reader_pitfalls_read_from_a_path_match_rowwise_oracle(name, tmp_path):
     # the exact reader starts at a sought-back position of a real file
     path = tmp_path / "trace.csv"
-    path.write_text(_PITFALLS[name], encoding="utf-8", newline="")
-    expected, expected_error = _outcome(ingest_trace_rowwise, _PITFALLS[name], newline="")
+    path.write_bytes(_FILE_PITFALLS[name])
+    text = _FILE_PITFALLS[name].decode("utf-8", "replace")
+    expected, expected_error = _outcome(ingest_trace_rowwise, text, newline="")
     with mock.patch.object(ts, "_BLOCK_CHARS", 100):
         got, error = _result(ts.ingest_trace, path)
     assert error == expected_error
