@@ -413,8 +413,9 @@ def generate_trace(truth, season, home_id, start, rng, measurement_noise_std):
     state and outdoor drive) is filtered per mode of Phi. Its duty part is
     closed form within each run of constant duty, so the per-sample loop
     only applies the hysteresis rule, reading the temperature from a
-    LOOKAHEAD-sample window that is recomputed at each switch or when it
-    runs out.
+    LOOKAHEAD-sample window that ends at a switch, at the end of a day or
+    when it runs out. The duty part's modal state is carried from each
+    window into the next.
 
     Returns (trace, the generator's exact duty signals as a ControlSeries).
     The analysis pipeline reconstructs controls from setpoints without the
@@ -448,16 +449,24 @@ def generate_trace(truth, season, home_id, start, rng, measurement_noise_std):
         kicks[:, col] += ds.gamma2[:, col]
     kappa = kicks @ v_inv.T
     w_star = kappa[[0, 1, 2], [0, 1, 2]] / (1.0 - lam)
-    # a switch from a to b m samples into the run: dev <- lam^(m+1) dev + jump[a, b]
-    jump = lam * w_star[:, None, :] + kappa - w_star[None, :, :]
     out = ss.cm[0] @ v
     level = w_star @ out
-    powers = lam ** np.arange(LOOKAHEAD)[:, None]
+    # The state is the current deviation lam^m dev followed by the run's
+    # level, a mode of eigenvalue 1, so the duty part k samples on is
+    # response[k] @ state and the state k samples on is powers[k] * state.
+    # A switch from a to b then adds jump[a, b].
+    jump = np.empty((3, 3, len(lam) + 1))
+    jump[..., :-1] = lam * w_star[:, None, :] + kappa - w_star[None, :, :]
+    jump[..., -1] = level[None, :] - level[:, None]
+    powers = np.append(lam, 1.0) ** np.arange(LOOKAHEAD + 1)[:, None]
+    response = powers[:LOOKAHEAD] * np.append(out, 1.0)
+    state = np.zeros(len(lam) + 1)
+    state[-1] = level[0]
 
-    duties = np.zeros(n_samples, dtype=np.int8)
     heat_on = False
     cool_on = False
-    duty, run_start, dev = 0, 0, np.zeros(len(lam))
+    duty = 0
+    switches, run_duties = [0], [0]
     # thermostat decisions for the next interval, from each reading but the last
     for day_start in range(0, n_samples - 1, SAMPLES_PER_DAY):
         day = slice(day_start, min(day_start + SAMPLES_PER_DAY, n_samples - 1))
@@ -466,8 +475,7 @@ def generate_trace(truth, season, home_id, start, rng, measurement_noise_std):
         t = day.start
         while t < day.stop:
             end = min(t + LOOKAHEAD, day.stop)
-            duty_part = level[duty] + powers[:end - t] @ (out * lam ** (t - run_start) * dev)
-            window = y[t:end] + duty_part
+            window = y[t:end] + response[:end - t] @ state
             for j, yt in enumerate(window.tolist(), t - day_start):
                 if yt < heat_lo[j]:
                     heat_on = True
@@ -482,13 +490,15 @@ def generate_trace(truth, season, home_id, start, rng, measurement_noise_std):
                     end = day_start + j + 1
                     break
             y[t:end] = window[:end - t]
+            state = powers[end - t] * state
             if new_duty != duty:
-                duties[run_start:end] = duty
-                dev = lam ** (end - run_start) * dev + jump[duty, new_duty]
-                duty, run_start = new_duty, end
+                state += jump[duty, new_duty]
+                duty = new_duty
+                switches.append(end)
+                run_duties.append(duty)
             t = end
-    y[-1] += level[duty] + out @ (lam ** (n_samples - 1 - run_start) * dev)
-    duties[run_start:] = duty
+    y[-1] += response[0] @ state
+    duties = np.repeat(np.array(run_duties, dtype=np.int8), np.diff(switches + [n_samples]))
     kh = (duties == 1).view(np.int8)
     kc = (duties == 2).view(np.int8)
 

@@ -281,8 +281,6 @@ def all_pole(band, x, adjoint=False):
     It solves a column at a time: a 1-D ``x`` is one column, and the columns
     of a 2-D ``x`` are best contiguous, as in a Fortran-ordered array.
     """
-    if not len(x):  # an empty series needs no solve
-        return np.zeros(np.shape(x))
     cols = x if np.ndim(x) == 2 else np.reshape(x, (-1, 1))
     y = dtbtrs(band, cols, uplo="U", trans="N" if adjoint else "T", diag="U")[0]
     return y if np.ndim(x) == 2 else y[:, 0]

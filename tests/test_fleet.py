@@ -394,6 +394,36 @@ def test_generate_trace_matches_the_step_loop_oracle_over_90_shoulder_days():
     assert np.diff(np.r_[0, switches, len(duty)]).max() > fleet.LOOKAHEAD
 
 
+@pytest.mark.parametrize("mode, seed, switches", [
+    # one run, its level carried from window to window through all 90 days
+    pytest.param(ts.MODE_OFF, 0, 0, id="off"),
+    # the network of the benchmark fleet's seed-3 home0000, under this test's
+    # weather: a switch every 8.7 samples
+    pytest.param(ts.MODE_AUTO, 3, 2978, id="seed3-home0000"),
+])
+def test_generate_trace_matches_the_step_loop_oracle_over_90_days(mode, seed, switches):
+    season = replace(SHOULDER, days=90, hvac_mode=mode)
+    homes, _ = fleet.synth_fleet(fleet.FleetConfig(n_homes=1, seasons=(season,)), seed=seed)
+    controls = assert_matches_the_step_loop_oracle(homes[0].truth, season, 0.05)
+    assert np.count_nonzero(np.diff(controls.k_heat + 2 * controls.k_cool)) == switches
+
+
+@pytest.mark.parametrize("lookahead", [1, 7, 300])
+def test_generate_trace_does_not_depend_on_the_window_length(monkeypatch, lookahead):
+    # a window ends at a switch, at the end of a day or after LOOKAHEAD
+    # samples; only rounding may tell where the windows fell
+    season = replace(SHOULDER, days=90)
+    homes, _ = fleet.synth_fleet(fleet.FleetConfig(n_homes=1, seasons=(season,)), seed=0)
+    want, want_controls = fleet.generate_trace(
+        homes[0].truth, season, "h", START, np.random.default_rng(5), 0.05)
+    monkeypatch.setattr(fleet, "LOOKAHEAD", lookahead)
+    got, got_controls = fleet.generate_trace(
+        homes[0].truth, season, "h", START, np.random.default_rng(5), 0.05)
+    assert (got_controls.k_heat == want_controls.k_heat).all()
+    assert (got_controls.k_cool == want_controls.k_cool).all()
+    np.testing.assert_allclose(got.t_in, want.t_in, rtol=0, atol=1e-12)
+
+
 def test_derive_controls_consistency_with_generator():
     # pooled across a default winter fleet the band-free reconstruction
     # agrees with the generator's duty signals on >= 95% of samples

@@ -164,6 +164,9 @@ def test_all_pole_matches_lfilter(rng, k, length):
     np.testing.assert_allclose(rcnet.all_pole(band, x, adjoint=True),
                                lfilter([1.0], a, x[::-1])[::-1], rtol=1e-12, atol=1e-12)
     assert forward.shape == (n,)
+    if n == 0:  # an empty block of columns solves to an empty block
+        for adjoint in (False, True):
+            assert rcnet.all_pole(band, np.empty((0, 3)), adjoint=adjoint).shape == (0, 3)
     # an initial state: lfiltic's past-output terms added to the first k entries
     zi = lfiltic([1.0], a, rng.normal(size=k))
     seeded = x.copy()
