@@ -5,7 +5,8 @@ ARIMAX(p, d, q) is estimated as a regression with ARMA errors on the
 d-times-differenced series, by minimizing the conditional sum of squares
 (initial innovations zero) by variable projection: Newton steps in the AR
 and MA coefficients, with the intercept and exogenous coefficients solved by
-least squares at each trial. The degenerate order
+least squares at each trial, over the trials whose AR polynomial is
+stationary and whose MA polynomial is invertible. The degenerate order
 (0, 1, 0) is the persistence predictor y_t = y_{t-1} + intercept, fitted in
 closed form; it carries no exogenous terms.
 """
@@ -28,7 +29,6 @@ from .jsonfile import JsonFile, read
 from .rcnet import all_pole, all_pole_band, root_radius
 
 _EXOG_DIM = 3  # (t_out, k_heat, k_cool)
-_AR_BOUND = 0.999
 #: The ARMA fit stops when a step predicts a relative CSS decrease below
 #: _TOL, and fails after _MAX_STEPS steps; a step is halved at most
 #: _MAX_HALVINGS times.
@@ -192,37 +192,31 @@ def _fit_arma(z, exog, p, q):
     variable-projection CSS from zero AR/MA coefficients, with the
     Gauss-Newton Hessian where the exact one is not positive definite.
 
-    A trial's AR coefficients are clipped to the box of +-_AR_BOUND. A trial
-    that makes theta non-invertible is halved back before it is evaluated,
-    as is one that does not lower the CSS. The fit stops when a step
-    predicts a relative decrease below _TOL, or when no halving lowers the
-    CSS (a minimum to rounding).
+    A trial is admitted when its AR polynomial is stationary and its MA
+    polynomial invertible; one that is not, or that does not lower the CSS,
+    is halved back. So every fit is stationary and invertible, as zero is.
+    The fit stops when a step predicts a relative decrease below _TOL, or
+    when no halving lowers the CSS (a minimum to rounding).
     """
     cols, skip = _columns(z, exog), max(p, q)
     fit = _Projection(np.zeros(p + q), cols, p, skip)
     for _ in range(_MAX_STEPS):
         grad, hess, gauss_newton = fit.derivatives()
-        # an AR coefficient on the box that the CSS pushes outwards stays
-        # there; the step moves the others (projected Newton: Bertsekas 1982)
-        free = np.ones(p + q, dtype=bool)
-        free[:p] = (np.abs(fit.arma[:p]) < _AR_BOUND) | (fit.arma[:p] * grad[:p] > 0)
-        hess, gauss_newton = hess[np.ix_(free, free)], gauss_newton[np.ix_(free, free)]
         try:
             np.linalg.cholesky(hess)
         except np.linalg.LinAlgError:
             hess = gauss_newton
-        delta = np.zeros(p + q)
-        delta[free] = -np.linalg.lstsq(hess, grad[free], rcond=None)[0]
+        delta = -np.linalg.lstsq(hess, grad, rcond=None)[0]
         if not -0.5 * (grad @ delta) > _TOL * fit.css:
             return fit
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = fit.arma + scale * delta
-            trial[:p] = np.clip(trial[:p], -_AR_BOUND, _AR_BOUND)
-            # theta(B) = 1 + theta_1 B + ... is invertible (the innovations
-            # filter 1/theta(B) is stable) when every root is outside the
-            # unit circle: its reversed polynomial's root radius is below 1
-            if root_radius(trial[p:]) < 1.0:
+            # phi(B) = 1 - phi_1 B - ... is stationary and theta(B) = 1 +
+            # theta_1 B + ... invertible (the innovations filter 1/theta(B) is
+            # stable) when every root is outside the unit circle: the reversed
+            # polynomial's root radius is below 1
+            if root_radius(-trial[:p]) < 1.0 and root_radius(trial[p:]) < 1.0:
                 moved = _Projection(trial, cols, p, skip)
                 if moved.css < fit.css:
                     break
@@ -238,9 +232,8 @@ def fit_arimax(train, controls, order=None):
 
     Newton's method moves the AR and MA coefficients from zero, with the
     intercept and exogenous coefficients projected out by least squares at
-    every trial (``_fit_arma``). AR coefficients stay inside a box of
-    +-_AR_BOUND and the fitted AR polynomial is verified stationary; every
-    MA polynomial tried is invertible. Persistence (p = q = 0) is the closed
+    every trial (``_fit_arma``); every trial it accepts has a stationary AR
+    and an invertible MA polynomial. Persistence (p = q = 0) is the closed
     form: its CSS minimiser is the mean of the differenced series, with no
     exogenous terms.
     """
@@ -253,25 +246,16 @@ def fit_arimax(train, controls, order=None):
 
     if p or q:
         fit = _fit_arma(z, exog, p, q)
-        params, e, n_free = np.concatenate([fit.arma, fit.linear]), fit.e, p + q + _EXOG_DIM + 1
+        arma, linear, e, n_free = fit.arma, fit.linear, fit.e, p + q + _EXOG_DIM + 1
     else:
-        params = np.concatenate([np.zeros(_EXOG_DIM), [z.mean()]])
-        e, n_free = z - params[-1], 1  # the intercept alone
-
-    ar = params[:p]
-    # stationarity: the roots of 1 - phi_1 z - ... - phi_p z^p are outside
-    # the unit circle, so those of its reversed polynomial are inside it
-    if root_radius(-ar) >= 1.0:
-        raise ConvergenceError("fitted AR polynomial is not stationary")
-    ma = params[p:p + q]
-    beta = params[p + q:p + q + _EXOG_DIM]
-    intercept = float(params[p + q + _EXOG_DIM])
+        arma, linear = np.zeros(0), np.append(np.zeros(_EXOG_DIM), z.mean())
+        e, n_free = z - linear[-1], 1  # the intercept alone
 
     skip = max(p, q)
     dof = max(len(e) - skip - n_free, 1)
     var = float(np.einsum("i,i", e[skip:], e[skip:]) / dof)  # as in _Projection: no BLAS dot
-    return ArimaxModel(order=order, ar=ar, ma=ma, exog=beta,
-                       intercept=intercept, innovation_var=max(var, 1e-300))
+    return ArimaxModel(order=order, ar=arma[:p], ma=arma[p:], exog=linear[:_EXOG_DIM],
+                       intercept=float(linear[-1]), innovation_var=max(var, 1e-300))
 
 
 def predict_arimax(model, test, controls):

@@ -245,16 +245,22 @@ def run_experiment(config, out_dir=None):
                           f"got {list(config.model_kinds)}")
     metadata, traces, seasons = _load_fleet(config)
     metadata = sorted(metadata, key=lambda m: m.home_id)
-    if scenario == "cross-season" and len(seasons) < 2 and (
-            config.source_season is None or config.target_season is None):
-        raise ConfigError("cross-season transfer needs two seasons")
-    src = config.source_season or next(iter(seasons), None)
-    dst = (config.target_season or seasons[1]) if scenario == "cross-season" else src
+    src = dst = config.source_season or next(iter(seasons), None)
+    if scenario == "cross-season":
+        # the target defaults to the first season, in fleet order, that is not the source
+        dst = config.target_season or next((s for s in seasons if s != src), None)
+        if dst is None:
+            raise ConfigError("cross-season transfer needs two seasons")
+        if dst == src:
+            raise ConfigError(f"cross-season transfer needs a target season other "
+                              f"than its source {src!r}")
     for season in (src, dst):
         if season not in seasons:
             raise ConfigError(f"the fleet has no season {season!r}")
     present = [m for m in metadata
                if (m.home_id, src) in traces and (m.home_id, dst) in traces]
+    if scenario == "cross-season" and not present:
+        raise ConfigError(f"no home has both a {src!r} and a {dst!r} trace")
     exclusions = sorted({m.home_id for m in metadata} - {m.home_id for m in present})
 
     def segments(home_id):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from rctherm import baselines as bl
 from rctherm import timeseries as ts
@@ -18,6 +19,7 @@ from rctherm.errors import (
     InvalidParameterError,
     ShapeError,
 )
+from rctherm.rcnet import root_radius
 from oracles import css_value, fit_arimax_fd
 from test_timeseries import make_trace
 
@@ -200,20 +202,36 @@ def _css_of(model, trace, controls):
 
 # Seeds 16, 10, 7, 22 and 4 after the first fifteen sit at the MA
 # invertibility cliff, where a fit whose trials overflow stops up to 17%
-# above this reference. At order (1, 0, 1) the integrated series puts the AR
-# optimum on the box at 0.999, where a fit that halves a step back into the
-# box, instead of clipping it, stops up to 6.5% above.
+# above this reference. At orders (1, 0, 1) and (2, 0, 1) the integrated
+# series is fitted undifferenced, so the CSS optimum lies at the AR unit
+# root: the fit approaches it from the stationary side (the (1, 0, 1) fits
+# take 25 and 32 steps), while the reference stays in its box of +-0.999.
 @pytest.mark.parametrize("seed, order", [
     *itertools.product(range(5), [(1, 1, 2), (0, 1, 1), (1, 1, 0)]),
     (16, (0, 1, 1)), (10, (0, 1, 1)), (7, (0, 1, 2)), (22, (0, 1, 2)), (4, (0, 1, 2)),
-    (0, (1, 0, 1)), (3, (1, 0, 1)),
+    (0, (1, 0, 1)), (3, (1, 0, 1)), (0, (2, 0, 1)), (4, (2, 0, 1)),
 ], ids=str)
 def test_fit_arimax_reaches_the_finite_difference_optimum(seed, order):
     trace, controls = _arimax_trace(20_000, seed)
     order = bl.ArimaxOrder(*order)
-    fitted = _css_of(bl.fit_arimax(trace, controls, order), trace, controls)
+    model = bl.fit_arimax(trace, controls, order)
+    fitted = _css_of(model, trace, controls)
     reference = _css_of(fit_arimax_fd(trace, controls, order), trace, controls)
     assert fitted <= reference * (1 + 1e-5)
+    assert root_radius(-model.ar) < 1.0  # stationary
+
+
+def test_fit_arimax_recovers_an_ar2_past_the_unit_coefficient():
+    # phi(B) = 1 - 1.5 B + 0.56 B^2 = (1 - 0.8 B)(1 - 0.7 B) is stationary,
+    # with phi_1 above 1
+    phi, steps = (1.5, -0.56), 20_000
+    rng = np.random.default_rng(5)
+    _, controls = _arimax_trace(steps, seed=5)
+    t_in = 70.0 + lfilter([1.0], [1.0, -phi[0], -phi[1]], rng.normal(0.0, ESTD, steps))
+    trace = make_trace(steps, t_in=t_in, t_out=30.0 + rng.normal(0.0, 1.5, steps))
+    model = bl.fit_arimax(trace, controls, bl.ArimaxOrder(2, 0, 0))
+    assert model.ar == pytest.approx(phi, abs=0.02)
+    assert model.innovation_var == pytest.approx(ESTD ** 2, rel=0.05)
 
 
 @pytest.mark.parametrize("seed, order", [(0, (0, 1, 1)), (1, (0, 1, 2)), (2, (0, 1, 1))],

@@ -469,6 +469,28 @@ def test_run_experiment_rejects_a_manifest_without_homes(tmp_path):
         harness.run_experiment(harness.ExperimentConfig(manifest=str(manifest)))
 
 
+def test_cross_season_target_defaults_to_the_first_season_that_is_not_the_source():
+    seasons = (fleet.SeasonConfig(name="winter", days=4), fleet.SeasonConfig(name="summer", days=4))
+    config = small_config(fleet_config=fleet.FleetConfig(n_homes=2, seasons=seasons),
+                          scenario="cross-season", source_season="summer")
+    explicit = replace(config, target_season="winter")
+    assert harness.run_experiment(config).to_csv() == harness.run_experiment(explicit).to_csv()
+    with pytest.raises(ConfigError, match="summer"):
+        harness.run_experiment(replace(config, target_season="summer"))
+
+
+def test_cross_season_manifest_with_no_home_in_both_seasons_is_a_config_error(tmp_path):
+    assert cli.main(["synth", "--homes", "2", "--days", "4", "--out", str(tmp_path)]) == 0
+    manifest = tmp_path / "manifest.json"
+    data = json.loads(manifest.read_text())
+    data["homes"][1]["traces"] = {"summer": data["homes"][1]["traces"]["winter"]}
+    manifest.write_text(json.dumps(data))
+    config = harness.ExperimentConfig(manifest=str(manifest), scenario="cross-season",
+                                      train_days=3, test_days=1)
+    with pytest.raises(ConfigError, match="'winter'.*'summer'"):
+        harness.run_experiment(config)
+
+
 @pytest.mark.parametrize("kind", ["bnn_rc", "onercone"])
 def test_values_inside_a_long_gap_do_not_reach_a_coefficient_model(kind):
     # both coefficient models fit and score the regression rows, which drop
