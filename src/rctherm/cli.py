@@ -135,8 +135,7 @@ def _cmd_ingest(args):
 
 def _cmd_fit(args):
     trace = _load_trace(args.trace, args.home_id)
-    model = harness.fit_model(args.kind, trace, timeseries.derive_controls(trace),
-                              args.order, home_id=args.home_id)
+    model = harness.fit_model(args.kind, trace, args.order, home_id=args.home_id)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dest = out / f"{args.home_id}__{args.kind}.json"
@@ -178,9 +177,7 @@ def _cmd_cluster(args):
 def _cmd_transfer(args):
     source = estimators.Posterior.from_json(args.model.read_text())
     trace = _load_trace(args.trace, args.home_id)
-    controls = timeseries.derive_controls(trace)
-    ds = timeseries.build_regression(trace, controls, source.order)
-    posterior = estimators.transfer(source, ds, home_id=args.home_id)
+    posterior = harness.fit_model("bnn_rc", trace, source.order, home_id=args.home_id, source=source)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dest = out / f"{args.home_id}__transferred.json"

@@ -185,9 +185,11 @@ def cluster_homes(metadata, k, seed=0):
     homes) and keeps the elbow curve's own clustering at that k. The curve
     ends at its first zero SSE, since more clusters cannot fit better; a
     curve left with one point (one home, or homes with equal metadata)
-    gives k = 1.
+    gives k = 1. An empty metadata list is a DataError.
     """
     homes = list(metadata)
+    if not homes:
+        raise DataError("cannot cluster an empty set of homes")
     points, mean, std = _standardize(homes)
     if k:
         centroids, labels, sse = kmeans(points, k, seed=seed)
@@ -556,8 +558,8 @@ _METADATA_REQUIRED = ("home_id", "floor_area", "year_built")
 def read_metadata_csv(source):
     """Metadata CSV: home_id,floor_area,year_built,province,city.
 
-    A missing required column, a short row or a number that does not parse
-    raises ParseError naming the line.
+    A missing required column, a short row, a number that does not parse
+    or a repeated home_id raises ParseError naming the line.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
@@ -566,7 +568,7 @@ def read_metadata_csv(source):
     missing = [c for c in _METADATA_REQUIRED if c not in (reader.fieldnames or [])]
     if missing:
         raise ParseError(f"metadata CSV lacks columns {missing}", 1)
-    out = []
+    out, first_line = [], {}  # home_id -> line of its first row
     for row in reader:
         if any(row[c] is None for c in _METADATA_REQUIRED):
             raise ParseError("row has fewer fields than the header", reader.line_num)
@@ -576,6 +578,9 @@ def read_metadata_csv(source):
                 numbers[name] = kind(row[name])
             except ValueError:
                 raise ParseError(f"bad {name} value {row[name]!r}", reader.line_num) from None
+        if first_line.setdefault(row["home_id"], reader.line_num) != reader.line_num:
+            raise ParseError(f"home_id {row['home_id']!r} repeats line "
+                             f"{first_line[row['home_id']]}'s", reader.line_num)
         out.append(HomeMetadata(
             home_id=row["home_id"],
             **numbers,

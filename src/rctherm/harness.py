@@ -160,8 +160,11 @@ def _load_fleet(config):
         return metadata, traces, seasons
     manifest = Path(config.manifest)
     homes = Manifest.from_json(manifest.read_bytes()).homes
-    metadata = []
+    metadata, first = [], {}  # first: home_id -> index of its first home
     for i, home in enumerate(homes):
+        if first.setdefault(home.home_id, i) != i:
+            raise ConfigError(f"manifest.homes[{i}].home_id {home.home_id!r} repeats "
+                              f"manifest.homes[{first[home.home_id]}]'s")
         try:
             metadata.append(fleet.HomeMetadata(home.home_id, **asdict(home.metadata)))
         except InvalidParameterError as exc:  # its message starts with the key
@@ -196,13 +199,19 @@ def _segment_hash(trace):
 # ---------------------------------------------------------------------------
 # The fit-and-evaluate pipeline
 
-def fit_model(kind, train, controls, order, hyper=None, home_id=""):
+def fit_model(kind, train, order, hyper=None, home_id="", source=None):
     """Fit one model kind to a training segment: a Posterior (bnn_rc), a
-    OneROneCFit (onercone) or an ArimaxModel (arimax, persistence). Each is
-    a jsonfile.JsonFile, whose ``to_json`` is its model file."""
+    OneROneCFit (onercone) or an ArimaxModel (arimax, persistence), each a
+    JsonFile whose ``to_json`` is its model file. A ``source`` Posterior
+    makes the bnn_rc fit a transfer onto the segment's rows."""
+    controls = timeseries.derive_controls(train)
     if kind == "bnn_rc":
         ds = timeseries.build_regression(train, controls, order)
-        return estimators.fit_bnn(ds, hyper=hyper, home_id=home_id)
+        if source is None:
+            return estimators.fit_bnn(ds, hyper=hyper, home_id=home_id)
+        return estimators.transfer(source, ds, hyper=hyper, home_id=home_id)
+    if source is not None:
+        raise ConfigError(f"a source posterior transfers to bnn_rc alone, got {kind!r}")
     if kind == "onercone":
         return estimators.fit_1r1c(timeseries.build_regression(train, controls, 1))
     if kind in ("arimax", "persistence"):
@@ -211,12 +220,13 @@ def fit_model(kind, train, controls, order, hyper=None, home_id=""):
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def evaluate(model, test, controls):
+def evaluate(model, test):
     """(one-step RMSE, free-running RMSE or None) of a fitted model on a test
     segment. A coefficient model (bnn_rc, onercone) is scored on the test
     segment's regression rows, then also runs free from the first measured
     lags; ARIMAX has no free-running column. A free run that leaves the
     float range (that of an unstable equation) scores inf."""
+    controls = timeseries.derive_controls(test)
     if isinstance(model, baselines.ArimaxModel):
         pred = baselines.predict_arimax(model, test, controls)
         return estimators.rmse(pred, test.t_in[model.warmup:]), None
@@ -286,18 +296,13 @@ def run_experiment(config, out_dir=None):
                 target, 0, config.retrain_days * timeseries.SAMPLES_PER_DAY)
         return train, test, head
 
-    def fit(kind, home_id, train, controls):
-        return fit_model(kind, train, controls, config.order, hyper=config.hyper,
-                         home_id=home_id)
-
-    sources = {}  # cluster index -> representative's posterior
+    sources = []  # cross-home: one posterior per cluster, fit on its representative
     if scenario == "cross-home":
         clustering = fleet.cluster_homes(present, config.cluster_k, seed=config.seed)
         for cluster_index in range(clustering.k):
             rep_id = fleet.representative(clustering, cluster_index, present)
-            train = segments(rep_id)[0]
-            sources[cluster_index] = fit("bnn_rc", rep_id, train,
-                                         timeseries.derive_controls(train))
+            sources.append(fit_model("bnn_rc", segments(rep_id)[0], config.order,
+                                     config.hyper, rep_id))
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -306,21 +311,13 @@ def run_experiment(config, out_dir=None):
     for meta in present:
         home_id = meta.home_id
         train, test, head = segments(home_id)
-        # cross-home transfers the representative's fit and never fits this train segment
-        train_controls = None if scenario == "cross-home" else timeseries.derive_controls(train)
-        test_controls = timeseries.derive_controls(test)
         data_hash = _segment_hash(train)
         for kind in config.model_kinds:
-            if scenario == "none":
-                model = fit(kind, home_id, train, train_controls)
-            else:
-                source = (sources[clustering.assignments[home_id]] if scenario == "cross-home"
-                          else fit("bnn_rc", home_id, train, train_controls))
-                target_ds = None if head is None else timeseries.build_regression(
-                    head, timeseries.derive_controls(head), config.order)
-                model = estimators.transfer(source, target_ds, hyper=config.hyper,
-                                            home_id=home_id)
-            one_step, free = evaluate(model, test, test_controls)
+            model = (sources[clustering.assignments[home_id]] if scenario == "cross-home"
+                     else fit_model(kind, train, config.order, config.hyper, home_id))
+            if head is not None:  # a transfer retrained on the head
+                model = fit_model(kind, head, config.order, config.hyper, home_id, source=model)
+            one_step, free = evaluate(model, test)
             model_file = ""
             if out_path is not None:
                 model_file = f"models/{kind}__{scenario}__{home_id}.json"

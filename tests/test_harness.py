@@ -356,6 +356,8 @@ def _edited_manifest(edit):
     (_edited_manifest(lambda m: m["homes"][0]["traces"].update(winter=3)), "winter"),
     (_edited_manifest(lambda m: m["homes"][0].update(notes="h0")),
      r"homes\[0\] has unknown keys \['notes'\]"),
+    (_edited_manifest(lambda m: m["homes"].append(m["homes"][0])),
+     r"manifest\.homes\[1\]\.home_id 'h0' repeats"),
 ])
 def test_malformed_manifest_is_a_config_error_naming_the_key(tmp_path, data, key):
     manifest = tmp_path / "manifest.json"
@@ -491,6 +493,66 @@ def test_cross_season_manifest_with_no_home_in_both_seasons_is_a_config_error(tm
         harness.run_experiment(config)
 
 
+_TRANSFER_SEASONS = (fleet.SeasonConfig(name="winter", days=6),
+                     fleet.SeasonConfig(name="summer", days=6, outdoor_mean=80.0,
+                                        hvac_mode=ts.MODE_COOL, param_shift=0.2))
+
+
+@pytest.mark.parametrize("scenario,retrain_days", [
+    ("cross-season", 0), ("cross-season", 1), ("cross-home", 1)])
+def test_transfer_records_follow_the_transfer_protocol(tmp_path, scenario, retrain_days):
+    # the source is a cold fit of a winter train segment: the home's own
+    # (cross-season) or its cluster representative's (cross-home). It is
+    # retrained on the first retrain days of the target (the summer trace,
+    # or the home's own winter train segment), and the result is scored by
+    # its one-step RMSE on the test segment: the last test days of the
+    # summer trace, or the winter days after the train segment.
+    hyper = estimators.TrainingConfig(noise_std=0.05)
+    config = small_config(fleet_config=fleet.FleetConfig(n_homes=2, seasons=_TRANSFER_SEASONS),
+                          scenario=scenario, retrain_days=retrain_days, cluster_k=1,
+                          train_days=4, test_days=2, seed=3, hyper=hyper)
+    report = harness.run_experiment(config, out_dir=tmp_path)
+    homes, traces = fleet.synth_fleet(config.fleet_config, seed=3)
+    metadata = [h.metadata for h in homes]
+    rep_id = fleet.representative(fleet.cluster_homes(metadata, 1, seed=3), 0, metadata)
+    day = ts.SAMPLES_PER_DAY
+
+    def rows(trace):
+        return ts.build_regression(trace, ts.derive_controls(trace), 2)
+
+    def cold_fit(home_id):
+        train, _ = ts.split(traces[(home_id, "winter")], 4, 2)
+        return estimators.fit_bnn(rows(train), hyper=hyper, home_id=home_id)
+
+    assert [r["home_id"] for r in report.records] == ["home0000", "home0001"]
+    for record in report.records:
+        home_id = record["home_id"]
+        if scenario == "cross-season":
+            target = traces[(home_id, "summer")]
+            test = ts.slice_trace(target, len(target) - 2 * day, len(target))
+            source = cold_fit(home_id)
+        else:
+            target, test = ts.split(traces[(home_id, "winter")], 4, 2)
+            source = cold_fit(rep_id)
+        head = rows(ts.slice_trace(target, 0, retrain_days * day)) if retrain_days else None
+        model = estimators.transfer(source, head, hyper=hyper, home_id=home_id)
+        test_rows = rows(test)
+        predicted = estimators.predict_one_step(estimators.posterior_to_coeffs(model), test_rows)
+        assert record["rmse"] == estimators.rmse(predicted, test_rows.targets)
+        assert (tmp_path / record["model_file"]).read_text() == model.to_json()
+
+
+def test_fit_model_refuses_a_source_for_a_kind_other_than_bnn_rc():
+    config = fleet.FleetConfig(n_homes=1, seasons=(replace(SHOULDER, days=2),))
+    _, traces = fleet.synth_fleet(config, seed=0)
+    trace = traces[("home0000", SHOULDER.name)]
+    source = harness.fit_model("bnn_rc", trace, 2)
+    assert harness.fit_model("bnn_rc", trace, 2, source=source).order == 2
+    for kind in ("onercone", "arimax", "persistence"):
+        with pytest.raises(ConfigError, match=f"to bnn_rc alone, got {kind!r}"):
+            harness.fit_model(kind, trace, 2, source=source)
+
+
 @pytest.mark.parametrize("kind", ["bnn_rc", "onercone"])
 def test_values_inside_a_long_gap_do_not_reach_a_coefficient_model(kind):
     # both coefficient models fit and score the regression rows, which drop
@@ -507,8 +569,8 @@ def test_values_inside_a_long_gap_do_not_reach_a_coefficient_model(kind):
 
     def fit_and_score(trace):
         train, test = ts.split(trace, 3, 1)
-        model = harness.fit_model(kind, train, ts.derive_controls(train), 2)
-        return model.to_json(), harness.evaluate(model, test, ts.derive_controls(test))[0]
+        model = harness.fit_model(kind, train, 2)
+        return model.to_json(), harness.evaluate(model, test)[0]
 
     assert fit_and_score(replace(imputed, t_in=moved)) == fit_and_score(imputed)
 
@@ -525,17 +587,15 @@ def test_a_diverging_free_run_scores_inf(radius):
     config = fleet.FleetConfig(n_homes=1, seasons=(replace(SHOULDER, days=5),))
     _, traces = fleet.synth_fleet(config, seed=0)
     test = traces[("home0000", SHOULDER.name)]
-    one_step, free = harness.evaluate(posterior, test, ts.derive_controls(test))
+    one_step, free = harness.evaluate(posterior, test)
     assert np.isfinite(one_step) and free == np.inf
 
 
 @pytest.mark.parametrize("kind", ["bnn_rc", "onercone"])
 def test_coefficient_models_need_an_imputed_trace(kind):
     trace = make_trace(40, t_in=np.r_[np.nan, np.linspace(70, 71, 39)])
-    controls = ts.ControlSeries(k_heat=np.zeros(40, dtype=np.int8),
-                                k_cool=np.zeros(40, dtype=np.int8))
     with pytest.raises(UnimputableError):
-        harness.fit_model(kind, trace, controls, 2)
+        harness.fit_model(kind, trace, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -830,6 +890,20 @@ def test_cli_cluster_elbow_writes_the_curves_clustering(tmp_path):
     points, _, _ = fleet._standardize(fleet.read_metadata_csv(metadata))
     sses = fleet.sse_curve(points, min(fleet.ELBOW_K_MAX, len(points)), seed=0)
     assert written.sse == sses[written.k - 1]
+
+
+@pytest.mark.parametrize("k", ["0", "2"])
+@pytest.mark.parametrize("text,message", [
+    ("home_id,floor_area,year_built\na,1200,1990\na,1500,1980\nb,2000,2000\n",
+     "line 3: home_id 'a' repeats line 2's"),
+    ("home_id,floor_area,year_built\n", "cannot cluster an empty set of homes"),
+], ids=["repeated-home-id", "header-only"])
+def test_cli_cluster_on_bad_metadata_is_one_data_error(tmp_path, capsys, text, message, k):
+    metadata = tmp_path / "metadata.csv"
+    metadata.write_text(text)
+    assert cli.main(["cluster", str(metadata), "-k", k, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "clustering.json").exists()
 
 
 def test_cli_cluster_elbow_on_one_home_exits_0(tmp_path):
