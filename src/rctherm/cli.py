@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, fleet, harness, rcnet, timeseries
-from .errors import ConfigError, ConvergenceError, DataError, RcthermError
+from .errors import ConfigError, ConvergenceError, DataError, InvalidParameterError, RcthermError
 
 
 def _add_common(parser):
@@ -42,6 +42,15 @@ def _finite(text):
     return value
 
 
+def _home_id(text):
+    """An argparse type: a home_id that fleet.HomeMetadata accepts."""
+    try:
+        fleet.check_home_id(text)
+    except InvalidParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _add_seed(parser):
     parser.add_argument("--seed", type=_at_least(0), default=0, help="master RNG seed")
 
@@ -60,14 +69,14 @@ def build_parser():
     p = sub.add_parser("ingest", help="validate and normalize a trace CSV")
     _add_common(p)
     p.add_argument("trace", type=Path)
-    p.add_argument("--home-id", default="home")
+    p.add_argument("--home-id", type=_home_id, default="home")
 
     p = sub.add_parser("fit", help="fit a model to a single home's trace CSV")
     _add_common(p)
     p.add_argument("trace", type=Path)
     p.add_argument("--kind", choices=harness.MODEL_KINDS, default="bnn_rc")
     p.add_argument("--order", type=_at_least(1), default=2)
-    p.add_argument("--home-id", default="home")
+    p.add_argument("--home-id", type=_home_id, default="home")
 
     p = sub.add_parser("simulate", help="forward-simulate RC parameters")
     p.add_argument("params", type=Path, help="RcParams JSON file")
@@ -87,7 +96,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("model", type=Path, help="source Posterior JSON")
     p.add_argument("trace", type=Path, help="target trace CSV (may be short)")
-    p.add_argument("--home-id", default="home")
+    p.add_argument("--home-id", type=_home_id, default="home")
 
     p = sub.add_parser("experiment", help="run a configured experiment")
     _add_common(p)

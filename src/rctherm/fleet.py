@@ -48,13 +48,20 @@ KMEANS_RESTARTS = 10
 #: The elbow rule examines k = 1..ELBOW_K_MAX clusters (fewer on a small fleet).
 ELBOW_K_MAX = 10
 #: Samples of indoor temperature the generator computes ahead of its
-#: hysteresis loop; a duty switch discards the rest of the window.
+#: hysteresis loop; a duty switch updates the rest of the window in place.
 LOOKAHEAD = 48
 #: The construction years a home's metadata may hold.
 YEAR_BUILT_RANGE = (1800, 2100)
 #: The first timestamp of every synthetic trace.
 START = datetime(2019, 1, 1, tzinfo=timezone.utc)
 _MAX_LLOYD_ITERS = 100
+
+
+def check_home_id(home_id):
+    """A home_id names the files written for its home, so it must be a
+    non-empty file name: no '/', '\\' or NUL, and not '.' or '..'."""
+    if home_id in ("", ".", "..") or any(c in home_id for c in "/\\\0"):
+        raise InvalidParameterError(f"home_id {home_id!r} is not a file name")
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,7 @@ class HomeMetadata:
     city: str = ""
 
     def __post_init__(self):
+        check_home_id(self.home_id)
         if not (np.isfinite(self.floor_area) and self.floor_area > 0):
             raise InvalidParameterError(f"floor_area must be positive, got {self.floor_area}")
         if not YEAR_BUILT_RANGE[0] <= self.year_built <= YEAR_BUILT_RANGE[1]:
@@ -409,15 +417,18 @@ def generate_trace(truth, season, home_id, start, rng, measurement_noise_std):
 
     The thermostat is bang-bang with a +-0.5 degF hysteresis band around the
     scheduled setpoint, deciding each interval's duty from the previous
-    sample's temperature.
+    sample's temperature. The schedule depends only on the time of day, so
+    the band's thresholds are built once, for one day, and the trace's
+    setpoints tile that day.
 
     The indoor temperature is a superposition. Its open-loop part (initial
     state and outdoor drive) is filtered per mode of Phi. Its duty part is
-    closed form within each run of constant duty, so the per-sample loop
-    only applies the hysteresis rule, reading the temperature from a
-    LOOKAHEAD-sample window that ends at a switch, at the end of a day or
-    when it runs out. The duty part's modal state is carried from each
-    window into the next.
+    closed form, so the per-sample loop only applies the hysteresis rule,
+    reading the temperature from windows of LOOKAHEAD samples, each computed
+    at once; a window ends at the end of a day or when it runs out. A duty
+    switch inside a window adds its closed-form response to the rest of the
+    window and to the modal state at the window's end, and the loop goes on
+    through the same window.
 
     Returns (trace, the generator's exact duty signals as a ControlSeries).
     The analysis pipeline reconstructs controls from setpoints without the
@@ -430,10 +441,13 @@ def generate_trace(truth, season, home_id, start, rng, measurement_noise_std):
     n_samples = season.days * SAMPLES_PER_DAY
 
     t_out = _outdoor_profile(season, n_samples, rng)
-    setheat, setcool = _setpoint_schedule(season, n_samples)
+    day_heat, day_cool = _setpoint_schedule(season, SAMPLES_PER_DAY)
+    setheat, setcool = np.tile(day_heat, season.days), np.tile(day_cool, season.days)
     # a disabled channel's band is infinite, so the rule never switches it on
     heat_band = HYSTERESIS_F if season.hvac_mode in (MODE_HEAT, MODE_AUTO) else np.inf
     cool_band = HYSTERESIS_F if season.hvac_mode in (MODE_COOL, MODE_AUTO) else np.inf
+    heat_lo, heat_hi = (day_heat - heat_band).tolist(), (day_heat + heat_band).tolist()
+    cool_lo, cool_hi = (day_cool - cool_band).tolist(), (day_cool + cool_band).tolist()
 
     modes = lam, v, v_inv = modal_form(ds)
     hold = ds.gamma1 - ds.gamma2
@@ -456,12 +470,16 @@ def generate_trace(truth, season, home_id, start, rng, measurement_noise_std):
     # The state is the current deviation lam^m dev followed by the run's
     # level, a mode of eigenvalue 1, so the duty part k samples on is
     # response[k] @ state and the state k samples on is powers[k] * state.
-    # A switch from a to b then adds jump[a, b].
+    # A switch from a to b then adds jump[a, b], which adds
+    # jump_response[a, b, m] to the duty part and jump_state[a, b, m] to the
+    # state m samples later.
     jump = np.empty((3, 3, len(lam) + 1))
     jump[..., :-1] = lam * w_star[:, None, :] + kappa - w_star[None, :, :]
     jump[..., -1] = level[None, :] - level[:, None]
     powers = np.append(lam, 1.0) ** np.arange(LOOKAHEAD + 1)[:, None]
     response = powers[:LOOKAHEAD] * np.append(out, 1.0)
+    jump_response = jump @ response.T
+    jump_state = powers * jump[:, :, None, :]
     state = np.zeros(len(lam) + 1)
     state[-1] = level[0]
 
@@ -471,34 +489,38 @@ def generate_trace(truth, season, home_id, start, rng, measurement_noise_std):
     switches, run_duties = [0], [0]
     # thermostat decisions for the next interval, from each reading but the last
     for day_start in range(0, n_samples - 1, SAMPLES_PER_DAY):
-        day = slice(day_start, min(day_start + SAMPLES_PER_DAY, n_samples - 1))
-        heat_lo, heat_hi = (setheat[day] - heat_band).tolist(), (setheat[day] + heat_band).tolist()
-        cool_lo, cool_hi = (setcool[day] - cool_band).tolist(), (setcool[day] + cool_band).tolist()
-        t = day.start
-        while t < day.stop:
-            end = min(t + LOOKAHEAD, day.stop)
-            window = y[t:end] + response[:end - t] @ state
-            for j, yt in enumerate(window.tolist(), t - day_start):
-                if yt < heat_lo[j]:
-                    heat_on = True
-                elif yt > heat_hi[j]:
-                    heat_on = False
-                if yt > cool_hi[j]:
-                    cool_on = True
-                elif yt < cool_lo[j]:
-                    cool_on = False
-                new_duty = 1 if heat_on else 2 if cool_on else 0
-                if new_duty != duty:
-                    end = day_start + j + 1
+        day_stop = min(day_start + SAMPLES_PER_DAY, n_samples - 1)
+        for t in range(day_start, day_stop, LOOKAHEAD):
+            size = min(LOOKAHEAD, day_stop - t)
+            window = y[t:t + size] + response[:size] @ state
+            state = powers[size] * state  # the state at the window's end
+            j = t - day_start  # the day index of the next reading
+            readings = window.tolist()
+            while True:
+                for j, yt in enumerate(readings, j):
+                    if yt < heat_lo[j]:
+                        heat_on = True
+                    elif yt > heat_hi[j]:
+                        heat_on = False
+                    if yt > cool_hi[j]:
+                        cool_on = True
+                    elif yt < cool_lo[j]:
+                        cool_on = False
+                    new_duty = 1 if heat_on else 2 if cool_on else 0
+                    if new_duty != duty:
+                        break
+                if new_duty == duty:
                     break
-            y[t:end] = window[:end - t]
-            state = powers[end - t] * state
-            if new_duty != duty:
-                state += jump[duty, new_duty]
+                # the switch takes effect k samples into the window
+                j += 1
+                k = day_start + j - t
+                window[k:] += jump_response[duty, new_duty, :size - k]
+                state += jump_state[duty, new_duty, size - k]
                 duty = new_duty
-                switches.append(end)
+                switches.append(day_start + j)
                 run_duties.append(duty)
-            t = end
+                readings = window[k:].tolist()
+            y[t:t + size] = window
     y[-1] += response[0] @ state
     duties = np.repeat(np.array(run_duties, dtype=np.int8), np.diff(switches + [n_samples]))
     kh = (duties == 1).view(np.int8)
@@ -558,8 +580,9 @@ _METADATA_REQUIRED = ("home_id", "floor_area", "year_built")
 def read_metadata_csv(source):
     """Metadata CSV: home_id,floor_area,year_built,province,city.
 
-    A missing required column, a short row, a number that does not parse
-    or a repeated home_id raises ParseError naming the line.
+    A missing required column, a short row, a number that does not parse,
+    a repeated home_id or a value HomeMetadata rejects raises ParseError
+    naming the line.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
@@ -581,12 +604,15 @@ def read_metadata_csv(source):
         if first_line.setdefault(row["home_id"], reader.line_num) != reader.line_num:
             raise ParseError(f"home_id {row['home_id']!r} repeats line "
                              f"{first_line[row['home_id']]}'s", reader.line_num)
-        out.append(HomeMetadata(
-            home_id=row["home_id"],
-            **numbers,
-            province=row.get("province", "") or "",
-            city=row.get("city", "") or "",
-        ))
+        try:
+            out.append(HomeMetadata(
+                home_id=row["home_id"],
+                **numbers,
+                province=row.get("province", "") or "",
+                city=row.get("city", "") or "",
+            ))
+        except InvalidParameterError as exc:
+            raise ParseError(str(exc), reader.line_num) from None
     return out
 
 

@@ -168,7 +168,8 @@ def _load_fleet(config):
         try:
             metadata.append(fleet.HomeMetadata(home.home_id, **asdict(home.metadata)))
         except InvalidParameterError as exc:  # its message starts with the key
-            raise ConfigError(f"manifest.homes[{i}].metadata.{exc}") from None
+            key = "" if str(exc).startswith("home_id") else "metadata."
+            raise ConfigError(f"manifest.homes[{i}].{key}{exc}") from None
     traces, seasons = {}, []
     for home in homes:
         for season, rel in home.traces.items():

@@ -257,6 +257,9 @@ def test_metadata_csv_roundtrip():
     ("home_id,floor_area,year_built\nh1,100,1990\nh2,100\n", 3),   # short row
     ("home_id,floor_area,year_built\nh1,abc,1990\n", 2),    # bad float
     ("home_id,floor_area,year_built\nh1,100,1990\n\nh2,100,19x0\n", 4),  # bad int
+    ("home_id,floor_area,year_built\n,1200,1990\n", 2),          # empty home_id
+    ("home_id,floor_area,year_built\nh1,100,1990\na/b,100,1990\n", 3),  # a path
+    ("home_id,floor_area,year_built\nh1,-5,1990\n", 2),          # impossible value
 ])
 def test_metadata_csv_errors_name_the_line(text, line):
     with pytest.raises(ParseError) as info:
@@ -269,6 +272,17 @@ def test_home_metadata_validation():
         fleet.HomeMetadata("h", -5.0, 1990)
     with pytest.raises(InvalidParameterError):
         fleet.HomeMetadata("h", 100.0, 1500)
+
+
+@pytest.mark.parametrize("home_id", ["", ".", "..", "a/b", "../escaped", "a\\b", "a\0b"])
+def test_home_id_must_be_a_file_name(home_id):
+    with pytest.raises(InvalidParameterError, match="home_id .* is not a file name"):
+        fleet.HomeMetadata(home_id, 1500.0, 1990)
+
+
+@pytest.mark.parametrize("home_id", [".h", "h..", "home 1", "h-1_b"])
+def test_home_id_may_be_any_other_file_name(home_id):
+    assert fleet.HomeMetadata(home_id, 1500.0, 1990).home_id == home_id
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +398,7 @@ def test_generate_trace_matches_the_step_loop_oracle_under_a_param_shift(mode):
 
 def test_generate_trace_matches_the_step_loop_oracle_over_90_shoulder_days():
     # the benchmark's season and fleet: duty runs longer than the look-ahead
-    # window, and hundreds of switches, each starting a new window mid-way
+    # window, and hundreds of switches, each updating the rest of its window
     season = replace(SHOULDER, days=90)
     homes, _ = fleet.synth_fleet(fleet.FleetConfig(n_homes=1, seasons=(season,)), seed=0)
     controls = assert_matches_the_step_loop_oracle(homes[0].truth, season, 0.05)
@@ -394,11 +408,26 @@ def test_generate_trace_matches_the_step_loop_oracle_over_90_shoulder_days():
     assert np.diff(np.r_[0, switches, len(duty)]).max() > fleet.LOOKAHEAD
 
 
+def switch_paths(controls):
+    """(look-ahead windows holding two or more switches, switches decided on
+    a window's last reading), read from the duty signal. Windows start every
+    LOOKAHEAD readings from each day's start; the last reading decides
+    nothing."""
+    duty = controls.k_heat + 2 * controls.k_cool
+    readings = np.flatnonzero(np.diff(duty))  # each decides the next interval's switch
+    day_start = readings // ts.SAMPLES_PER_DAY * ts.SAMPLES_PER_DAY
+    start = day_start + (readings - day_start) // fleet.LOOKAHEAD * fleet.LOOKAHEAD
+    stop = np.minimum(start + fleet.LOOKAHEAD,
+                      np.minimum(day_start + ts.SAMPLES_PER_DAY, len(duty) - 1))
+    _, per_window = np.unique(start, return_counts=True)
+    return int((per_window >= 2).sum()), int((readings == stop - 1).sum())
+
+
 @pytest.mark.parametrize("mode, seed, switches", [
     # one run, its level carried from window to window through all 90 days
     pytest.param(ts.MODE_OFF, 0, 0, id="off"),
     # the network of the benchmark fleet's seed-3 home0000, under this test's
-    # weather: a switch every 8.7 samples
+    # weather: a switch every 8.7 samples, so windows hold several
     pytest.param(ts.MODE_AUTO, 3, 2978, id="seed3-home0000"),
 ])
 def test_generate_trace_matches_the_step_loop_oracle_over_90_days(mode, seed, switches):
@@ -406,12 +435,17 @@ def test_generate_trace_matches_the_step_loop_oracle_over_90_days(mode, seed, sw
     homes, _ = fleet.synth_fleet(fleet.FleetConfig(n_homes=1, seasons=(season,)), seed=seed)
     controls = assert_matches_the_step_loop_oracle(homes[0].truth, season, 0.05)
     assert np.count_nonzero(np.diff(controls.k_heat + 2 * controls.k_cool)) == switches
+    if switches:
+        # both ways a window goes on after a switch: with readings left, and with none
+        multi_switch_windows, last_reading_switches = switch_paths(controls)
+        assert multi_switch_windows >= 1
+        assert last_reading_switches >= 1
 
 
-@pytest.mark.parametrize("lookahead", [1, 7, 300])
+@pytest.mark.parametrize("lookahead", [1, 2, 7, 288, 300])
 def test_generate_trace_does_not_depend_on_the_window_length(monkeypatch, lookahead):
-    # a window ends at a switch, at the end of a day or after LOOKAHEAD
-    # samples; only rounding may tell where the windows fell
+    # a window ends at the end of a day or after LOOKAHEAD samples, and goes
+    # on through its switches; only rounding may tell where the windows fell
     season = replace(SHOULDER, days=90)
     homes, _ = fleet.synth_fleet(fleet.FleetConfig(n_homes=1, seasons=(season,)), seed=0)
     want, want_controls = fleet.generate_trace(
@@ -422,6 +456,22 @@ def test_generate_trace_does_not_depend_on_the_window_length(monkeypatch, lookah
     assert (got_controls.k_heat == want_controls.k_heat).all()
     assert (got_controls.k_cool == want_controls.k_cool).all()
     np.testing.assert_allclose(got.t_in, want.t_in, rtol=0, atol=1e-12)
+
+
+def test_setpoint_schedule_repeats_every_day():
+    # generate_trace builds its thresholds from one day of the schedule
+    season = replace(SHOULDER, days=3)
+    day = fleet._setpoint_schedule(season, ts.SAMPLES_PER_DAY)
+    for full, one_day in zip(fleet._setpoint_schedule(season, 3 * ts.SAMPLES_PER_DAY), day):
+        assert (full.reshape(3, ts.SAMPLES_PER_DAY) == one_day).all()
+
+
+def test_generate_trace_setpoints_tile_one_day():
+    trace, _ = fleet.generate_trace(
+        FAST_2R2C, SHOULDER, "h", START, np.random.default_rng(0), 0.05)
+    day_heat, day_cool = fleet._setpoint_schedule(SHOULDER, ts.SAMPLES_PER_DAY)
+    assert (trace.t_setheat == np.tile(day_heat, SHOULDER.days)).all()
+    assert (trace.t_setcool == np.tile(day_cool, SHOULDER.days)).all()
 
 
 def test_derive_controls_consistency_with_generator():

@@ -358,6 +358,12 @@ def _edited_manifest(edit):
      r"homes\[0\] has unknown keys \['notes'\]"),
     (_edited_manifest(lambda m: m["homes"].append(m["homes"][0])),
      r"manifest\.homes\[1\]\.home_id 'h0' repeats"),
+    (_edited_manifest(lambda m: m["homes"][0].update(home_id="a/b")),
+     r"manifest\.homes\[0\]\.home_id 'a/b' is not a file name"),
+    (_edited_manifest(lambda m: m["homes"][0].update(home_id="")),
+     r"manifest\.homes\[0\]\.home_id '' is not a file name"),
+    (_edited_manifest(lambda m: m["homes"][0].update(home_id="..")),
+     r"manifest\.homes\[0\]\.home_id '\.\.' is not a file name"),
 ])
 def test_malformed_manifest_is_a_config_error_naming_the_key(tmp_path, data, key):
     manifest = tmp_path / "manifest.json"
@@ -862,6 +868,22 @@ def test_cli_unreadable_files_end_in_one_error_line(tmp_path, capsys):
     assert "h0__winter.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("home_id", ["../escaped", "a/b", "..", ""])
+def test_cli_home_id_must_be_a_file_name(tmp_path, capsys, home_id):
+    # the home_id names the file written under --out
+    trace = tmp_path / "trace.csv"
+    config = fleet.FleetConfig(n_homes=1, seasons=(replace(SHOULDER, days=2),))
+    ts.write_trace_csv(fleet.synth_fleet(config, seed=0)[1][("home0000", SHOULDER.name)], trace)
+    out = tmp_path / "sub" / "out"
+    for argv in (["fit", str(trace), "--kind", "persistence"], ["ingest", str(trace)],
+                 ["transfer", str(tmp_path / "posterior.json"), str(trace)]):
+        assert cli.main(argv + ["--home-id", home_id, "--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1, err
+        assert err.splitlines()[-1].endswith(f"home_id {home_id!r} is not a file name"), err
+    assert not (tmp_path / "sub").exists()
+
+
 def test_cli_transfer_takes_the_order_from_the_posterior(tmp_path):
     config = fleet.FleetConfig(n_homes=1, seasons=(replace(SHOULDER, days=2),))
     _, traces = fleet.synth_fleet(config, seed=0)
@@ -897,7 +919,8 @@ def test_cli_cluster_elbow_writes_the_curves_clustering(tmp_path):
     ("home_id,floor_area,year_built\na,1200,1990\na,1500,1980\nb,2000,2000\n",
      "line 3: home_id 'a' repeats line 2's"),
     ("home_id,floor_area,year_built\n", "cannot cluster an empty set of homes"),
-], ids=["repeated-home-id", "header-only"])
+    ("home_id,floor_area,year_built\n,1200,1990\n", "line 2: home_id '' is not a file name"),
+], ids=["repeated-home-id", "header-only", "empty-home-id"])
 def test_cli_cluster_on_bad_metadata_is_one_data_error(tmp_path, capsys, text, message, k):
     metadata = tmp_path / "metadata.csv"
     metadata.write_text(text)
