@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, fleet, harness, rcnet, timeseries
-from .errors import ConfigError, ConvergenceError, DataError, InvalidParameterError, RcthermError
+from .errors import ConfigError, ConvergenceError, InvalidParameterError, RcthermError
 
 
 def _add_common(parser):
@@ -228,18 +228,10 @@ def main(argv=None):
         return 1 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    # OSError and UnicodeDecodeError: a file that cannot be read or written
+    except (RcthermError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DataError, RcthermError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:  # a file that cannot be read or written
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 3 if isinstance(exc, ConvergenceError) else 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     InvalidParameterError,
     ShapeError,
 )
-from .jsonfile import JsonFile
+from .jsonfile import JsonFile, plain
 from .rcnet import DiffCoeffs
 
 _VALID_EPS = 1e-12
@@ -164,9 +164,6 @@ class TrainingConfig:
     def __post_init__(self):
         if not self.noise_std > 0:
             raise InvalidParameterError(f"noise_std must be positive, got {self.noise_std!r}")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -310,7 +307,7 @@ def fit_bnn(dataset, hyper=None, home_id="", source=None):
     design = _Design(dataset)
     d = design.gram.shape[0]
 
-    meta = {"home_id": home_id, "sample_count": design.rows, "hyper": hyper.to_dict()}
+    meta = {"home_id": home_id, "sample_count": design.rows, "hyper": plain(hyper)}
     if source is None:
         m0, prec0 = np.zeros(d), np.ones(d)
     else:
@@ -367,6 +364,8 @@ def rmse(predicted, actual):
     """Root-mean-square error between two equal-length series."""
     predicted = np.asarray(predicted, dtype=float)
     actual = np.asarray(actual, dtype=float)
-    if predicted.shape != actual.shape or predicted.ndim != 1 or len(predicted) < 1:
+    if predicted.shape != actual.shape or predicted.ndim != 1:
         raise ShapeError(f"series shapes differ: {predicted.shape} vs {actual.shape}")
+    if len(predicted) == 0:
+        raise ShapeError("no samples to score")
     return float(np.sqrt(np.mean((predicted - actual) ** 2)))

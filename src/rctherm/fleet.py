@@ -52,6 +52,12 @@ ELBOW_K_MAX = 10
 LOOKAHEAD = 48
 #: The construction years a home's metadata may hold.
 YEAR_BUILT_RANGE = (1800, 2100)
+#: The ranges a synthetic home's floor area (square feet), construction year
+#: and steady-state lifts (degF, heating and cooling) are drawn from,
+#: uniformly; its RC truth scales with where it falls in the first two.
+SYNTH_FLOOR_AREAS = (800.0, 4000.0)
+SYNTH_YEARS_BUILT = (1950, 2020)
+SYNTH_LIFTS = (20.0, 60.0)
 #: The first timestamp of every synthetic trace.
 START = datetime(2019, 1, 1, tzinfo=timezone.utc)
 _MAX_LLOYD_ITERS = 100
@@ -317,9 +323,6 @@ class FleetConfig:
     order: int = 2
     seasons: tuple[SeasonConfig, ...] = (SeasonConfig(),)
     measurement_noise_std: float = 0.05
-    floor_area_range: tuple[float, float] = (800.0, 4000.0)
-    year_built_range: tuple[float, float] = (1950.0, 2020.0)
-    lift_range: tuple[float, float] = (20.0, 60.0)
 
     def __post_init__(self):
         if self.n_homes < 1:
@@ -331,16 +334,6 @@ class FleetConfig:
                               f"got {self.measurement_noise_std}")
         if not self.seasons:
             raise ConfigError("a fleet needs at least one season")
-        for name in ("floor_area_range", "year_built_range", "lift_range"):
-            low, high = getattr(self, name)
-            if not low < high:
-                raise ConfigError(f"{name} must be increasing, got {[low, high]}")
-        if self.lift_range[0] <= 0:
-            raise ConfigError("steady-state lift must be positive")
-        low, high = self.year_built_range
-        if low < YEAR_BUILT_RANGE[0] or high > YEAR_BUILT_RANGE[1]:
-            raise ConfigError(f"year_built_range must lie within {list(YEAR_BUILT_RANGE)}, "
-                              f"got {[low, high]}")
 
 
 @dataclass(frozen=True)
@@ -354,14 +347,14 @@ def _home_rng(master_seed, home_index, stream):
     return np.random.default_rng([int(master_seed), int(home_index), int(stream)])
 
 
-def _sample_truth(config, meta, rng):
+def _sample_truth(order, meta, rng):
     """Physical parameters linked to metadata: interior capacitance grows
     with floor area, total resistance with construction year."""
-    n = config.order
-    area01 = (meta.floor_area - config.floor_area_range[0]) / (
-        config.floor_area_range[1] - config.floor_area_range[0])
-    year01 = (meta.year_built - config.year_built_range[0]) / max(
-        config.year_built_range[1] - config.year_built_range[0], 1)
+    n = order
+    area01 = (meta.floor_area - SYNTH_FLOOR_AREAS[0]) / (
+        SYNTH_FLOOR_AREAS[1] - SYNTH_FLOOR_AREAS[0])
+    year01 = (meta.year_built - SYNTH_YEARS_BUILT[0]) / (
+        SYNTH_YEARS_BUILT[1] - SYNTH_YEARS_BUILT[0])
     c_interior = 2.0 + 6.0 * area01 + rng.normal(0, 0.2)
     c_interior = max(c_interior, 0.5)
     r_total = 1.5 + 2.5 * year01 + rng.normal(0, 0.1)
@@ -374,8 +367,8 @@ def _sample_truth(config, meta, rng):
     # envelope lumps are lighter than the interior
     capacitances[: n - 1] = c_interior * rng.uniform(0.15, 0.5, size=n - 1)
 
-    lift_heat = rng.uniform(*config.lift_range)
-    lift_cool = rng.uniform(*config.lift_range)
+    lift_heat = rng.uniform(*SYNTH_LIFTS)
+    lift_cool = rng.uniform(*SYNTH_LIFTS)
     return RcParams(
         resistances=tuple(resistances),
         capacitances=tuple(capacitances),
@@ -399,7 +392,7 @@ def _season_truth(truth, season):
 def _outdoor_profile(season, n_samples, rng):
     t_days = np.arange(n_samples) / SAMPLES_PER_DAY
     daily = season.outdoor_daily_amplitude * np.sin(2 * np.pi * (t_days - 0.25))
-    seasonal = season.outdoor_seasonal_amplitude * np.sin(2 * np.pi * t_days / max(season.days, 1))
+    seasonal = season.outdoor_seasonal_amplitude * np.sin(2 * np.pi * t_days / season.days)
     noise = rng.normal(0, season.weather_noise_std, size=n_samples)
     return season.outdoor_mean + daily + seasonal + noise
 
@@ -557,13 +550,12 @@ def synth_fleet(config, seed=0):
         home_id = f"home{i:04d}"
         meta = HomeMetadata(
             home_id=home_id,
-            floor_area=float(meta_rng.uniform(*config.floor_area_range)),
-            year_built=int(meta_rng.integers(config.year_built_range[0],
-                                             config.year_built_range[1] + 1)),
+            floor_area=float(meta_rng.uniform(*SYNTH_FLOOR_AREAS)),
+            year_built=int(meta_rng.integers(SYNTH_YEARS_BUILT[0], SYNTH_YEARS_BUILT[1] + 1)),
             province="SYN",
             city="synthville",
         )
-        truth = _sample_truth(config, meta, meta_rng)
+        truth = _sample_truth(config.order, meta, meta_rng)
         home = SyntheticHome(metadata=meta, truth=truth)
         homes.append(home)
         for s_idx, season in enumerate(config.seasons):

@@ -608,7 +608,7 @@ def build_regression(trace, controls, order):
 
     Requires an imputed trace. One row per time index t in [order, len);
     rows whose lag window [t-order, t] overlaps a long imputation gap are
-    dropped.
+    dropped, and a trace that keeps no row raises InsufficientDataError.
     """
     n = int(order)
     if n < 1:
@@ -631,6 +631,10 @@ def build_regression(trace, controls, order):
 
     if trace.long_gap.any():
         bad = np.convolve(trace.long_gap.astype(int), np.ones(n + 1, dtype=int))[n: len(trace)] > 0
+        if bad.all():
+            raise InsufficientDataError(
+                f"{trace.home_id}: every order-{n} lag window of its {len(trace)} samples "
+                f"overlaps a long imputation gap")
         keep = ~bad
         inputs, targets, indices = inputs[keep], targets[keep], indices[keep]
 

@@ -13,6 +13,7 @@ from oracles import (
 from rctherm import estimators as est
 from rctherm import rcnet
 from rctherm import timeseries as ts
+from rctherm.jsonfile import plain
 from rctherm.errors import (
     ConvergenceError,
     DegenerateSeriesError,
@@ -386,7 +387,7 @@ def test_training_config_rejects_impossible_values(value):
 
 
 def test_training_config_accepts_any_positive_noise():
-    assert est.TrainingConfig(noise_std=1e-9).to_dict() == {"noise_std": 1e-9}
+    assert plain(est.TrainingConfig(noise_std=1e-9)) == {"noise_std": 1e-9}
 
 
 def test_fit_bnn_empty_dataset():
@@ -515,5 +516,5 @@ def test_rmse():
     assert est.rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
     with pytest.raises(ShapeError):
         est.rmse([1.0], [1.0, 2.0])
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="no samples to score"):
         est.rmse([], [])

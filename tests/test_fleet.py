@@ -313,10 +313,6 @@ def test_synth_fleet_shapes_and_modes():
 def test_fleet_config_validation():
     with pytest.raises(ConfigError):
         fleet.FleetConfig(n_homes=0)
-    with pytest.raises(ConfigError):
-        fleet.FleetConfig(n_homes=1, lift_range=(60.0, 20.0))
-    with pytest.raises(ConfigError):
-        fleet.FleetConfig(n_homes=1, lift_range=(-5.0, 20.0))
 
 
 def test_truth_links_metadata():

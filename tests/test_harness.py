@@ -17,6 +17,7 @@ from rctherm import baselines, cli, estimators, fleet, harness, rcnet
 from rctherm import timeseries as ts
 from rctherm.errors import (
     ConfigError,
+    ConvergenceError,
     DataError,
     InsufficientDataError,
     ParseError,
@@ -142,28 +143,28 @@ def _edited_config(edit):
     _edited_config(lambda d: d.update(test_days=0)),
     _edited_config(lambda d: d["fleet"].update(order=0)),
     _edited_config(lambda d: d["fleet"].update(measurement_noise_std=-1)),
-    _edited_config(lambda d: d["fleet"].update(year_built_range=[1000, 1200])),
-    _edited_config(lambda d: d["fleet"].update(year_built_range=[2000, 2200])),
     _edited_config(lambda d: d["fleet"]["seasons"][0].update(weather_noise_std=-1)),
     _edited_config(lambda d: d["fleet"].update(n_homes=2.5)),
     _edited_config(lambda d: d["fleet"].update(measurement_noise_std="0.1")),
-    _edited_config(lambda d: d["fleet"].update(floor_area_range=["a", 1])),
-    _edited_config(lambda d: d["fleet"].update(lift_range=[20, 40, 60])),
     _edited_config(lambda d: d["fleet"]["seasons"][0].update(days="x")),
     _edited_config(lambda d: d["fleet"]["seasons"][0].update(name=None)),
     _edited_config(lambda d: d["fleet"].update(seasons=[])),
     _edited_config(lambda d: d["fleet"]["seasons"][0].update(days=0)),
-    _edited_config(lambda d: d["fleet"].update(floor_area_range=[5, 1])),
-    _edited_config(lambda d: d["fleet"].update(year_built_range=[2020, 1950])),
-    _edited_config(lambda d: d["fleet"].update(lift_range=[40, 40])),
     # unknown keys, which would otherwise be dropped for the defaults
     _edited_config(lambda d: d.update(train_day=7)),
     _edited_config(lambda d: d["fleet"].update(measurment_noise_std=0.5)),
+    _edited_config(lambda d: d["fleet"].update(year_built_range=[1000, 1200])),
+    _edited_config(lambda d: d["fleet"].update(year_built_range=[2000, 2200])),
+    _edited_config(lambda d: d["fleet"].update(floor_area_range=["a", 1])),
+    _edited_config(lambda d: d["fleet"].update(lift_range=[20, 40, 60])),
+    _edited_config(lambda d: d["fleet"].update(floor_area_range=[5, 1])),
+    _edited_config(lambda d: d["fleet"].update(year_built_range=[2020, 1950])),
+    _edited_config(lambda d: d["fleet"].update(lift_range=[40, 40])),
+    _edited_config(lambda d: d["fleet"].update(lift_range=[20, float("inf")])),
     _edited_config(lambda d: d["fleet"].update(order=6)),
     _edited_config(lambda d: d.update(cluster_k=-1)),
     # non-finite numbers, which JSON's NaN and Infinity literals give, and no
     # model kinds
-    _edited_config(lambda d: d["fleet"].update(lift_range=[20, float("inf")])),
     _edited_config(lambda d: d["hyper"].update(noise_std=float("inf"))),
     _edited_config(lambda d: d["fleet"]["seasons"][0].update(outdoor_mean=float("nan"))),
     _edited_config(lambda d: d.update(model_kinds=[])),
@@ -175,8 +176,8 @@ def test_experiment_config_malformed_json_is_a_config_error(text):
 
 def test_experiment_config_reads_an_int_as_a_float():
     config = harness.ExperimentConfig.from_json(_edited_config(
-        lambda d: (d["hyper"].update(noise_std=1), d["fleet"].update(lift_range=[20, 60]))))
-    assert config.hyper.noise_std == 1 and config.fleet_config.lift_range == (20, 60)
+        lambda d: (d["hyper"].update(noise_std=1), d["fleet"].update(measurement_noise_std=0))))
+    assert config.hyper.noise_std == 1 and config.fleet_config.measurement_noise_std == 0
 
 
 def _json_values():
@@ -316,6 +317,12 @@ def test_json_writers_keep_their_bytes(model, text):
 ])
 def test_posterior_malformed_json_is_a_shape_error(text):
     with pytest.raises(ShapeError):
+        estimators.Posterior.from_json(text)
+
+
+def test_posterior_with_ragged_means_is_a_shape_error():
+    text = json.dumps({**_POSTERIOR.to_dict(), "means": [[0.0], [0.0, 1.0]]})
+    with pytest.raises(ShapeError, match=r"posterior\.means must be a rectangular array"):
         estimators.Posterior.from_json(text)
 
 
@@ -902,6 +909,36 @@ def test_cli_transfer_takes_the_order_from_the_posterior(tmp_path):
         posterior.write_text(json.dumps({**source.to_dict(), "order": order,
                                          "means": [0.0] * size, "scales": [1.0] * size}))
         assert cli.main(argv) == 2, order
+
+
+def test_cli_fit_and_transfer_on_a_trace_with_no_usable_rows_are_data_errors(tmp_path, capsys):
+    # two readings a day apart: every lag window overlaps the long imputed gap
+    gap = tmp_path / "gap.csv"
+    gap.write_text(f"{','.join(ts.CSV_HEADER)}\n"
+                   "2024-01-01T00:00:00Z,70,30,68,75,auto,0,0.4\n"
+                   "2024-01-02T00:00:00Z,70,30,68,75,auto,0,0.4\n")
+    posterior = tmp_path / "posterior.json"
+    posterior.write_text(_POSTERIOR.to_json())
+    out = tmp_path / "out"
+    # fit's default order is 2; transfer takes the posterior's, 1
+    for argv, order in ((["fit", str(gap)], 2), (["transfer", str(posterior), str(gap)], 1)):
+        assert cli.main(argv + ["--out", str(out)]) == 2, argv
+        assert capsys.readouterr().err == (f"error: home: every order-{order} lag window of its "
+                                           "289 samples overlaps a long imputation gap\n")
+    assert not out.exists()
+
+
+def test_cli_convergence_error_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ConvergenceError("nnls exceeded 9 active-set iterations")
+
+    monkeypatch.setattr(harness, "fit_model", fail)
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"{','.join(ts.CSV_HEADER)}\n"
+                     "2024-01-01T00:00:00Z,70,30,68,75,auto,0,0.4\n"
+                     "2024-01-01T00:05:00Z,70,30,68,75,auto,0,0.4\n")
+    assert cli.main(["fit", str(trace), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: nnls exceeded 9 active-set iterations\n"
 
 
 def test_cli_cluster_elbow_writes_the_curves_clustering(tmp_path):

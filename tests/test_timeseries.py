@@ -811,6 +811,15 @@ def test_build_regression_drops_long_gap_windows():
     assert set(ds.indices) == set(range(order, n)) - dropped
 
 
+def test_build_regression_refuses_a_trace_whose_every_window_touches_a_long_gap():
+    t_in = np.full(20, np.nan)
+    t_in[[0, -1]] = 70.0  # an imputed 18-step run between two readings
+    trace = ts.impute(make_trace(20, t_in=t_in))
+    with pytest.raises(InsufficientDataError,
+                       match="h0: every order-2 lag window of its 20 samples"):
+        ts.build_regression(trace, ts.derive_controls(trace), 2)
+
+
 def test_build_regression_validation():
     trace = ts.impute(make_trace(6))
     controls = ts.derive_controls(trace)
