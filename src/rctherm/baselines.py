@@ -25,7 +25,7 @@ from .errors import (
     InvalidParameterError,
     ShapeError,
 )
-from .jsonfile import JsonFile, read
+from .jsonfile import JsonFile
 from .rcnet import all_pole, all_pole_band, root_radius
 
 _EXOG_DIM = 3  # (t_out, k_heat, k_cool)
@@ -37,20 +37,16 @@ _MAX_STEPS = 200
 _MAX_HALVINGS = 30
 
 
-@dataclass(frozen=True)
-class ArimaxOrder:
-    p: int = 1
-    d: int = 1
-    q: int = 2
-
-    def __post_init__(self):
-        if self.p < 0 or self.d < 0 or self.q < 0:
-            raise InvalidParameterError("ARIMAX orders must be nonnegative")
+def _nonnegative(order):
+    """An ARIMAX order (p, d, q); a negative one raises InvalidParameterError."""
+    if min(order) < 0:
+        raise InvalidParameterError(f"ARIMAX orders must be nonnegative, got {tuple(order)}")
+    return order
 
 
 @dataclass(frozen=True)
 class ArimaxModel(JsonFile, error=ShapeError, name="arimax", constants={"kind": "arimax"}):
-    order: ArimaxOrder
+    order: tuple[int, int, int]  # (p, d, q)
     ar: np.ndarray
     ma: np.ndarray
     exog: np.ndarray
@@ -58,30 +54,19 @@ class ArimaxModel(JsonFile, error=ShapeError, name="arimax", constants={"kind": 
     innovation_var: float
 
     def __post_init__(self):
+        p, _, q = _nonnegative(self.order)
         object.__setattr__(self, "ar", np.asarray(self.ar, dtype=float))
         object.__setattr__(self, "ma", np.asarray(self.ma, dtype=float))
         object.__setattr__(self, "exog", np.asarray(self.exog, dtype=float))
-        if self.ar.shape != (self.order.p,) or self.ma.shape != (self.order.q,):
+        if self.ar.shape != (p,) or self.ma.shape != (q,):
             raise ShapeError("ar/ma coefficient lengths do not match the order")
         if self.exog.shape != (_EXOG_DIM,):
             raise ShapeError(f"exog must have {_EXOG_DIM} coefficients")
 
     @property
     def warmup(self):
-        return max(self.order.p, self.order.q) + self.order.d
-
-    def to_dict(self):
-        return {**super().to_dict(), "order": [self.order.p, self.order.d, self.order.q]}
-
-    @classmethod
-    def from_dict(cls, data):
-        """Parse a model, whose "order" is the array [p, d, q]; anything
-        malformed raises ShapeError."""
-        data = dict(read(dict, data, "arimax", ShapeError))
-        if "order" in data:
-            data["order"] = dict(zip("pdq", read(tuple[int, int, int], data["order"],
-                                                 "arimax.order", ShapeError)))
-        return super().from_dict(data)
+        p, d, q = self.order
+        return max(p, q) + d
 
 
 def difference(series, d):
@@ -94,12 +79,6 @@ def difference(series, d):
 
 def _design(trace, controls, d):
     return difference(trace.t_in, d), difference(timeseries.exog(trace, controls), d)
-
-
-def _theta(ma, n):
-    """The MA polynomial theta(B) = 1 + theta_1 B + ... over n steps, as an
-    all_pole band."""
-    return all_pole_band(np.concatenate([[1.0], ma]), n)
 
 
 def _columns(z, exog):
@@ -130,7 +109,8 @@ class _Projection:
         no least-squares step."""
         n = len(cols)
         self.arma, self.p, self.skip = arma, p, skip
-        self.theta = _theta(arma[p:], n)
+        # theta(B) = 1 + theta_1 B + ..., the MA polynomial, over n steps
+        self.theta = all_pole_band(np.concatenate([[1.0], arma[p:]]), n)
         v = all_pole(self.theta, cols)  # theta^-1 of z, x + 1 and 1
         v[:, 1:-1] -= v[:, -1:]
         self.v = v
@@ -227,7 +207,7 @@ def _fit_arma(z, exog, p, q):
     raise ConvergenceError("ARIMAX optimizer hit the iteration cap")
 
 
-def fit_arimax(train, controls, order=None):
+def fit_arimax(train, controls, order=(1, 1, 2)):
     """Fit ARIMAX by conditional sum of squares.
 
     Newton's method moves the AR and MA coefficients from zero, with the
@@ -237,11 +217,13 @@ def fit_arimax(train, controls, order=None):
     form: its CSS minimiser is the mean of the differenced series, with no
     exogenous terms.
     """
-    order = order or ArimaxOrder()
-    p, d, q = order.p, order.d, order.q
-    if len(train) < 10 * (p + q + 4):
+    p, d, q = _nonnegative(order)
+    # the samples inside long imputation gaps are interpolation, not data
+    need, have = 10 * (p + q + 4), np.count_nonzero(~train.long_gap)
+    if have < need:
         raise InsufficientDataError(
-            f"need at least {10 * (p + q + 4)} samples to fit ARIMAX({p},{d},{q})")
+            f"{train.home_id}: {have} samples outside long imputation gaps, need at least "
+            f"{need} to fit ARIMAX({p},{d},{q})")
     z, exog = _design(train, controls, d)
 
     if p or q:
@@ -254,7 +236,7 @@ def fit_arimax(train, controls, order=None):
     skip = max(p, q)
     dof = max(len(e) - skip - n_free, 1)
     var = float(np.einsum("i,i", e[skip:], e[skip:]) / dof)  # as in _Projection: no BLAS dot
-    return ArimaxModel(order=order, ar=arma[:p], ma=arma[p:], exog=linear[:_EXOG_DIM],
+    return ArimaxModel(order=(p, d, q), ar=arma[:p], ma=arma[p:], exog=linear[:_EXOG_DIM],
                        intercept=float(linear[-1]), innovation_var=max(var, 1e-300))
 
 
@@ -264,7 +246,7 @@ def predict_arimax(model, test, controls):
     Returns predictions for grid indices [model.warmup, len(test)); compare
     against ``test.t_in[model.warmup:]``.
     """
-    p, d, q = model.order.p, model.order.d, model.order.q
+    p, d, q = model.order
     warm = model.warmup
     if len(test) <= warm:
         raise InsufficientDataError(f"need more than {warm} samples of warm-up history")

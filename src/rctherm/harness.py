@@ -54,6 +54,9 @@ class ExperimentConfig(JsonFile, error=ConfigError, name="config",
             raise ConfigError(f"unknown model kinds: {sorted(unknown)}")
         if not self.model_kinds:
             raise ConfigError("model_kinds must name at least one kind")
+        repeated = sorted({k for k in self.model_kinds if self.model_kinds.count(k) > 1})
+        if repeated:
+            raise ConfigError(f"model_kinds repeats {repeated}")
         if (self.fleet_config is None) == (self.manifest is None):
             raise ConfigError("config needs exactly one of a synthetic fleet and a manifest")
         for name in ("order", "train_days", "test_days"):
@@ -170,6 +173,8 @@ def _load_fleet(config):
         except InvalidParameterError as exc:  # its message starts with the key
             key = "" if str(exc).startswith("home_id") else "metadata."
             raise ConfigError(f"manifest.homes[{i}].{key}{exc}") from None
+    if not any(home.traces for home in homes):
+        raise ConfigError("the manifest lists no trace")
     traces, seasons = {}, []
     for home in homes:
         for season, rel in home.traces.items():
@@ -216,8 +221,8 @@ def fit_model(kind, train, order, hyper=None, home_id="", source=None):
     if kind == "onercone":
         return estimators.fit_1r1c(timeseries.build_regression(train, controls, 1))
     if kind in ("arimax", "persistence"):
-        arima = baselines.ArimaxOrder() if kind == "arimax" else baselines.ArimaxOrder(0, 1, 0)
-        return baselines.fit_arimax(train, controls, order=arima)
+        return baselines.fit_arimax(train, controls,
+                                    order=(1, 1, 2) if kind == "arimax" else (0, 1, 0))
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -256,7 +261,7 @@ def run_experiment(config, out_dir=None):
                           f"got {list(config.model_kinds)}")
     metadata, traces, seasons = _load_fleet(config)
     metadata = sorted(metadata, key=lambda m: m.home_id)
-    src = dst = config.source_season or next(iter(seasons), None)
+    src = dst = config.source_season or seasons[0]
     if scenario == "cross-season":
         # the target defaults to the first season, in fleet order, that is not the source
         dst = config.target_season or next((s for s in seasons if s != src), None)

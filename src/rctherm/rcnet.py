@@ -141,22 +141,17 @@ def build_state_space(params):
     """
     n = params.order
     r, c = params.resistances, params.capacitances
-    # each R*C product that the rates below divide by: positive R and C can
-    # still multiply to zero
-    if 0.0 in [c[i] * r[j] for i in range(n) for j in (i, i + 1) if j < n]:
-        raise InvalidParameterError("an R*C product underflows to zero")
     a = np.zeros((n, n))
-    if n == 1:
-        a[0, 0] = -1.0 / (c[0] * r[0])
-    else:
-        a[0, 0] = -(1.0 / (c[0] * r[0]) + 1.0 / (c[0] * r[1]))
-        a[0, 1] = 1.0 / (c[0] * r[1])
-        for i in range(1, n - 1):  # interior envelope lumps
-            a[i, i - 1] = 1.0 / (c[i] * r[i])
-            a[i, i] = -(1.0 / (c[i] * r[i]) + 1.0 / (c[i] * r[i + 1]))
-            a[i, i + 1] = 1.0 / (c[i] * r[i + 1])
-        a[n - 1, n - 2] = 1.0 / (c[n - 1] * r[n - 1])
-        a[n - 1, n - 1] = -1.0 / (c[n - 1] * r[n - 1])
+    for j in range(n):  # resistor j joins node j - 1 (outdoors for j = 0) to node j
+        for node, other in ((j, j - 1), (j - 1, j)):
+            if node < 0:  # outdoors is not a state
+                continue
+            rc = c[node] * r[j]
+            if rc == 0.0:  # positive R and C can still multiply to zero
+                raise InvalidParameterError("an R*C product underflows to zero")
+            a[node, node] -= 1.0 / rc
+            if other >= 0:
+                a[node, other] += 1.0 / rc
 
     b = np.zeros((n, 3))
     b[0, 0] = 1.0 / (c[0] * r[0])

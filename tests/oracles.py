@@ -617,7 +617,7 @@ def fit_arimax_fd(train, controls, order):
     """ARIMAX by L-BFGS-B on the CSS with finite-difference gradients, from
     zero AR/MA coefficients and the OLS exogenous coefficients; persistence
     (p = q = 0) drops the exogenous terms and starts at the mean."""
-    p, d, q = order.p, order.d, order.q
+    p, d, q = order
     if len(train) < 10 * (p + q + 4):
         raise InsufficientDataError("too few samples for this order")
     z = difference(train.t_in, d)

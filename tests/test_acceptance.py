@@ -98,7 +98,7 @@ def fleet_rmse_table():
             bl.predict_arimax(arimax, test, test_controls),
             test.t_in[arimax.warmup:]))
         persistence = bl.fit_arimax(train75, train_controls,
-                                    order=bl.ArimaxOrder(0, 1, 0))
+                                    order=(0, 1, 0))
         table["persistence"].append(est.rmse(
             bl.predict_arimax(persistence, test, test_controls),
             test.t_in[persistence.warmup:]))

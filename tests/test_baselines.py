@@ -1,6 +1,7 @@
 """Unit tests for the ARIMAX baseline and series differencing."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -38,20 +39,29 @@ def test_difference():
 # Model plumbing
 
 def test_arimax_order_validation():
+    trace, controls = _arimax_trace(200, seed=0)
     with pytest.raises(InvalidParameterError):
-        bl.ArimaxOrder(p=-1)
+        bl.fit_arimax(trace, controls, (-1, 1, 2))
+    with pytest.raises(InvalidParameterError):
+        bl.ArimaxModel(order=(1, 1, -1), ar=np.zeros(1), ma=np.zeros(0), exog=np.zeros(3),
+                       intercept=0.0, innovation_var=1.0)
+    text = bl.ArimaxModel(order=(1, 1, 2), ar=np.zeros(1), ma=np.zeros(2), exog=np.zeros(3),
+                          intercept=0.0, innovation_var=1.0).to_json()
+    for order, path in (([-1, 1, 2], "arimax: "), ([1, 1], "arimax.order ")):
+        with pytest.raises(ShapeError, match=f"^{path}"):
+            bl.ArimaxModel.from_json(text.replace("[1, 1, 2]", json.dumps(order)))
 
 
 def test_arimax_model_validation_and_roundtrip():
     with pytest.raises(ShapeError):
-        bl.ArimaxModel(order=bl.ArimaxOrder(1, 1, 2), ar=np.zeros(2),
+        bl.ArimaxModel(order=(1, 1, 2), ar=np.zeros(2),
                        ma=np.zeros(2), exog=np.zeros(3), intercept=0.0,
                        innovation_var=1.0)
     with pytest.raises(ShapeError):
-        bl.ArimaxModel(order=bl.ArimaxOrder(1, 1, 2), ar=np.zeros(1),
+        bl.ArimaxModel(order=(1, 1, 2), ar=np.zeros(1),
                        ma=np.zeros(2), exog=np.zeros(2), intercept=0.0,
                        innovation_var=1.0)
-    model = bl.ArimaxModel(order=bl.ArimaxOrder(1, 1, 2), ar=np.array([0.5]),
+    model = bl.ArimaxModel(order=(1, 1, 2), ar=np.array([0.5]),
                            ma=np.array([0.3, -0.2]),
                            exog=np.array([0.02, 0.1, -0.08]),
                            intercept=0.001, innovation_var=0.0025)
@@ -115,7 +125,7 @@ from test_baselines import _arimax_trace
 from test_fleet import SHOULDER
 trace, controls = _arimax_trace(20_000, 0)
 for order in ((1, 1, 2), (0, 1, 1)):
-    print(bl.fit_arimax(trace, controls, bl.ArimaxOrder(*order)).to_json())
+    print(bl.fit_arimax(trace, controls, order).to_json())
 oner = rcnet.analytic_coefficients(rcnet.RcParams((2.0,), (0.3,), 15.0, 12.0), 300.0)
 print(est.fit_1r1c(open_loop_dataset(oner, seed=0, noise_std=0.05, days=75)).to_json())
 _, traces = fleet.synth_fleet(fleet.FleetConfig(n_homes=1), seed=4)
@@ -193,7 +203,7 @@ def test_projected_css_derivatives_match_central_differences(p, d, q):
 
 
 def _css_of(model, trace, controls):
-    p, d, q = model.order.p, model.order.d, model.order.q
+    p, d, q = model.order
     z = bl.difference(trace.t_in, d)
     x = np.diff(ts.exog(trace, controls), n=d, axis=0)
     params = np.concatenate([model.ar, model.ma, model.exog, [model.intercept]])
@@ -213,7 +223,6 @@ def _css_of(model, trace, controls):
 ], ids=str)
 def test_fit_arimax_reaches_the_finite_difference_optimum(seed, order):
     trace, controls = _arimax_trace(20_000, seed)
-    order = bl.ArimaxOrder(*order)
     model = bl.fit_arimax(trace, controls, order)
     fitted = _css_of(model, trace, controls)
     reference = _css_of(fit_arimax_fd(trace, controls, order), trace, controls)
@@ -229,7 +238,7 @@ def test_fit_arimax_recovers_an_ar2_past_the_unit_coefficient():
     _, controls = _arimax_trace(steps, seed=5)
     t_in = 70.0 + lfilter([1.0], [1.0, -phi[0], -phi[1]], rng.normal(0.0, ESTD, steps))
     trace = make_trace(steps, t_in=t_in, t_out=30.0 + rng.normal(0.0, 1.5, steps))
-    model = bl.fit_arimax(trace, controls, bl.ArimaxOrder(2, 0, 0))
+    model = bl.fit_arimax(trace, controls, (2, 0, 0))
     assert model.ar == pytest.approx(phi, abs=0.02)
     assert model.innovation_var == pytest.approx(ESTD ** 2, rel=0.05)
 
@@ -242,18 +251,18 @@ def test_fit_arimax_evaluates_only_invertible_ma_polynomials(monkeypatch, seed, 
     # cross it. A non-invertible theta(B) makes the innovations filter blow
     # up; the fit halves such a trial back before it builds that filter.
     tried = []
-    theta = bl._theta
+    band = bl.all_pole_band
 
-    def spy(ma, n):
-        tried.append(np.array(ma))
-        return theta(ma, n)
+    def spy(theta, n):  # theta is (1, theta_1, ..., theta_q)
+        tried.append(np.array(theta[1:]))
+        return band(theta, n)
 
-    monkeypatch.setattr(bl, "_theta", spy)
+    monkeypatch.setattr(bl, "all_pole_band", spy)
     rng = np.random.default_rng(seed)
     _, controls = _arimax_trace(5000, seed)
     trace = make_trace(5000, t_in=70.0 + rng.normal(0.0, 0.05, 5000),
                        t_out=30.0 + rng.normal(0.0, 1.0, 5000))
-    model = bl.fit_arimax(trace, controls, bl.ArimaxOrder(*order))
+    model = bl.fit_arimax(trace, controls, order)
 
     def radius(ma):  # theta(B) is invertible when this is below 1
         return np.abs(np.roots(np.concatenate([[1.0], ma]))).max()
@@ -304,12 +313,12 @@ def test_predict_arimax_undifferences_like_the_sample_loop(d, p, q, seed):
                        t_out=rng.normal(30.0, 5.0, steps))
     controls = ts.ControlSeries(k_heat=rng.integers(0, 2, steps).astype(np.int8),
                                 k_cool=np.zeros(steps, dtype=np.int8))
-    model = bl.ArimaxModel(order=bl.ArimaxOrder(p, d, q), ar=rng.uniform(-0.9, 0.9, p),
+    model = bl.ArimaxModel(order=(p, d, q), ar=rng.uniform(-0.9, 0.9, p),
                            ma=rng.uniform(-0.5, 0.5, q), exog=rng.normal(0, 0.1, 3),
                            intercept=float(rng.normal(0, 0.01)), innovation_var=1.0)
     # the package's differenced-scale forecast, recovered from d = 0, where
     # undifferencing is the identity
-    flat = bl.ArimaxModel(order=bl.ArimaxOrder(p, 0, q), ar=model.ar, ma=model.ma,
+    flat = bl.ArimaxModel(order=(p, 0, q), ar=model.ar, ma=model.ma,
                           exog=model.exog, intercept=model.intercept, innovation_var=1.0)
     z = bl.difference(trace.t_in, d)
     x = np.diff(ts.exog(trace, controls), n=d, axis=0)
@@ -327,7 +336,7 @@ def test_predict_arimax_at_d0_is_the_fitted_recursion(p, q):
     # on its training segment the forecast is the measured value less the
     # innovations whose CSS the fit minimised, bit for bit
     trace, controls = _arimax_trace(3000, seed=10 * p + q)
-    model = bl.fit_arimax(trace, controls, bl.ArimaxOrder(p, 0, q))
+    model = bl.fit_arimax(trace, controls, (p, 0, q))
     z, exog = bl._design(trace, controls, 0)
     e = bl._fit_arma(z, exog, p, q).e
     got = bl.predict_arimax(model, trace, controls)
@@ -356,7 +365,7 @@ def test_persistence_fit_and_predict():
     trace = make_trace(steps, t_in=y)
     controls = ts.ControlSeries(k_heat=np.zeros(steps, dtype=np.int8),
                                 k_cool=np.zeros(steps, dtype=np.int8))
-    model = bl.fit_arimax(trace, controls, order=bl.ArimaxOrder(0, 1, 0))
+    model = bl.fit_arimax(trace, controls, order=(0, 1, 0))
     assert model.intercept == pytest.approx(drift, abs=1e-4)
     assert model.exog == pytest.approx(np.zeros(3))  # carries no exogenous terms
     assert model.ar.size == 0 and model.ma.size == 0
@@ -369,7 +378,7 @@ def test_persistence_closed_form_is_the_optimizer_fit(seed):
     # the CSS minimiser of mean((dz - c)^2) is c = mean(dz), where L-BFGS-B
     # starts and stops: the closed form writes the same model file
     trace, controls = _arimax_trace(5000, seed)
-    order = bl.ArimaxOrder(0, 1, 0)
+    order = (0, 1, 0)
     got = bl.fit_arimax(trace, controls, order)
     assert got.intercept == bl.difference(trace.t_in, 1).mean()
     assert got.to_json() == fit_arimax_fd(trace, controls, order).to_json()

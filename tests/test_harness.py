@@ -110,64 +110,89 @@ def _edited_config(edit):
 
 
 @pytest.mark.parametrize("text", [
-    "{not json",
-    "[1, 2]",
-    "null",
-    _edited_config(lambda d: d["fleet"].pop("n_homes")),
-    _edited_config(lambda d: d["fleet"].update(n_homes="many")),
-    _edited_config(lambda d: d["fleet"].update(seasons=[{"name": "winter", "snow": 1}])),
-    _edited_config(lambda d: d["hyper"].update(momentum=0.9)),
-    _edited_config(lambda d: d.update(model_kinds="bnn_rc")),
-    _edited_config(lambda d: d.update(model_kinds=[["bnn_rc"]])),
-    _edited_config(lambda d: d.update(fleet="big")),
+    pytest.param("{not json", id="not-json"),
+    pytest.param("[1, 2]", id="array"),
+    pytest.param("null", id="null"),
+    pytest.param(_edited_config(lambda d: d["fleet"].pop("n_homes")), id="fleet-lacks-n_homes"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(n_homes="many")), id="n_homes-string"),
+    pytest.param(_edited_config(
+        lambda d: d["fleet"].update(seasons=[{"name": "winter", "snow": 1}])),
+                 id="season-unknown-key"),
+    pytest.param(_edited_config(lambda d: d["hyper"].update(momentum=0.9)), id="hyper-unknown-key"),
+    pytest.param(_edited_config(lambda d: d.update(model_kinds="bnn_rc")), id="model_kinds-string"),
+    pytest.param(_edited_config(lambda d: d.update(model_kinds=[["bnn_rc"]])),
+                 id="model_kinds-nested"),
+    pytest.param(_edited_config(lambda d: d.update(fleet="big")), id="fleet-string"),
     # mistyped fields, which would otherwise fail inside run_experiment
-    _edited_config(lambda d: d.update(train_days="x")),
-    _edited_config(lambda d: d.update(seed="3")),
-    _edited_config(lambda d: d.update(seed=True)),
-    _edited_config(lambda d: d.update(cluster_k=1.5)),
-    _edited_config(lambda d: d.update(order=None)),
-    _edited_config(lambda d: d.update(manifest=5)),
-    _edited_config(lambda d: d.update(source_season=3)),
-    _edited_config(lambda d: d.update(scenario=None)),
-    _edited_config(lambda d: d["hyper"].update(noise_std="x")),
-    _edited_config(lambda d: d["hyper"].update(noise_std=True)),
+    pytest.param(_edited_config(lambda d: d.update(train_days="x")), id="train_days-string"),
+    pytest.param(_edited_config(lambda d: d.update(seed="3")), id="seed-string"),
+    pytest.param(_edited_config(lambda d: d.update(seed=True)), id="seed-bool"),
+    pytest.param(_edited_config(lambda d: d.update(cluster_k=1.5)), id="cluster_k-float"),
+    pytest.param(_edited_config(lambda d: d.update(order=None)), id="order-null"),
+    pytest.param(_edited_config(lambda d: d.update(manifest=5)), id="manifest-int"),
+    pytest.param(_edited_config(lambda d: d.update(source_season=3)), id="source_season-int"),
+    pytest.param(_edited_config(lambda d: d.update(scenario=None)), id="scenario-null"),
+    pytest.param(_edited_config(lambda d: d["hyper"].update(noise_std="x")), id="noise_std-string"),
+    pytest.param(_edited_config(lambda d: d["hyper"].update(noise_std=True)), id="noise_std-bool"),
     # keys of the version-2 schema, or a version-2 config
-    _edited_config(lambda d: d["hyper"].update(learning_rate=1e-3)),
-    _edited_config(lambda d: d["hyper"].update(epochs=200)),
-    _edited_config(lambda d: d.update(schema_version=2)),
+    pytest.param(_edited_config(lambda d: d["hyper"].update(learning_rate=1e-3)),
+                 id="v2-learning_rate"),
+    pytest.param(_edited_config(lambda d: d["hyper"].update(epochs=200)), id="v2-epochs"),
+    pytest.param(_edited_config(lambda d: d.update(schema_version=2)), id="schema_version-2"),
     # impossible values, which would otherwise fail inside run_experiment
-    _edited_config(lambda d: d["hyper"].update(noise_std=0)),
-    _edited_config(lambda d: d["hyper"].update(noise_std=-0.1)),
-    _edited_config(lambda d: d.update(order=0)),
-    _edited_config(lambda d: d.update(train_days=0)),
-    _edited_config(lambda d: d.update(test_days=0)),
-    _edited_config(lambda d: d["fleet"].update(order=0)),
-    _edited_config(lambda d: d["fleet"].update(measurement_noise_std=-1)),
-    _edited_config(lambda d: d["fleet"]["seasons"][0].update(weather_noise_std=-1)),
-    _edited_config(lambda d: d["fleet"].update(n_homes=2.5)),
-    _edited_config(lambda d: d["fleet"].update(measurement_noise_std="0.1")),
-    _edited_config(lambda d: d["fleet"]["seasons"][0].update(days="x")),
-    _edited_config(lambda d: d["fleet"]["seasons"][0].update(name=None)),
-    _edited_config(lambda d: d["fleet"].update(seasons=[])),
-    _edited_config(lambda d: d["fleet"]["seasons"][0].update(days=0)),
+    pytest.param(_edited_config(lambda d: d["hyper"].update(noise_std=0)), id="noise_std-0"),
+    pytest.param(_edited_config(lambda d: d["hyper"].update(noise_std=-0.1)),
+                 id="noise_std-negative"),
+    pytest.param(_edited_config(lambda d: d.update(order=0)), id="order-0"),
+    pytest.param(_edited_config(lambda d: d.update(train_days=0)), id="train_days-0"),
+    pytest.param(_edited_config(lambda d: d.update(test_days=0)), id="test_days-0"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(order=0)), id="fleet.order-0"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(measurement_noise_std=-1)),
+                 id="measurement_noise_std-negative"),
+    pytest.param(_edited_config(lambda d: d["fleet"]["seasons"][0].update(weather_noise_std=-1)),
+                 id="weather_noise_std-negative"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(n_homes=2.5)), id="n_homes-float"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(measurement_noise_std="0.1")),
+                 id="measurement_noise_std-string"),
+    pytest.param(_edited_config(lambda d: d["fleet"]["seasons"][0].update(days="x")),
+                 id="season.days-string"),
+    pytest.param(_edited_config(lambda d: d["fleet"]["seasons"][0].update(name=None)),
+                 id="season.name-null"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(seasons=[])), id="seasons-empty"),
+    pytest.param(_edited_config(lambda d: d["fleet"]["seasons"][0].update(days=0)),
+                 id="season.days-0"),
     # unknown keys, which would otherwise be dropped for the defaults
-    _edited_config(lambda d: d.update(train_day=7)),
-    _edited_config(lambda d: d["fleet"].update(measurment_noise_std=0.5)),
-    _edited_config(lambda d: d["fleet"].update(year_built_range=[1000, 1200])),
-    _edited_config(lambda d: d["fleet"].update(year_built_range=[2000, 2200])),
-    _edited_config(lambda d: d["fleet"].update(floor_area_range=["a", 1])),
-    _edited_config(lambda d: d["fleet"].update(lift_range=[20, 40, 60])),
-    _edited_config(lambda d: d["fleet"].update(floor_area_range=[5, 1])),
-    _edited_config(lambda d: d["fleet"].update(year_built_range=[2020, 1950])),
-    _edited_config(lambda d: d["fleet"].update(lift_range=[40, 40])),
-    _edited_config(lambda d: d["fleet"].update(lift_range=[20, float("inf")])),
-    _edited_config(lambda d: d["fleet"].update(order=6)),
-    _edited_config(lambda d: d.update(cluster_k=-1)),
+    pytest.param(_edited_config(lambda d: d.update(train_day=7)), id="unknown-key"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(measurment_noise_std=0.5)),
+                 id="fleet-unknown-key"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(year_built_range=[1000, 1200])),
+                 id="year_built_range-1000"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(year_built_range=[2000, 2200])),
+                 id="year_built_range-2000"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(floor_area_range=["a", 1])),
+                 id="floor_area_range-string"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(lift_range=[20, 40, 60])),
+                 id="lift_range-3"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(floor_area_range=[5, 1])),
+                 id="floor_area_range-reversed"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(year_built_range=[2020, 1950])),
+                 id="year_built_range-reversed"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(lift_range=[40, 40])),
+                 id="lift_range-empty"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(lift_range=[20, float("inf")])),
+                 id="lift_range-inf"),
+    pytest.param(_edited_config(lambda d: d["fleet"].update(order=6)), id="fleet.order-6"),
+    pytest.param(_edited_config(lambda d: d.update(cluster_k=-1)), id="cluster_k-negative"),
     # non-finite numbers, which JSON's NaN and Infinity literals give, and no
-    # model kinds
-    _edited_config(lambda d: d["hyper"].update(noise_std=float("inf"))),
-    _edited_config(lambda d: d["fleet"]["seasons"][0].update(outdoor_mean=float("nan"))),
-    _edited_config(lambda d: d.update(model_kinds=[])),
+    # model kinds or a repeated one
+    pytest.param(_edited_config(lambda d: d["hyper"].update(noise_std=float("inf"))),
+                 id="noise_std-inf"),
+    pytest.param(_edited_config(
+        lambda d: d["fleet"]["seasons"][0].update(outdoor_mean=float("nan"))),
+                 id="outdoor_mean-nan"),
+    pytest.param(_edited_config(lambda d: d.update(model_kinds=[])), id="model_kinds-empty"),
+    pytest.param(_edited_config(lambda d: d.update(model_kinds=["onercone", "onercone"])),
+                 id="model_kinds-repeated"),
 ])
 def test_experiment_config_malformed_json_is_a_config_error(text):
     with pytest.raises(ConfigError):
@@ -226,7 +251,7 @@ _RC_PARAMS = {"resistances": [1.0, 2.0], "capacitances": [0.1, 0.2],
 
 _COEFFS = rcnet.DiffCoeffs(order=1, s=[[0.0, 0.0, 0.0], [0.1, 0.2, -0.3]], e=[-0.9], offset=0.5)
 _ONERCONE = estimators.OneROneCFit(a=0.01, b=0.4, c=0.0, valid=True, residual_norm=1.5)
-_ARIMAX = baselines.ArimaxModel(order=baselines.ArimaxOrder(1, 1, 1), ar=[0.5], ma=[0.25],
+_ARIMAX = baselines.ArimaxModel(order=(1, 1, 1), ar=[0.5], ma=[0.25],
                                 exog=[0.02, 0.1, -0.08], intercept=0.001, innovation_var=0.0025)
 _CLUSTERING = fleet.Clustering(k=2, centroids=np.array([[-1.0, 0.5], [1.0, -0.5]]),
                                assignments={"h1": 1, "h0": 0}, sse=0.25,
@@ -480,7 +505,15 @@ def test_run_experiment_rejects_a_season_the_fleet_lacks(scenario, seasons):
 def test_run_experiment_rejects_a_manifest_without_homes(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"homes": []}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^the manifest lists no trace$"):
+        harness.run_experiment(harness.ExperimentConfig(manifest=str(manifest)))
+
+
+def test_run_experiment_rejects_a_manifest_whose_homes_list_no_trace(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    home = {**_MANIFEST["homes"][0], "traces": {}}
+    manifest.write_text(json.dumps({"homes": [home, {**home, "home_id": "h1"}]}))
+    with pytest.raises(ConfigError, match="^the manifest lists no trace$"):
         harness.run_experiment(harness.ExperimentConfig(manifest=str(manifest)))
 
 
@@ -750,6 +783,7 @@ def test_cli_exit_codes(tmp_path):
                  lambda d: d["fleet"]["seasons"][0].update(days=0),
                  lambda d: d["fleet"].update(floor_area_range=[5, 1]),
                  lambda d: d["fleet"].update(year_built_range=[2020, 1950]),
+                 lambda d: d.update(model_kinds=["onercone", "onercone"]),
                  lambda d: d.update(source_season="summer")):
         config.write_text(_edited_config(edit))
         assert cli.main(["experiment", "--config", str(config), "--out", str(tmp_path)]) == 1
@@ -911,12 +945,19 @@ def test_cli_transfer_takes_the_order_from_the_posterior(tmp_path):
         assert cli.main(argv) == 2, order
 
 
-def test_cli_fit_and_transfer_on_a_trace_with_no_usable_rows_are_data_errors(tmp_path, capsys):
-    # two readings a day apart: every lag window overlaps the long imputed gap
+def _gap_csv(tmp_path):
+    """A trace CSV of two readings a day apart: 287 of its 289 samples lie in
+    one long imputed gap."""
     gap = tmp_path / "gap.csv"
     gap.write_text(f"{','.join(ts.CSV_HEADER)}\n"
                    "2024-01-01T00:00:00Z,70,30,68,75,auto,0,0.4\n"
                    "2024-01-02T00:00:00Z,70,30,68,75,auto,0,0.4\n")
+    return gap
+
+
+def test_cli_fit_and_transfer_on_a_trace_with_no_usable_rows_are_data_errors(tmp_path, capsys):
+    # every lag window overlaps the long imputed gap
+    gap = _gap_csv(tmp_path)
     posterior = tmp_path / "posterior.json"
     posterior.write_text(_POSTERIOR.to_json())
     out = tmp_path / "out"
@@ -925,6 +966,17 @@ def test_cli_fit_and_transfer_on_a_trace_with_no_usable_rows_are_data_errors(tmp
         assert cli.main(argv + ["--out", str(out)]) == 2, argv
         assert capsys.readouterr().err == (f"error: home: every order-{order} lag window of its "
                                            "289 samples overlaps a long imputation gap\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, order, need", [("arimax", "1,1,2", 70),
+                                               ("persistence", "0,1,0", 40)])
+def test_cli_fit_of_an_arimax_kind_counts_the_samples_outside_long_gaps(tmp_path, capsys, kind,
+                                                                        order, need):
+    out = tmp_path / "out"
+    assert cli.main(["fit", str(_gap_csv(tmp_path)), "--kind", kind, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: home: 2 samples outside long imputation gaps, "
+                                       f"need at least {need} to fit ARIMAX({order})\n")
     assert not out.exists()
 
 
